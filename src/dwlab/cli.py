@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import shlex
@@ -81,8 +82,11 @@ def _jsonable(obj):
 
 
 def _emit(payload: dict) -> None:
-    json.dump(_jsonable(payload), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(_jsonable(payload), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite, refusing to write invalid JSON: {exc}") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _read_series(path: str, header: Optional[bool]) -> Series:
@@ -96,7 +100,9 @@ def _header_flag(value: str) -> Optional[bool]:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads is not None:
+        if args.threads < 1:
+            raise DomainError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get(THREADS_ENV)
     if env:
@@ -150,53 +156,28 @@ def _cmd_estimate(args, argv):
     return 0
 
 
-def _outcome_dict(outcome) -> dict:
-    return {
-        "statistic": outcome.statistic,
-        "threshold": outcome.threshold,
-        "alpha": outcome.alpha,
-        "reject": outcome.reject,
-        "p_value": outcome.p_value,
-        "kind": outcome.kind,
-    }
-
-
-def _weights_dict(w) -> dict:
-    return {
-        "a_w": w.a_w,
-        "b_w": w.b_w,
-        "theta_tilde": w.theta_tilde,
-        "rho_tilde": w.rho_tilde,
-        "d_tilde": w.d_tilde,
-        "alpha_hat": w.alpha_hat,
-        "beta_hat": w.beta_hat,
-        "gamma_hat": w.gamma_hat.tolist(),
-        "tau2": w.tau2,
-    }
-
-
 def _cmd_test(args, argv):
     series = _read_series(args.input, _header_flag(args.header))
     payload = {"manifest": _manifest(argv, None)}
     if args.kind == "critical":
-        payload["test"] = _outcome_dict(critical_case_test(series.x, args.alpha))
+        payload["test"] = dataclasses.asdict(critical_case_test(series.x, args.alpha))
     elif args.kind == "zero":
-        payload["test"] = _outcome_dict(rho_zero_test(series.x, args.alpha))
+        payload["test"] = dataclasses.asdict(rho_zero_test(series.x, args.alpha))
     elif args.kind == "rho0":
         if args.rho0 is None:
             raise DomainError("--kind rho0 requires --rho0")
         outcome, weights = rho_test(series.x, args.rho0, args.alpha)
-        payload["test"] = _outcome_dict(outcome)
-        payload["weights"] = _weights_dict(weights)
+        payload["test"] = dataclasses.asdict(outcome)
+        payload["weights"] = dataclasses.asdict(weights)
     else:  # auto
         if args.rho0 is None:
             raise DomainError("--kind auto requires --rho0")
         auto = auto_test(series.x, args.rho0, args.alpha)
-        payload["preliminary"] = _outcome_dict(auto.preliminary)
+        payload["preliminary"] = dataclasses.asdict(auto.preliminary)
         payload["branch"] = auto.branch
-        payload["test"] = _outcome_dict(auto.final)
+        payload["test"] = dataclasses.asdict(auto.final)
         if auto.weights is not None:
-            payload["weights"] = _weights_dict(auto.weights)
+            payload["weights"] = dataclasses.asdict(auto.weights)
     _emit(payload)
     return 0
 
@@ -235,19 +216,7 @@ def _cmd_limits(args, argv):
     _emit(
         {
             "manifest": _manifest(argv, None),
-            "limits": {
-                "theta_star": a.theta_star,
-                "rho_star": a.rho_star,
-                "d_star": a.d_star,
-                "var_theta": a.var_theta,
-                "var_rho": a.var_rho,
-                "var_d": a.var_d,
-                "gamma": a.gamma.tolist(),
-                "ell": a.ell,
-                "ell1": a.ell1,
-                "ell2": a.ell2,
-                "sigma_hat_limit": a.sigma_hat_limit,
-            },
+            "limits": dataclasses.asdict(a),
         }
     )
     return 0

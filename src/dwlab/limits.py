@@ -54,19 +54,29 @@ def d_star(theta: float, rho: float) -> float:
     return 2.0 * (1.0 - rho_star(theta, rho))
 
 
+def var_theta_core(theta: float, rho: float) -> float:
+    """var_theta without the region check, for plug-in points that may leave the region."""
+    tr = theta * rho
+    return (1.0 - theta * theta) * (1.0 - tr) * (1.0 - rho * rho) / (1.0 + tr) ** 3
+
+
+def var_rho_core(theta: float, rho: float) -> float:
+    """var_rho without the region check, for plug-in points that may leave the region."""
+    tr = theta * rho
+    core = (theta + rho) ** 2 * (1.0 + tr) ** 2 + tr * tr * (1.0 - theta * theta) * (1.0 - rho * rho)
+    return (1.0 - tr) / (1.0 + tr) ** 3 * core
+
+
 def var_theta(theta: float, rho: float) -> float:
     """Asymptotic variance of sqrt(n)*(theta_hat - theta_star)."""
     check_region(theta, rho)
-    tr = theta * rho
-    return (1.0 - theta * theta) * (1.0 - tr) * (1.0 - rho * rho) / (1.0 + tr) ** 3
+    return var_theta_core(theta, rho)
 
 
 def var_rho(theta: float, rho: float) -> float:
     """Asymptotic variance of sqrt(n)*(rho_hat - rho_star)."""
     check_region(theta, rho)
-    tr = theta * rho
-    core = (theta + rho) ** 2 * (1.0 + tr) ** 2 + tr * tr * (1.0 - theta * theta) * (1.0 - rho * rho)
-    return (1.0 - tr) / (1.0 + tr) ** 3 * core
+    return var_rho_core(theta, rho)
 
 
 def var_d(theta: float, rho: float) -> float:

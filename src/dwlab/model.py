@@ -126,7 +126,8 @@ def validate_params(p: ModelParams) -> None:
             raise OutOfRegion(name)
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
+    """Return the seed as an int; reject anything but an unsigned 64-bit integer."""
     if not isinstance(seed, (int, np.integer)):
         raise DomainError("seed must be an integer")
     if seed < 0 or seed > _MASK64:
@@ -140,7 +141,7 @@ def make_rng(seed: int) -> np.random.Generator:
     Philox is counter based, so distinct keys give independent streams and
     the mapping seed -> stream is identical on every platform.
     """
-    key = np.array([_check_seed(seed), 0], dtype=np.uint64)
+    key = np.array([check_seed(seed), 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -213,7 +214,8 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
     Accepts either a single numeric column of X values or the export format
     written by :func:`write_csv` (the column named ``x`` is used).  With
     ``header=None`` a header line is auto-detected by a non-numeric first
-    token.  Latent sequences are never attached to ingested data.
+    token.  Non-finite values (nan, inf) raise DomainError.  Latent
+    sequences are never attached to ingested data.
     """
     own = isinstance(source, (str, Path))
     fh = open(source, "r", newline="") if own else source
@@ -243,6 +245,9 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
         x = np.array([float(row[x_col]) for row in rows], dtype=np.float64)
     except (ValueError, IndexError) as exc:
         raise DomainError(f"non-numeric value in CSV column {x_col}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"non-finite value {x[bad[0]]!r} in CSV column {x_col}, data row {bad[0]}")
     return Series(x=x)
 
 

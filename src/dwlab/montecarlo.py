@@ -30,10 +30,9 @@ from .estimators import (
     residuals,
     running_estimates,
 )
-from .model import ModelParams, NoiseSpec, simulate
+from .model import _MASK64, ModelParams, NoiseSpec, check_seed, simulate
 from .testing import critical_case_test, rho_test, rho_zero_test
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 # Tolerances used by the verification experiments, echoed in every report.
@@ -53,6 +52,9 @@ LIL_NOTE = (
 )
 
 STATS = ("theta", "rho", "dw")
+
+# Target keys (almost-sure limit, asymptotic variance) of each running statistic.
+_TARGET_KEYS = {"theta": ("theta_star", "var_theta"), "rho": ("rho_star", "var_rho"), "dw": ("d_star", "var_d")}
 
 
 def _mix64(z: int) -> int:
@@ -86,6 +88,7 @@ class McConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
+        check_seed(self.base_seed)
         if self.replicates < 1:
             raise DomainError("need at least one replicate")
         if self.n < 100:
@@ -290,8 +293,8 @@ def qsl_check(cfg: McConfig, which: str, k0: int = QSL_BURN_IN, threads: int = 1
         raise DomainError("quadratic strong law check needs n >= 10^4")
 
     targets = _asymptotic_targets(cfg)
-    limit = targets[{"theta": "theta_star", "rho": "rho_star", "dw": "d_star"}[which]]
-    target_var = targets[{"theta": "var_theta", "rho": "var_rho", "dw": "var_d"}[which]]
+    limit_key, var_key = _TARGET_KEYS[which]
+    limit, target_var = targets[limit_key], targets[var_key]
     log_n = math.log(cfg.n)
 
     def one(i: int) -> tuple:
@@ -352,8 +355,8 @@ def lil_envelope_check(
         raise DomainError("checkpoints cannot exceed the path length")
 
     targets = _asymptotic_targets(cfg)
-    limit = targets[{"theta": "theta_star", "rho": "rho_star", "dw": "d_star"}[which]]
-    sd = math.sqrt(targets[{"theta": "var_theta", "rho": "var_rho", "dw": "var_d"}[which]])
+    limit_key, var_key = _TARGET_KEYS[which]
+    limit, sd = targets[limit_key], math.sqrt(targets[var_key])
     envelope = LIL_SD_MULTIPLE * sd
 
     def one(i: int) -> tuple:

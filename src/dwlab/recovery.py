@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateDenominator, NegativeDiscriminant, ThetaNearZero
+from .errors import DegenerateDenominator, DomainError, NegativeDiscriminant, ThetaNearZero
+from .estimators import THETA_EPS
 
-THETA_EPS = 1e-8  # |theta_hat| below this makes rho_hat/theta_hat meaningless
 DISCRIMINANT_CLAMP = 1e-10  # rounding guard: tiny negative discriminants mean a double root
 
 CONVENTIONS = ("theta_less", "theta_greater")
@@ -60,7 +60,7 @@ def recover_params(theta_hat: float, rho_hat: float, convention: str = "theta_le
     estimators returns the true (theta, rho) up to rounding.
     """
     if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
+        raise DomainError(f"convention must be one of {CONVENTIONS}")
     if abs(theta_hat) <= THETA_EPS:
         raise ThetaNearZero("cannot form rho_hat/theta_hat with a vanishing AR estimate")
     s_hat = theta_hat + rho_hat

@@ -108,6 +108,27 @@ class TestSimulateEstimate:
         code, _, err = run_cli(capsys, "estimate", "--input", "/nonexistent/file.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_is_data_error(self, capsys, tmp_path, bad):
+        src = tmp_path / "bad.csv"
+        src.write_text("\n".join(["0.1", "0.4", bad, "0.2", "-0.3", "0.5"]) + "\n")
+        for command in ("estimate", "test"):
+            extra = ["--kind", "zero", "--alpha", "0.05"] if command == "test" else []
+            code, out, err = run_cli(capsys, command, "--input", str(src), *extra)
+            assert code == 2
+            assert out == ""
+            assert "non-finite" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_values_are_data_error(self, capsys, tmp_path):
+        # finite input whose squares overflow would put NaN in the JSON
+        src = tmp_path / "huge.csv"
+        src.write_text("\n".join(["1e200", "-3e200", "2e200", "1e200", "5e199"]) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(src))
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
 
 class TestTestCommand:
     @pytest.fixture()
@@ -208,6 +229,27 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)["report"]
         assert report["lil"]["checkpoints"] == [1000, 10000]
+
+    def test_negative_seed_rejected_like_simulate(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3",
+            "--n", "200", "--reps", "2", "--seed", "-5",
+        )
+        assert code == 2
+        assert "seed" in err
+        assert run_cli(capsys, "simulate", "--theta", "0.5", "--rho", "0.3", "--n", "10", "--seed", "-5")[0] == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("DW_LAB_THREADS", "2")
+        code, _, err = run_cli(
+            capsys,
+            "verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3",
+            "--n", "200", "--reps", "2", "--seed", "1", "--threads", threads,
+        )
+        assert code == 2
+        assert "--threads" in err
 
     def test_threads_flag_and_env(self, capsys, monkeypatch):
         args = ["verify", "--experiment", "clt", "--theta", "0.2", "--rho", "0.1",

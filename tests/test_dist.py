@@ -4,7 +4,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dwlab.dist import chi2_cdf1, chi2_quantile1, ks_statistic, normal_cdf
+from dwlab.dist import chi2_cdf1, chi2_quantile1, chi2_sf1, ks_statistic, normal_cdf
 from dwlab.errors import DomainError, EmptySample
 from dwlab.model import make_rng
 
@@ -45,6 +45,23 @@ class TestChiSquare:
 
     def test_quantile_value(self):
         assert abs(chi2_quantile1(0.95) - 3.841459) <= 1e-5
+
+    def test_quantile_matches_closed_form(self):
+        for p in (0.5, 0.9, 0.95, 0.99, 0.999):
+            assert abs(chi2_quantile1(p) / scipy.stats.chi2.ppf(p, df=1) - 1.0) <= 1e-13
+
+    def test_upper_tail_does_not_underflow(self):
+        # 1 - chi2_cdf1(80) rounds to 0; the true tail is about 3.7e-19
+        assert 1.0 - chi2_cdf1(80.0) == 0.0
+        assert abs(chi2_sf1(80.0) / scipy.stats.chi2.sf(80.0, df=1) - 1.0) <= 1e-12
+        xs = np.linspace(0.0, 30.0, 301)
+        ours = np.array([chi2_sf1(float(v)) for v in xs])
+        assert np.max(np.abs(ours - scipy.stats.chi2.sf(xs, df=1))) <= 1e-12
+
+    def test_upper_tail_domain(self):
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(DomainError):
+                chi2_sf1(bad)
 
     def test_quantile_domain(self):
         for p in (0.0, 1.0, -0.2, 1.5):

@@ -56,6 +56,11 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             config(0.5, 0.3, n=1000, reps=10, seed=1, alpha=1.5)
 
+    @pytest.mark.parametrize("seed", [-5, 2**64, 1.5])
+    def test_seed_checked_like_simulate(self, seed):
+        with pytest.raises(DomainError):
+            config(0.5, 0.3, n=1000, reps=10, seed=seed)
+
 
 class TestRunReplications:
     def test_single_replicate_matches_direct_estimation(self):

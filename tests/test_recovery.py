@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dwlab import limits
-from dwlab.errors import DegenerateDenominator, NegativeDiscriminant, ThetaNearZero
+from dwlab.errors import DegenerateDenominator, DomainError, NegativeDiscriminant, ThetaNearZero
 from dwlab.estimators import estimate_all
 from dwlab.model import ModelParams, NoiseSpec, simulate
 from dwlab.recovery import quadratic_roots, recover_params, recover_sigma2
@@ -65,7 +65,7 @@ class TestRecoverParams:
             recover_params(1e-12, 0.1, "theta_less")
 
     def test_invalid_convention(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             recover_params(0.5, 0.1, "largest_first")
 
     def test_out_of_region_flag(self):

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dwlab.dist import chi2_quantile1
+import dwlab.testing
 from dwlab.errors import (
+    DegenerateDenominator,
     DegenerateStatistic,
     DegenerateTau,
     DegenerateTheta,
@@ -120,6 +122,11 @@ class TestOutcomeInvariants:
         assert out.threshold == chi2_quantile1(1.0 - alpha)
         assert 0.0 <= out.p_value <= 1.0
 
+    def test_p_value_keeps_the_far_tail(self):
+        out = _outcome(80.0, 0.05, "rho_equals_zero")
+        assert out.reject
+        assert 3.7e-19 < out.p_value < 3.8e-19
+
     def test_alpha_validated(self):
         x = path(0.5, 0.0, n=500)
         for alpha in (0.0, 1.0, -0.1):
@@ -171,6 +178,42 @@ class TestOnSimulatedPaths:
         # roughly linear growth: quadrupling n multiplies the statistic by ~4
         assert 2.0 < stats[1] / stats[0] < 8.0
         assert 2.0 < stats[2] / stats[1] < 8.0
+
+
+class TestSingleFit:
+    def _count_fits(self, monkeypatch):
+        calls = []
+        fit = dwlab.testing.estimate_all
+
+        def counting(path):
+            calls.append(1)
+            return fit(path)
+
+        monkeypatch.setattr(dwlab.testing, "estimate_all", counting)
+        return calls
+
+    @pytest.mark.parametrize("theta, rho, rho0", [(0.5, 0.3, 0.3), (0.4, -0.4, 0.4)])
+    def test_auto_test_fits_once(self, monkeypatch, theta, rho, rho0):
+        calls = self._count_fits(monkeypatch)
+        auto_test(path(theta, rho, seed=14), rho0, 0.05)
+        assert len(calls) == 1
+
+    def test_each_test_fits_once(self, monkeypatch):
+        calls = self._count_fits(monkeypatch)
+        x = path(0.5, 0.3, seed=14)
+        critical_case_test(x, 0.05)
+        rho_test(x, 0.3, 0.05)
+        rho_zero_test(x, 0.05)
+        assert len(calls) == 3
+
+    def test_zero_prefix_needs_the_theta_sq_plugin(self):
+        # X_0..X_{n-2} all zero: theta_hat exists, the lag-2 plug-in does not,
+        # and every test is computed from the full fit
+        x = np.zeros(10)
+        x[-2:] = (1.0, 0.5)
+        for run in (lambda: rho_test(x, 0.3, 0.05), lambda: rho_zero_test(x, 0.05)):
+            with pytest.raises(DegenerateDenominator):
+                run()
 
 
 class TestAutoFlow:
