@@ -15,6 +15,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -132,23 +133,26 @@ def estimate_theta_sq(path: ArrayLike) -> float:
 
 
 def estimate_all(path: ArrayLike) -> EstimateSet:
-    """Run the full pipeline on one series."""
+    """Run the full pipeline on one series.
+
+    A statistic that comes out non-finite, from nan/inf in the series or
+    from values whose squares overflow float64 (magnitudes above about
+    1e154), raises DomainError naming it, without numpy warnings, instead
+    of being returned.
+    """
     x = _as_x(path)
-    th = estimate_theta(x)
-    res = residuals(x, th)
-    rho = estimate_rho(res)
-    sigma2 = estimate_sigma2(res, rho)
-    dw = dw_statistic(res)
-    theta_sq = estimate_theta_sq(x)
-    return EstimateSet(
-        theta_hat=th,
-        rho_hat=rho,
-        sigma2_hat=sigma2,
-        dw=dw,
-        theta_sq_hat=theta_sq,
-        residuals=res,
-        n=x.size - 1,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        th = estimate_theta(x)
+        res = residuals(x, th)
+        rho = estimate_rho(res)
+        sigma2 = estimate_sigma2(res, rho)
+        dw = dw_statistic(res)
+        theta_sq = estimate_theta_sq(x)
+    fitted = {"theta_hat": th, "rho_hat": rho, "sigma2_hat": sigma2, "dw": dw, "theta_sq_hat": theta_sq}
+    for name, value in fitted.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
+    return EstimateSet(residuals=res, n=x.size - 1, **fitted)
 
 
 def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEstimates:

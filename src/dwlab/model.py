@@ -9,6 +9,13 @@ itself a first-order autoregression:
 with |theta| < 1, |rho| < 1 and (V_k) i.i.d. with mean zero, variance sigma2
 and a finite fourth moment.  Simulation is exact: the recurrences above hold
 bit for bit on the generated arrays.
+
+:func:`simulate` is the only user of ``scipy.signal`` (for ``lfilter``) and
+imports it on its first call, so commands that only read a series never
+load it.  That first call should run on the caller's thread, not in a
+worker of a thread pool: the Monte Carlo engine runs replicate 0 itself for
+this reason, because importing scipy.signal in a worker measured more page
+faults and a slower run.
 """
 
 from __future__ import annotations
@@ -17,11 +24,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Optional, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DomainError, InvalidLength, OutOfRegion
 
@@ -95,10 +103,12 @@ class Series:
         if x.ndim != 1 or x.size < 2:
             raise InvalidLength("a series needs at least two points X_0, X_1")
         object.__setattr__(self, "x", x)
-        for name in ("eps", "v"):
+        for name, size in (("eps", x.size), ("v", x.size - 1)):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.ascontiguousarray(arr, dtype=np.float64)
+                if arr.shape != (size,):
+                    raise InvalidLength(f"{name} needs {size} values to match x, got shape {arr.shape}")
                 object.__setattr__(self, name, arr)
                 arr.setflags(write=False)
         x.setflags(write=False)
@@ -157,6 +167,9 @@ def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series
         raise InvalidLength(f"need n >= 2 steps, got {n}")
     if n > MAX_LENGTH:
         raise InvalidLength(f"n exceeds the supported maximum {MAX_LENGTH}")
+    # Imported here, not at module load: scipy.signal takes about a second to import.
+    from scipy.signal import lfilter
+
     rng = make_rng(seed)
     v = noise.sample(n, rng)
 
@@ -180,24 +193,16 @@ CSV_HEADER = ("k", "x", "eps", "v")
 
 def write_csv(series: Series, dest: Union[str, Path, IO[str]]) -> None:
     """Write columns k, x, eps, v; floats use shortest round-trip formatting."""
-    own = isinstance(dest, (str, Path))
-    fh = open(dest, "w", newline="") if own else dest
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        eps = series.eps
-        v = series.v
-        for k in range(series.x.size):
-            row = [
-                k,
-                repr(float(series.x[k])),
-                repr(float(eps[k])) if eps is not None else "",
-                repr(float(v[k - 1])) if (v is not None and k >= 1) else "",
-            ]
-            w.writerow(row)
-    finally:
-        if own:
-            fh.close()
+    x = map(repr, series.x.tolist())
+    eps = map(repr, series.eps.tolist()) if series.eps is not None else repeat("")
+    v = chain([""], map(repr, series.v.tolist())) if series.v is not None else repeat("")
+    rows = map("{},{},{},{}\n".format, range(series.x.size), x, eps, v)
+    text = ",".join(CSV_HEADER) + "\n" + "".join(rows)
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        dest.write(text)
 
 
 def _is_number(token: str) -> bool:
@@ -220,7 +225,7 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
     own = isinstance(source, (str, Path))
     fh = open(source, "r", newline="") if own else source
     try:
-        rows = [row for row in csv.reader(fh) if row and any(tok.strip() for tok in row)]
+        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     finally:
         if own:
             fh.close()
@@ -242,7 +247,7 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
         raise DomainError("multi-column CSV requires a header naming the 'x' column")
 
     try:
-        x = np.array([float(row[x_col]) for row in rows], dtype=np.float64)
+        x = np.array(list(map(float, map(itemgetter(x_col), rows))), dtype=np.float64)
     except (ValueError, IndexError) as exc:
         raise DomainError(f"non-numeric value in CSV column {x_col}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(x))

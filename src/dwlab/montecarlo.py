@@ -154,13 +154,18 @@ def _map_replicates(func: Callable[[int], tuple], cfg: McConfig, threads: int) -
     """Apply func to every replicate index, preserving index order.
 
     Each replicate is an independent deterministic computation, so the
-    result does not depend on the number of worker threads.
+    result does not depend on the number of worker threads.  Replicate 0
+    runs on the calling thread, so the first ``simulate`` call, which
+    imports scipy.signal, never runs in a pool worker (see :mod:`dwlab.model`).
     """
-    count = cfg.replicates
+    results = [func(0)]
+    rest = range(1, cfg.replicates)
     if threads <= 1:
-        return [func(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, range(count)))
+        results.extend(map(func, rest))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results.extend(pool.map(func, rest))
+    return results
 
 
 def _asymptotic_targets(cfg: McConfig) -> dict:

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,16 @@ import pytest
 from dwlab.cli import main
 from dwlab.estimators import estimate_all
 from dwlab.model import ModelParams, NoiseSpec, read_csv, simulate
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter with the package's src directory on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("DW_LAB_THREADS", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run_cli(capsys, *argv):
@@ -271,3 +283,42 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["limits"]["d_star"] == 2.0
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "command",
+        [["estimate"], ["test", "--kind", "zero", "--alpha", "0.05"], ["test", "--kind", "critical", "--alpha", "0.05"]],
+    )
+    def test_overflowing_sums_fail_cleanly(self, tmp_path, command):
+        src = tmp_path / "huge.csv"
+        src.write_text("\n".join(["1e200", "-3e200", "2e200", "1e200", "5e199"]) + "\n")
+        proc = run_fresh("-m", "dwlab", *command, "--input", str(src))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "theta_hat is not finite" in proc.stderr
+        assert "overflow" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+
+class TestDeferredScipyImport:
+    def test_reading_commands_do_not_load_scipy_signal(self, tmp_path):
+        src = tmp_path / "s.csv"
+        src.write_text("\n".join(["0.3", "-0.1", "0.8", "0.4", "-0.6", "0.2", "0.9"]) + "\n")
+        script = (
+            "import sys, dwlab.cli\n"
+            "assert 'scipy.signal' not in sys.modules, 'loaded by import'\n"
+            "assert dwlab.cli.main(['limits', '--theta', '0.5', '--rho', '0.3']) == 0\n"
+            f"assert dwlab.cli.main(['estimate', '--input', {str(src)!r}]) == 0\n"
+            "assert 'scipy.signal' not in sys.modules, 'loaded by a command'\n"
+        )
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_first_simulate_under_a_pool_is_thread_count_invariant(self):
+        # a fresh process imports scipy.signal during the run, which the in-process tests cannot see
+        args = ["-m", "dwlab", "verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3",
+                "--n", "200", "--reps", "8", "--seed", "3"]
+        one, two = run_fresh(*args, "--threads", "1"), run_fresh(*args, "--threads", "2")
+        assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+        assert strip_manifest(one.stdout) == strip_manifest(two.stdout)

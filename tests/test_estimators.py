@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,21 @@ class TestGuards:
     def test_not_one_dimensional(self):
         with pytest.raises(DomainError):
             estimate_theta(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            ([1e200, -3e200, 2e200, 1e200, 5e199], "theta_hat"),
+            # theta_hat and rho_hat come out 0 (finite / inf); the dw ratio is inf / inf
+            ([1e200, 1.0, 1.0, 1.0, 1.0], "dw"),
+            ([0.1, 0.4, float("nan"), 0.2, -0.3], "theta_hat"),
+        ],
+    )
+    def test_estimate_all_rejects_non_finite_statistics(self, path, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} is not finite"):
+                estimate_all(path)
 
 
 class TestIdentities:

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -75,6 +76,14 @@ class TestValidation:
     def test_series_needs_two_points(self):
         with pytest.raises(InvalidLength):
             Series(x=np.array([1.0]))
+
+    def test_latent_lengths_must_match_x(self):
+        # write_csv pairs the columns row by row, so a short one must not get this far
+        x = np.arange(5.0)
+        Series(x=x, eps=np.zeros(5), v=np.zeros(4))
+        for kwargs in ({"eps": np.zeros(4)}, {"eps": np.zeros(6)}, {"v": np.zeros(5)}, {"v": np.zeros((2, 2))}):
+            with pytest.raises(InvalidLength):
+                Series(x=x, **kwargs)
 
 
 class TestSimulate:
@@ -216,3 +225,40 @@ class TestCsv:
     def test_empty_input(self):
         with pytest.raises(InvalidLength):
             read_csv_text("")
+
+    @staticmethod
+    def _reference_csv(series: Series) -> str:
+        # the row-by-row csv.writer export that write_csv must reproduce byte for byte
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(("k", "x", "eps", "v"))
+        eps, v = series.eps, series.v
+        for k in range(series.x.size):
+            w.writerow([
+                k,
+                repr(float(series.x[k])),
+                repr(float(eps[k])) if eps is not None else "",
+                repr(float(v[k - 1])) if (v is not None and k >= 1) else "",
+            ])
+        return buf.getvalue()
+
+    def test_export_matches_csv_writer_bytes(self, tmp_path):
+        full = simulate(ModelParams(theta=-0.7, rho=0.4, x0=1e-300, eps0=-3.5), NoiseSpec("uniform"), 2000, 13)
+        bare = Series(x=full.x)
+        eps_only = Series(x=full.x, eps=full.eps)
+        for series in (full, bare, eps_only):
+            buf = io.StringIO()
+            write_csv(series, buf)
+            assert buf.getvalue() == self._reference_csv(series)
+            dest = tmp_path / "s.csv"
+            write_csv(series, dest)
+            assert dest.read_bytes() == self._reference_csv(series).encode()
+
+    def test_blank_rows_quotes_and_float_forms(self):
+        text = 'x\n"1.5"\n   \n,\n 2_000 \n\n-0.25e-3\n'
+        s = read_csv_text(text)
+        assert s.x.tolist() == [1.5, 2000.0, -0.00025]
+        with pytest.raises(DomainError, match="column 0"):
+            read_csv_text("x\n1.0\nabc\n")
+        with pytest.raises(DomainError, match="column 1"):
+            read_csv_text("k,x\n0,1.0\n1\n")
