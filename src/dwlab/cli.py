@@ -9,7 +9,6 @@ algorithm, version, timestamp); diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -29,9 +28,11 @@ from .model import (
     NOISE_KINDS,
     RNG_ALGORITHM,
     Series,
+    float_cells,
     read_csv,
     simulate,
     write_csv,
+    write_table,
 )
 from .montecarlo import (
     McConfig,
@@ -65,25 +66,16 @@ def _manifest(argv: list[str], seed: Optional[int]) -> dict:
     }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    # np.float64 subclasses float and prints as one; other numpy values need converting
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict) -> None:
     try:
-        text = json.dumps(_jsonable(payload), indent=2, allow_nan=False)
+        text = json.dumps(payload, indent=2, allow_nan=False, default=_json_default)
     except ValueError as exc:
         raise DomainError(f"result is not finite, refusing to write invalid JSON: {exc}") from exc
     sys.stdout.write(text + "\n")
@@ -134,11 +126,11 @@ def _cmd_estimate(args, argv):
     est = estimate_all(series.x)
     if args.trajectories:
         traj = running_estimates(series.x, k0=args.k0)
-        with open(args.trajectories, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["k", "theta_hat", "rho_hat", "dw"])
-            for k, th, rh, dw in zip(traj.k, traj.theta, traj.rho, traj.dw):
-                w.writerow([int(k), repr(float(th)), repr(float(rh)), repr(float(dw))])
+        write_table(
+            args.trajectories,
+            ("k", "theta_hat", "rho_hat", "dw"),
+            (traj.k.tolist(), float_cells(traj.theta), float_cells(traj.rho), float_cells(traj.dw)),
+        )
     _emit(
         {
             "manifest": _manifest(argv, None),
@@ -222,29 +214,6 @@ def _cmd_limits(args, argv):
     return 0
 
 
-def _verify_csv(report, dest: str) -> None:
-    with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        if report.estimates is not None:
-            names = list(report.estimates)
-            w.writerow(["replicate"] + names)
-            for i in range(report.replicates):
-                w.writerow([i] + [repr(report.estimates[n][i]) for n in names])
-        elif report.test_statistics is not None:
-            w.writerow(["replicate", "statistic", "reject"])
-            for i, (s, r) in enumerate(zip(report.test_statistics, report.rejections)):
-                w.writerow([i, repr(s), int(r)])
-        elif report.qsl is not None:
-            w.writerow(["replicate", "qsl_value"])
-            for i, v in enumerate(report.qsl["values"]):
-                w.writerow([i, repr(v)])
-        elif report.lil is not None:
-            cols = [f"deviation_{m}" for m in report.lil["checkpoints"]]
-            w.writerow(["replicate"] + cols)
-            for i, devs in enumerate(report.lil["deviations"]):
-                w.writerow([i] + [repr(v) for v in devs])
-
-
 def _cmd_verify(args, argv):
     params = ModelParams(theta=args.theta, rho=args.rho, sigma2=args.sigma2)
     noise = NoiseSpec(kind=args.noise, sigma2=args.sigma2)
@@ -272,7 +241,7 @@ def _cmd_verify(args, argv):
         checkpoints = [int(tok) for tok in args.checkpoints.split(",")] if args.checkpoints else [cfg.n]
         report = lil_envelope_check(cfg, args.which, checkpoints, threads=threads)
     if args.csv:
-        _verify_csv(report, args.csv)
+        write_table(args.csv, *report.table())
     _emit({"manifest": _manifest(argv, args.seed), "report": report.to_dict()})
     return 0
 

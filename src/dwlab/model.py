@@ -21,13 +21,12 @@ faults and a slower run.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -191,18 +190,32 @@ def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series
 CSV_HEADER = ("k", "x", "eps", "v")
 
 
-def write_csv(series: Series, dest: Union[str, Path, IO[str]]) -> None:
-    """Write columns k, x, eps, v; floats use shortest round-trip formatting."""
-    x = map(repr, series.x.tolist())
-    eps = map(repr, series.eps.tolist()) if series.eps is not None else repeat("")
-    v = chain([""], map(repr, series.v.tolist())) if series.v is not None else repeat("")
-    rows = map("{},{},{},{}\n".format, range(series.x.size), x, eps, v)
-    text = ",".join(CSV_HEADER) + "\n" + "".join(rows)
+def float_cells(values) -> Iterator[str]:
+    """Shortest round-trip text of each value, so a written table reads back bit for bit."""
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def write_table(dest: Union[str, Path, IO[str]], header: Sequence[str], columns: Sequence[Iterable]) -> None:
+    """Write a CSV table: the header row, then row i holding cell i of every column.
+
+    Cells are strings (or ints, such as a row index) that need no quoting;
+    rows stop at the shortest column.  The text is built in one pass and
+    written with one call, to a path or an open text handle.
+    """
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    text = ",".join(header) + "\n" + "".join(map(row.format, *columns))
     if isinstance(dest, (str, Path)):
         with open(dest, "w", newline="") as fh:
             fh.write(text)
     else:
         dest.write(text)
+
+
+def write_csv(series: Series, dest: Union[str, Path, IO[str]]) -> None:
+    """Write columns k, x, eps, v; floats use shortest round-trip formatting."""
+    eps = float_cells(series.eps) if series.eps is not None else repeat("")
+    v = chain([""], float_cells(series.v)) if series.v is not None else repeat("")
+    write_table(dest, CSV_HEADER, (range(series.x.size), float_cells(series.x), eps, v))
 
 
 def _is_number(token: str) -> bool:
@@ -220,42 +233,42 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
     written by :func:`write_csv` (the column named ``x`` is used).  With
     ``header=None`` a header line is auto-detected by a non-numeric first
     token.  Non-finite values (nan, inf) raise DomainError.  Latent
-    sequences are never attached to ingested data.
+    sequences are never attached to ingested data.  Rows are parsed as they
+    are read, so only the x values are held in memory.
     """
     own = isinstance(source, (str, Path))
     fh = open(source, "r", newline="") if own else source
     try:
-        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+        rows = (row for row in csv.reader(fh) if "".join(row).strip())
+        first = next(rows, None)
+        if first is None:
+            raise InvalidLength("empty CSV input")
+
+        has_header = header
+        if has_header is None:
+            has_header = not _is_number(first[0].strip())
+        x_col = 0
+        if has_header:
+            names = [tok.strip().lower() for tok in first]
+            if len(names) > 1:
+                if "x" not in names:
+                    raise DomainError(f"multi-column CSV without an 'x' column: {names}")
+                x_col = names.index("x")
+        elif len(first) > 1:
+            raise DomainError("multi-column CSV requires a header naming the 'x' column")
+        else:
+            rows = chain([first], rows)
+
+        try:
+            x = np.fromiter(map(float, map(itemgetter(x_col), rows)), dtype=np.float64)
+        except UnicodeDecodeError:
+            raise  # undecodable bytes are not a non-numeric value, wherever in the file they are
+        except (ValueError, IndexError) as exc:
+            raise DomainError(f"non-numeric value in CSV column {x_col}: {exc}") from exc
     finally:
         if own:
             fh.close()
-    if not rows:
-        raise InvalidLength("empty CSV input")
-
-    has_header = header
-    if has_header is None:
-        has_header = not _is_number(rows[0][0].strip())
-    x_col = 0
-    if has_header:
-        names = [tok.strip().lower() for tok in rows[0]]
-        if len(names) > 1:
-            if "x" not in names:
-                raise DomainError(f"multi-column CSV without an 'x' column: {names}")
-            x_col = names.index("x")
-        rows = rows[1:]
-    elif len(rows[0]) > 1:
-        raise DomainError("multi-column CSV requires a header naming the 'x' column")
-
-    try:
-        x = np.array(list(map(float, map(itemgetter(x_col), rows))), dtype=np.float64)
-    except (ValueError, IndexError) as exc:
-        raise DomainError(f"non-numeric value in CSV column {x_col}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise DomainError(f"non-finite value {x[bad[0]]!r} in CSV column {x_col}, data row {bad[0]}")
     return Series(x=x)
-
-
-def read_csv_text(text: str, header: Optional[bool] = None) -> Series:
-    """Convenience wrapper around :func:`read_csv` for in-memory text."""
-    return read_csv(io.StringIO(text), header=header)

@@ -30,7 +30,7 @@ from .estimators import (
     residuals,
     running_estimates,
 )
-from .model import _MASK64, ModelParams, NoiseSpec, check_seed, simulate
+from .model import _MASK64, ModelParams, NoiseSpec, check_seed, float_cells, simulate
 from .testing import critical_case_test, rho_test, rho_zero_test
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -126,12 +126,21 @@ class McReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {name: value for name, value in vars(self).items() if value is not None}
+
+    def table(self) -> tuple[list, list]:
+        """Header and columns of the per-replicate CSV dump, one row per replicate."""
+        index = range(self.replicates)
+        if self.estimates is not None:
+            names = list(self.estimates)
+            return ["replicate"] + names, [index] + [float_cells(self.estimates[name]) for name in names]
+        if self.test_statistics is not None:
+            columns = [index, float_cells(self.test_statistics), map(int, self.rejections)]
+            return ["replicate", "statistic", "reject"], columns
+        if self.qsl is not None:
+            return ["replicate", "qsl_value"], [index, float_cells(self.qsl["values"])]
+        header = ["replicate"] + [f"deviation_{m}" for m in self.lil["checkpoints"]]
+        return header, [index] + [float_cells(col) for col in np.transpose(self.lil["deviations"])]
 
 
 def _base_report(experiment: str, cfg: McConfig, targets: dict, tolerances: dict) -> McReport:
@@ -150,21 +159,26 @@ def _base_report(experiment: str, cfg: McConfig, targets: dict, tolerances: dict
     )
 
 
-def _map_replicates(func: Callable[[int], tuple], cfg: McConfig, threads: int) -> list:
-    """Apply func to every replicate index, preserving index order.
+def _map_paths(statistic: Callable[[np.ndarray], object], cfg: McConfig, threads: int) -> list:
+    """Simulate every replicate path and apply statistic to it, preserving index order.
 
-    Each replicate is an independent deterministic computation, so the
-    result does not depend on the number of worker threads.  Replicate 0
-    runs on the calling thread, so the first ``simulate`` call, which
-    imports scipy.signal, never runs in a pool worker (see :mod:`dwlab.model`).
+    Replicate i is simulated with seed ``derive_seed(cfg.base_seed, i)``, an
+    independent deterministic computation, so the result does not depend on
+    the number of worker threads.  Replicate 0 runs on the calling thread,
+    so the first ``simulate`` call, which imports scipy.signal, never runs
+    in a pool worker (see :mod:`dwlab.model`).
     """
-    results = [func(0)]
+
+    def one(i: int):
+        return statistic(simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i)).x)
+
+    results = [one(0)]
     rest = range(1, cfg.replicates)
     if threads <= 1:
-        results.extend(map(func, rest))
+        results.extend(map(one, rest))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results.extend(pool.map(func, rest))
+            results.extend(pool.map(one, rest))
     return results
 
 
@@ -190,12 +204,11 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
     of sqrt(n)*(theta_hat - theta_star, rho_hat - rho_star).
     """
 
-    def one(i: int) -> tuple:
-        series = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i))
-        est = estimate_all(series.x)
+    def fit(x: np.ndarray) -> tuple:
+        est = estimate_all(x)
         return est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat
 
-    rows = _map_replicates(one, cfg, threads)
+    rows = _map_paths(fit, cfg, threads)
     theta_hat, rho_hat, sigma2_hat, dw, theta_sq_hat = (np.array(col) for col in zip(*rows))
 
     targets = _asymptotic_targets(cfg)
@@ -255,17 +268,16 @@ def empirical_size_power(
     if test_kind == "rho0" and rho0 is None:
         raise DomainError("test kind 'rho0' needs a rho0 value")
 
-    def one(i: int) -> tuple:
-        series = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i))
+    def test(x: np.ndarray) -> tuple:
         if test_kind == "zero":
-            outcome = rho_zero_test(series.x, cfg.alpha)
+            outcome = rho_zero_test(x, cfg.alpha)
         elif test_kind == "critical":
-            outcome = critical_case_test(series.x, cfg.alpha)
+            outcome = critical_case_test(x, cfg.alpha)
         else:
-            outcome, _ = rho_test(series.x, rho0, cfg.alpha)
+            outcome, _ = rho_test(x, rho0, cfg.alpha)
         return outcome.statistic, outcome.reject
 
-    rows = _map_replicates(one, cfg, threads)
+    rows = _map_paths(test, cfg, threads)
     stats = [r[0] for r in rows]
     rejects = [bool(r[1]) for r in rows]
     rate = sum(rejects) / len(rejects)
@@ -302,13 +314,11 @@ def qsl_check(cfg: McConfig, which: str, k0: int = QSL_BURN_IN, threads: int = 1
     limit, target_var = targets[limit_key], targets[var_key]
     log_n = math.log(cfg.n)
 
-    def one(i: int) -> tuple:
-        series = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i))
-        traj = running_estimates(series.x, k0=k0)
-        track = getattr(traj, which)
-        return (float(np.sum((track - limit) ** 2) / log_n),)
+    def log_average(x: np.ndarray) -> float:
+        track = getattr(running_estimates(x, k0=k0), which)
+        return float(np.sum((track - limit) ** 2) / log_n)
 
-    values = [r[0] for r in _map_replicates(one, cfg, threads)]
+    values = _map_paths(log_average, cfg, threads)
     report = _base_report("qsl", cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE})
     report.qsl = {
         "which": which,
@@ -364,12 +374,10 @@ def lil_envelope_check(
     limit, sd = targets[limit_key], math.sqrt(targets[var_key])
     envelope = LIL_SD_MULTIPLE * sd
 
-    def one(i: int) -> tuple:
-        series = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i))
-        devs = [lil_deviation(_prefix_estimate(series.x, m, which), limit, m) for m in checkpoints]
-        return tuple(devs)
+    def deviations(x: np.ndarray) -> list:
+        return [lil_deviation(_prefix_estimate(x, m, which), limit, m) for m in checkpoints]
 
-    rows = _map_replicates(one, cfg, threads)
+    rows = _map_paths(deviations, cfg, threads)
     devs = np.array(rows)  # shape (replicates, checkpoints)
     exceed = devs > envelope
     per_checkpoint = {

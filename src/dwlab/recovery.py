@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DegenerateDenominator, DomainError, NegativeDiscriminant, ThetaNearZero
 from .estimators import THETA_EPS
@@ -30,7 +29,6 @@ class RecoveredParams:
     convention: str
     s_hat: float  # theta_hat + rho_hat, estimates theta + rho
     p_hat: float  # rho_hat / theta_hat, estimates theta * rho
-    sigma2_rec: Optional[float] = None
     out_of_region: bool = False  # set when a root falls outside (-1, 1)
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwlab.cli import main
-from dwlab.estimators import estimate_all
+from dwlab.cli import _emit, main
+from dwlab.errors import DomainError
+from dwlab.estimators import estimate_all, running_estimates
 from dwlab.model import ModelParams, NoiseSpec, read_csv, simulate
 
 
@@ -116,6 +118,22 @@ class TestSimulateEstimate:
         assert lines[0] == "k,theta_hat,rho_hat,dw"
         assert len(lines) == 200 - 10 + 2  # header + k0..n
 
+    def test_trajectories_match_csv_writer_bytes(self, capsys, tmp_path):
+        src = tmp_path / "p.csv"
+        traj_file = tmp_path / "traj.csv"
+        run_cli(capsys, "simulate", "--theta", "-0.6", "--rho", "0.7", "--n", "3000",
+                "--seed", "19", "--output", str(src))
+        code, _, _ = run_cli(capsys, "estimate", "--input", str(src), "--trajectories", str(traj_file), "--k0", "25")
+        assert code == 0
+        # the row-by-row csv.writer dump that the trajectories file must reproduce byte for byte
+        traj = running_estimates(read_csv(src).x, k0=25)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["k", "theta_hat", "rho_hat", "dw"])
+        for k, th, rh, dw in zip(traj.k, traj.theta, traj.rho, traj.dw):
+            w.writerow([int(k), repr(float(th)), repr(float(rh)), repr(float(dw))])
+        assert traj_file.read_bytes() == buf.getvalue().encode()
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--input", "/nonexistent/file.csv")
         assert code == 2
@@ -196,7 +214,52 @@ class TestRecoverCommand:
         assert abs(rec["sigma2_rec"] - 1.0) < 0.1
 
 
+def _reference_verify_csv(report: dict) -> str:
+    # the row-by-row csv.writer dump, one branch per report shape, that verify --csv must reproduce
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    if report.get("estimates") is not None:
+        names = list(report["estimates"])
+        w.writerow(["replicate"] + names)
+        for i in range(report["replicates"]):
+            w.writerow([i] + [repr(report["estimates"][n][i]) for n in names])
+    elif report.get("test_statistics") is not None:
+        w.writerow(["replicate", "statistic", "reject"])
+        for i, (s, r) in enumerate(zip(report["test_statistics"], report["rejections"])):
+            w.writerow([i, repr(s), int(r)])
+    elif report.get("qsl") is not None:
+        w.writerow(["replicate", "qsl_value"])
+        for i, v in enumerate(report["qsl"]["values"]):
+            w.writerow([i, repr(v)])
+    elif report.get("lil") is not None:
+        cols = [f"deviation_{m}" for m in report["lil"]["checkpoints"]]
+        w.writerow(["replicate"] + cols)
+        for i, devs in enumerate(report["lil"]["deviations"]):
+            w.writerow([i] + [repr(v) for v in devs])
+    return buf.getvalue()
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            ["clt", "--theta", "0.5", "--rho", "0.3", "--n", "500", "--reps", "30"],
+            ["power", "--theta", "0.5", "--rho", "0.08", "--n", "1000", "--reps", "40"],
+            ["qsl", "--theta", "0.5", "--rho", "0.3", "--n", "10000", "--reps", "3", "--which", "dw"],
+            ["lil", "--theta", "0.5", "--rho", "0.3", "--n", "10000", "--reps", "4", "--which", "rho",
+             "--checkpoints", "1000,10000,5000"],
+        ],
+        ids=["clt", "power", "qsl", "lil"],
+    )
+    def test_csv_dump_matches_csv_writer_bytes(self, capsys, tmp_path, experiment):
+        dump = tmp_path / "rows.csv"
+        code, out, _ = run_cli(capsys, "verify", "--experiment", *experiment, "--seed", "8", "--csv", str(dump))
+        assert code == 0
+        report = json.loads(out)["report"]
+        if "rejections" in report:
+            assert set(report["rejections"]) == {False, True}  # both 0 and 1 in the reject column
+        assert dump.read_bytes() == _reference_verify_csv(report).encode()
+
     def test_size_experiment(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -322,3 +385,74 @@ class TestDeferredScipyImport:
         one, two = run_fresh(*args, "--threads", "1"), run_fresh(*args, "--threads", "2")
         assert one.returncode == two.returncode == 0, one.stderr + two.stderr
         assert strip_manifest(one.stdout) == strip_manifest(two.stdout)
+
+
+def _reference_jsonable(obj):
+    # the recursive converter _emit used before its json.dumps default hook
+    if isinstance(obj, dict):
+        return {k: _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _reference_jsonable(obj.tolist())
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+class TestEmit:
+    def test_numpy_values_print_as_before(self, capsys):
+        payload = {
+            "int": np.int64(-7),
+            "flag": np.bool_(True),
+            "float": np.float64(0.1),
+            "single": np.float32(0.1),
+            "array": np.array([1.5, -2e-300, 3.0]),
+            "matrix": np.arange(4).reshape(2, 2),
+            "nested": [{"n": np.int32(2), "off": np.bool_(False)}, (np.float64(1e300), 4, None)],
+        }
+        _emit(payload)
+        expected = json.dumps(_reference_jsonable(payload), indent=2, allow_nan=False) + "\n"
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("bad", [np.float64("nan"), float("inf"), np.array([1.0, -np.inf])])
+    def test_non_finite_is_a_domain_error(self, capsys, bad):
+        with pytest.raises(DomainError, match="not finite"):
+            _emit({"value": bad})
+        assert capsys.readouterr().out == ""
+
+
+class TestReadCsvClosesFile:
+    def test_rejected_inputs_leave_no_open_file(self, tmp_path):
+        rejected = {
+            "empty": "",
+            "no_x_column": "a,b\n1,2\n3,4\n",
+            "no_header": "1,2\n3,4\n",
+            "non_numeric": "x\n1.0\nabc\n2\n",
+            "non_finite": "1.0\n2\nnan\n3\n",
+        }
+        paths = []
+        for name, text in rejected.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            paths.append(str(path))
+        script = (
+            "import gc, sys\n"
+            "from dwlab.errors import DWLabError\n"
+            "from dwlab.model import read_csv\n"
+            "for path in sys.argv[1:]:\n"
+            "    try:\n"
+            "        read_csv(path)\n"
+            "    except DWLabError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'accepted {path}')\n"
+            "gc.collect()\n"
+        )
+        # -X dev reports every file object that is collected unclosed as a ResourceWarning
+        proc = run_fresh("-X", "dev", "-W", "error::ResourceWarning", "-c", script, *paths)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from dwlab.model import (
     NoiseSpec,
     Series,
     read_csv,
-    read_csv_text,
     simulate,
     validate_params,
     write_csv,
@@ -195,23 +195,23 @@ class TestCsv:
         assert back.eps is None and back.v is None
 
     def test_single_column_without_header(self):
-        s = read_csv_text("1.5\n-0.25\n3.0\n")
+        s = read_csv(io.StringIO("1.5\n-0.25\n3.0\n"))
         assert np.array_equal(s.x, [1.5, -0.25, 3.0])
 
     def test_single_column_with_header(self):
-        s = read_csv_text("x\n1.0\n2.0\n")
+        s = read_csv(io.StringIO("x\n1.0\n2.0\n"))
         assert np.array_equal(s.x, [1.0, 2.0])
 
     def test_explicit_header_flag(self):
         with pytest.raises(DomainError):
             # first row forced to be data but is not numeric
-            read_csv_text("x\n1.0\n2.0\n", header=False)
+            read_csv(io.StringIO("x\n1.0\n2.0\n"), header=False)
 
     def test_multi_column_requires_x(self):
         with pytest.raises(DomainError):
-            read_csv_text("a,b\n1,2\n3,4\n")
+            read_csv(io.StringIO("a,b\n1,2\n3,4\n"))
         with pytest.raises(DomainError):
-            read_csv_text("1,2\n3,4\n")
+            read_csv(io.StringIO("1,2\n3,4\n"))
 
     def test_export_format(self):
         s = simulate(ModelParams(theta=0.1, rho=0.2), NoiseSpec(), 3, 1)
@@ -224,7 +224,7 @@ class TestCsv:
 
     def test_empty_input(self):
         with pytest.raises(InvalidLength):
-            read_csv_text("")
+            read_csv(io.StringIO(""))
 
     @staticmethod
     def _reference_csv(series: Series) -> str:
@@ -256,9 +256,31 @@ class TestCsv:
 
     def test_blank_rows_quotes_and_float_forms(self):
         text = 'x\n"1.5"\n   \n,\n 2_000 \n\n-0.25e-3\n'
-        s = read_csv_text(text)
+        s = read_csv(io.StringIO(text))
         assert s.x.tolist() == [1.5, 2000.0, -0.00025]
         with pytest.raises(DomainError, match="column 0"):
-            read_csv_text("x\n1.0\nabc\n")
+            read_csv(io.StringIO("x\n1.0\nabc\n"))
         with pytest.raises(DomainError, match="column 1"):
-            read_csv_text("k,x\n0,1.0\n1\n")
+            read_csv(io.StringIO("k,x\n0,1.0\n1\n"))
+
+    def test_undecodable_bytes_are_not_a_non_numeric_value(self):
+        # past the first buffer the bytes are decoded while the values are parsed
+        data = b"x\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n"
+        with pytest.raises(UnicodeDecodeError):
+            read_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+    def test_read_holds_only_the_parsed_values(self, tmp_path):
+        # keeping every parsed row of the export (four strings each) would peak near 50 x.nbytes
+        series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 8)
+        dest = tmp_path / "long.csv"
+        write_csv(series, dest)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            back = read_csv(dest)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.x, series.x)
+        assert peak <= 4 * back.x.nbytes
