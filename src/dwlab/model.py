@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
@@ -189,26 +190,34 @@ def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series
 
 CSV_HEADER = ("k", "x", "eps", "v")
 
+_ROWS_PER_WRITE = 4096  # rows formatted and written per call; the time was flat from 10^3 to 10^5
+
 
 def float_cells(values) -> Iterator[str]:
-    """Shortest round-trip text of each value, so a written table reads back bit for bit."""
-    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+    """Shortest round-trip text of each value, so a written table reads back bit for bit.
+
+    The values are converted ``_ROWS_PER_WRITE`` at a time, so the cells of a
+    long column are never all held at once.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    chunks = (arr[i : i + _ROWS_PER_WRITE].tolist() for i in range(0, arr.size, _ROWS_PER_WRITE))
+    return map(repr, chain.from_iterable(chunks))
 
 
 def write_table(dest: Union[str, Path, IO[str]], header: Sequence[str], columns: Sequence[Iterable]) -> None:
     """Write a CSV table: the header row, then row i holding cell i of every column.
 
     Cells are strings (or ints, such as a row index) that need no quoting;
-    rows stop at the shortest column.  The text is built in one pass and
-    written with one call, to a path or an open text handle.
+    rows stop at the shortest column.  The rows are formatted and written
+    ``_ROWS_PER_WRITE`` at a time, to a path or an open text handle, so the
+    memory held does not grow with the length of the table.
     """
     row = ",".join(["{}"] * len(columns)) + "\n"
-    text = ",".join(header) + "\n" + "".join(map(row.format, *columns))
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
+    lines = map(row.format, *columns)
+    with open(dest, "w", newline="") if isinstance(dest, (str, Path)) else nullcontext(dest) as fh:
+        fh.write(",".join(header) + "\n")
+        while text := "".join(islice(lines, _ROWS_PER_WRITE)):
             fh.write(text)
-    else:
-        dest.write(text)
 
 
 def write_csv(series: Series, dest: Union[str, Path, IO[str]]) -> None:
@@ -232,9 +241,10 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
     Accepts either a single numeric column of X values or the export format
     written by :func:`write_csv` (the column named ``x`` is used).  With
     ``header=None`` a header line is auto-detected by a non-numeric first
-    token.  Non-finite values (nan, inf) raise DomainError.  Latent
-    sequences are never attached to ingested data.  Rows are parsed as they
-    are read, so only the x values are held in memory.
+    token.  Non-finite values (nan, inf) and bytes that the text encoding
+    cannot decode raise DomainError.  Latent sequences are never attached to
+    ingested data.  Rows are parsed as they are read, so only the x values
+    are held in memory.
     """
     own = isinstance(source, (str, Path))
     fh = open(source, "r", newline="") if own else source
@@ -262,13 +272,17 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
         try:
             x = np.fromiter(map(float, map(itemgetter(x_col), rows)), dtype=np.float64)
         except UnicodeDecodeError:
-            raise  # undecodable bytes are not a non-numeric value, wherever in the file they are
+            raise  # undecodable bytes are not a non-numeric value; reported below
         except (ValueError, IndexError) as exc:
             raise DomainError(f"non-numeric value in CSV column {x_col}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # raised by whichever read decodes the bad bytes: the first row or any later one
+        bad_bytes = exc.object[exc.start : exc.end].hex()
+        raise DomainError(f"CSV input is not valid {exc.encoding} text ({exc.reason}: 0x{bad_bytes})") from exc
     finally:
         if own:
             fh.close()
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        raise DomainError(f"non-finite value {x[bad[0]]!r} in CSV column {x_col}, data row {bad[0]}")
+        raise DomainError(f"non-finite value {x[bad[0]]} in CSV column {x_col}, data row {bad[0]}")
     return Series(x=x)

@@ -316,7 +316,9 @@ def qsl_check(cfg: McConfig, which: str, k0: int = QSL_BURN_IN, threads: int = 1
 
     def log_average(x: np.ndarray) -> float:
         track = getattr(running_estimates(x, k0=k0), which)
-        return float(np.sum((track - limit) ** 2) / log_n)
+        np.subtract(track, limit, out=track)
+        np.square(track, out=track)
+        return float(np.sum(track) / log_n)
 
     values = _map_paths(log_average, cfg, threads)
     report = _base_report("qsl", cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE})

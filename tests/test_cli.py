@@ -364,6 +364,30 @@ class TestOverflow:
         assert "RuntimeWarning" not in proc.stderr
 
 
+class TestBadCsvText:
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\n0.5\n1.0\n0.2\n", b"x\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n"],
+        ids=["first_row", "past_first_buffer"],
+    )
+    def test_undecodable_bytes_are_a_data_error(self, tmp_path, data):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(data)
+        proc = run_fresh("-X", "utf8", "-m", "dwlab", "estimate", "--input", str(src))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error: CSV input is not valid utf-8 text (invalid start byte: 0xff)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_value_is_printed_plainly(self, tmp_path):
+        src = tmp_path / "nan.csv"
+        src.write_text("\n".join(["0.1", "0.4", "nan", "0.2", "-0.3", "0.5"]) + "\n")
+        proc = run_fresh("-m", "dwlab", "estimate", "--input", str(src))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: non-finite value nan in CSV column 0, data row 2\n"
+
+
 class TestDeferredScipyImport:
     def test_reading_commands_do_not_load_scipy_signal(self, tmp_path):
         src = tmp_path / "s.csv"
@@ -385,6 +409,19 @@ class TestDeferredScipyImport:
         one, two = run_fresh(*args, "--threads", "1"), run_fresh(*args, "--threads", "2")
         assert one.returncode == two.returncode == 0, one.stderr + two.stderr
         assert strip_manifest(one.stdout) == strip_manifest(two.stdout)
+
+
+class TestBlockedTrajectoriesUnderThreads:
+    def test_qsl_reports_are_thread_count_invariant(self, tmp_path):
+        # at n = 40000 every path runs through several blocks of running_estimates
+        args = ["-m", "dwlab", "verify", "--experiment", "qsl", "--which", "dw", "--theta", "0.5", "--rho", "0.3",
+                "--n", "40000", "--reps", "4", "--seed", "5"]
+        runs = [run_fresh(*args, "--threads", t, "--csv", str(tmp_path / f"{t}.csv")) for t in ("1", "2")]
+        assert all(r.returncode == 0 for r in runs), runs[0].stderr + runs[1].stderr
+        one, two = (strip_manifest(r.stdout) for r in runs)
+        assert json.dumps(one) == json.dumps(two)
+        assert len(one["report"]["qsl"]["values"]) == 4
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
 def _reference_jsonable(obj):

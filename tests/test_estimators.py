@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwlab import estimators
 from dwlab.errors import DegenerateDenominator, DomainError, TooShort
 from dwlab.estimators import (
+    RunningEstimates,
     dw_statistic,
     estimate_all,
     estimate_rho,
@@ -288,6 +291,128 @@ class TestRunningEstimates:
             running_estimates(x[:5], k0=10)
         with pytest.raises(DegenerateDenominator):
             running_estimates(np.zeros(30), k0=5)
+
+
+def _reference_running_estimates(x: np.ndarray, k0: int):
+    # the whole-array kernel that the blocked running_estimates must reproduce bit for bit
+    n = x.size - 1
+    xsq = x * x
+    s_run = np.cumsum(xsq)
+    lag1 = np.empty(n + 1)
+    lag1[0] = 0.0
+    lag1[1:] = x[1:] * x[:-1]
+    p_run = np.cumsum(lag1)
+    lag2 = np.zeros(n + 1)
+    lag2[2:] = x[2:] * x[:-2]
+    q_run = np.cumsum(lag2)
+
+    k = np.arange(k0, n + 1)
+    s_k, s_prev = s_run[k], s_run[k - 1]
+    p_k, p_prev = p_run[k], p_run[k - 1]
+    if s_prev[0] <= 0.0:
+        raise DegenerateDenominator("series is identically zero up to the burn-in")
+
+    th = p_k / s_prev
+    j_k = s_k - 2.0 * th * p_k + th * th * s_prev
+    i_k = p_k - th * (s_prev + q_run[k]) + th * th * p_prev
+    eps_k = x[k] - th * x[k - 1]
+    j_prev = j_k - eps_k * eps_k
+    if np.min(j_prev) <= 0.0:
+        raise DegenerateDenominator("residual sum of squares vanished along the trajectory")
+    rho = i_k / j_prev
+    dw = (2.0 * (j_prev - i_k) + eps_k * eps_k - x[0] * x[0]) / j_k
+    return k, th, rho, dw
+
+
+BLOCKS = (1, 7, 1000, 2**14)
+
+
+def _outcome(fn, x, k0, block):
+    """The four trajectory arrays as bytes, or the type of the exception raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_BLOCK", block)
+        try:
+            result = fn(x, k0)
+        except DegenerateDenominator as exc:
+            return type(exc)
+    if isinstance(result, RunningEstimates):
+        result = (result.k, result.theta, result.rho, result.dw)
+    return tuple((arr.dtype.str, arr.tobytes()) for arr in result)
+
+
+# a geometric path with a single nonzero innovation: J_{k-1} cancels to <= 0 near k = 30
+_CANCELLING = np.concatenate([[0.0], 1e-10 * 2.0 ** np.arange(60)])
+
+
+class TestBlockedRunningEstimates:
+    """The blocked kernel against the whole-array reference, for any block size."""
+
+    @given(
+        p=params_st,
+        kind=kind_st,
+        seed=seed_st,
+        block=st.sampled_from(BLOCKS),
+        k0_pick=st.sampled_from([3, 10, 25, "edge-1", "edge", "edge+1"]),
+        blocks=st.integers(min_value=0, max_value=3),
+        extra=st.integers(min_value=-1, max_value=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_the_whole_array_kernel(self, p, kind, seed, block, k0_pick, blocks, extra):
+        # the prefix sums run in blocks from step 2, so k0 = block + 2 ends the
+        # prefix exactly on a block edge; n + 1 - k0 = blocks*block + extra puts
+        # the last block exactly full (extra 0) or one step past it (extra 1)
+        offsets = {"edge-1": 1, "edge": 2, "edge+1": 3}
+        k0 = block + offsets[k0_pick] if k0_pick in offsets else k0_pick
+        k0 = max(k0, 3)
+        n = max(k0, k0 - 1 + blocks * block + extra)
+        x = simulate(p, NoiseSpec(kind, p.sigma2), n, seed).x
+        expected = _outcome(_reference_running_estimates, x, k0, block)
+        assert _outcome(running_estimates, x, k0, block) == expected
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_guards_raise_on_the_same_inputs(self, block):
+        zeros = np.zeros(40)
+        nan_later = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 3000, 4).x.copy()
+        nan_later[2500] = np.nan
+        cancelling_then_nan = np.concatenate([_CANCELLING, [np.nan], _CANCELLING[1:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the reference divides by the cancelled sums
+            for x in (zeros, nan_later, _CANCELLING, cancelling_then_nan):
+                for k0 in (3, 10):
+                    expected = _outcome(_reference_running_estimates, x, k0, block)
+                    assert _outcome(running_estimates, x, k0, block) == expected
+            # NaN turns np.min over the trajectory into NaN, so neither NaN path raises
+            assert isinstance(_outcome(running_estimates, cancelling_then_nan, 3, block), tuple)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the reference raises before any division by the cancelled sums
+            for k0 in (3, 10):
+                assert _outcome(_reference_running_estimates, _CANCELLING, k0, block) is DegenerateDenominator
+                assert _outcome(running_estimates, _CANCELLING, k0, block) is DegenerateDenominator
+            assert _outcome(running_estimates, zeros, 3, block) is DegenerateDenominator
+        traj = running_estimates(nan_later, k0=10)
+        assert np.array_equal(np.flatnonzero(np.isnan(traj.dw)), np.arange(2500 - 10, 3000 - 9))
+
+    @pytest.mark.parametrize("theta", [0.99, -0.99])
+    def test_no_floating_point_warnings_near_the_unit_root(self, theta):
+        x = simulate(ModelParams(theta=theta, rho=0.99), NoiseSpec(), 5 * 10**4, 6).x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = running_estimates(x)
+        assert np.all(np.isfinite(traj.dw))
+
+    def test_memory_is_the_outputs_and_a_few_blocks(self):
+        # the whole-array kernel peaked near 19 x.nbytes; the four outputs alone are 4 x.nbytes
+        x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 2).x
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            traj = running_estimates(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert traj.k.size == 10**5 - 9
+        assert peak <= 6 * x.nbytes
 
 
 class TestConsistency:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwlab import limits
+from dwlab import limits, model
 from dwlab.errors import DomainError, InvalidLength, OutOfRegion
 from dwlab.model import (
     MAX_LENGTH,
@@ -254,6 +254,16 @@ class TestCsv:
             write_csv(series, dest)
             assert dest.read_bytes() == self._reference_csv(series).encode()
 
+    @pytest.mark.parametrize("rows", [1, 7, 2000, 2001])
+    def test_export_bytes_do_not_depend_on_the_chunk(self, monkeypatch, rows):
+        # 2001 rows: one chunk, or one chunk and a row; 1 and 7: many chunks and a partial one
+        monkeypatch.setattr(model, "_ROWS_PER_WRITE", rows)
+        full = simulate(ModelParams(theta=0.6, rho=-0.2, x0=0.3, eps0=1.5), NoiseSpec(), 2000, 21)
+        for series in (full, Series(x=full.x)):
+            buf = io.StringIO()
+            write_csv(series, buf)
+            assert buf.getvalue() == self._reference_csv(series)
+
     def test_blank_rows_quotes_and_float_forms(self):
         text = 'x\n"1.5"\n   \n,\n 2_000 \n\n-0.25e-3\n'
         s = read_csv(io.StringIO(text))
@@ -264,10 +274,11 @@ class TestCsv:
             read_csv(io.StringIO("k,x\n0,1.0\n1\n"))
 
     def test_undecodable_bytes_are_not_a_non_numeric_value(self):
-        # past the first buffer the bytes are decoded while the values are parsed
-        data = b"x\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n"
-        with pytest.raises(UnicodeDecodeError):
-            read_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        # in the first row the bytes are decoded with the header; past the first
+        # buffer they are decoded while the values are parsed
+        for data in (b"\xff\n0.5\n", b"x\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n"):
+            with pytest.raises(DomainError, match=r"not valid utf-8 text \(invalid start byte: 0xff\)"):
+                read_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
 
     def test_read_holds_only_the_parsed_values(self, tmp_path):
         # keeping every parsed row of the export (four strings each) would peak near 50 x.nbytes
@@ -284,3 +295,18 @@ class TestCsv:
             tracemalloc.stop()
         assert np.array_equal(back.x, series.x)
         assert peak <= 4 * back.x.nbytes
+
+    def test_write_holds_only_a_chunk_of_rows(self, tmp_path):
+        # building the whole text before one write peaked near 35 x.nbytes
+        series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 8)
+        dest = tmp_path / "long.csv"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            write_csv(series, dest)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert dest.read_bytes() == self._reference_csv(series).encode()
+        assert peak <= 3 * series.x.nbytes
