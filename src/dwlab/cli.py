@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import shlex
@@ -82,9 +83,14 @@ def _emit(payload: dict) -> None:
 
 
 def _read_series(path: str, header: Optional[bool]) -> Series:
-    if path == "-":
-        return read_csv(sys.stdin, header=header)
-    return read_csv(path, header=header)
+    if path != "-":
+        return read_csv(path, header=header)
+    # Strict UTF-8 as for a file: under a C locale sys.stdin would pass bad bytes on as surrogates.
+    stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+    try:
+        return read_csv(stdin, header=header)
+    finally:
+        stdin.detach()  # leave sys.stdin.buffer open
 
 
 def _header_flag(value: str) -> Optional[bool]:

@@ -5,7 +5,9 @@ least squares, form residuals eps_hat_k = X_k - theta_hat*X_{k-1} (with
 eps_hat_0 = X_0), fit the residual lag-1 coefficient rho_hat, estimate the
 innovation variance from the second-stage residuals, and form the
 Durbin-Watson ratio.  The estimators need n >= 3 steps; shorter inputs raise
-TooShort.
+TooShort.  The one-shot estimators also take a (B, n+1) block holding one
+series per row and return one value per row, bit for bit the value of the
+row on its own.
 
 Sums are accumulated with numpy's pairwise reduction, which is deterministic
 and at least as accurate as sequential accumulation; the test suite checks
@@ -15,7 +17,6 @@ oracle.
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Union
@@ -38,7 +39,11 @@ _BLOCK = 2**14  # steps per block of running_estimates; its time was flat from 2
 
 @dataclass(frozen=True)
 class EstimateSet:
-    """All one-shot statistics of a single series."""
+    """All one-shot statistics of a single series, or of each row of a block.
+
+    For one series the statistics are floats; for a (B, n+1) block they are
+    arrays of B values and ``residuals`` has the block's shape.
+    """
 
     theta_hat: float
     rho_hat: float
@@ -59,66 +64,87 @@ class RunningEstimates:
     dw: np.ndarray
 
 
-def _as_x(path: ArrayLike) -> np.ndarray:
+def _as_block(path: ArrayLike) -> np.ndarray:
+    """The series, or a (B, n+1) block holding one series per row."""
     if isinstance(path, Series):
         return path.x
     arr = np.asarray(path, dtype=np.float64)
-    if arr.ndim != 1:
+    if arr.ndim not in (1, 2):
+        raise DomainError("expected a one-dimensional series or a two-dimensional block of series")
+    return np.ascontiguousarray(arr)  # rows contiguous, so each row sums as it does on its own
+
+
+def _as_x(path: ArrayLike) -> np.ndarray:
+    x = _as_block(path)
+    if x.ndim != 1:
         raise DomainError("expected a one-dimensional series")
-    return arr
+    return x
 
 
-def _total(a: np.ndarray) -> float:
-    return float(np.sum(a))
+def _total(a: np.ndarray):
+    """Sum along the last axis: a float for one series, one value per row for a block.
+
+    numpy's pairwise sum of a contiguous row is the same sum as that of the
+    row alone, so each row's total is bit-identical to the one-series total.
+    """
+    total = np.sum(a, axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def _check_steps(x: np.ndarray) -> None:
+    if x.shape[-1] < MIN_STEPS + 1:
+        raise TooShort(f"need at least {MIN_STEPS} steps, got {x.shape[-1] - 1}")
+
+
+def _lagged(coef) -> np.ndarray:
+    """A per-row coefficient as a column, so that it scales each row of a block."""
+    return np.asarray(coef)[..., None]
 
 
 def estimate_theta(path: ArrayLike) -> float:
     """Least squares slope of X_k on X_{k-1}: sum(X_k X_{k-1}) / sum(X_{k-1}^2)."""
-    x = _as_x(path)
-    if x.size < MIN_STEPS + 1:
-        raise TooShort(f"need at least {MIN_STEPS} steps, got {x.size - 1}")
-    denom = _total(x[:-1] * x[:-1])
-    if denom <= 0.0:
+    x = _as_block(path)
+    _check_steps(x)
+    denom = _total(x[..., :-1] * x[..., :-1])
+    if np.any(denom <= 0.0):
         raise DegenerateDenominator("sum of squared lagged values is zero")
-    return _total(x[1:] * x[:-1]) / denom
+    return _total(x[..., 1:] * x[..., :-1]) / denom
 
 
 def residuals(path: ArrayLike, theta_hat: float) -> np.ndarray:
     """First-stage residuals: eps_hat_0 = X_0 and eps_hat_k = X_k - theta_hat*X_{k-1}."""
-    x = _as_x(path)
+    x = _as_block(path)
     res = np.empty_like(x)
-    res[0] = x[0]
-    res[1:] = x[1:] - theta_hat * x[:-1]
+    res[..., 0] = x[..., 0]
+    res[..., 1:] = x[..., 1:] - _lagged(theta_hat) * x[..., :-1]
     return res
 
 
 def estimate_rho(res: ArrayLike) -> float:
     """Lag-1 least squares coefficient of the residual sequence."""
-    e = _as_x(res)
-    if e.size < MIN_STEPS + 1:
-        raise TooShort(f"need at least {MIN_STEPS} steps, got {e.size - 1}")
-    denom = _total(e[:-1] * e[:-1])
-    if denom <= 0.0:
+    e = _as_block(res)
+    _check_steps(e)
+    denom = _total(e[..., :-1] * e[..., :-1])
+    if np.any(denom <= 0.0):
         raise DegenerateDenominator("sum of squared lagged residuals is zero")
-    return _total(e[1:] * e[:-1]) / denom
+    return _total(e[..., 1:] * e[..., :-1]) / denom
 
 
 def estimate_sigma2(res: ArrayLike, rho_hat: float) -> float:
     """Mean squared second-stage residual (1/n) * sum (eps_hat_k - rho_hat*eps_hat_{k-1})^2."""
-    e = _as_x(res)
-    if e.size < 2:
+    e = _as_block(res)
+    if e.shape[-1] < 2:
         raise TooShort("need at least one step")
-    v_hat = e[1:] - rho_hat * e[:-1]
-    return _total(v_hat * v_hat) / (e.size - 1)
+    v_hat = e[..., 1:] - _lagged(rho_hat) * e[..., :-1]
+    return _total(v_hat * v_hat) / (e.shape[-1] - 1)
 
 
 def dw_statistic(res: ArrayLike) -> float:
     """Durbin-Watson ratio sum (eps_hat_k - eps_hat_{k-1})^2 / sum eps_hat_k^2."""
-    e = _as_x(res)
-    if e.size < MIN_STEPS + 1:
-        raise TooShort(f"need at least {MIN_STEPS} steps, got {e.size - 1}")
+    e = _as_block(res)
+    _check_steps(e)
     denom = _total(e * e)
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise DegenerateDenominator("sum of squared residuals is zero")
     d = np.diff(e)
     return _total(d * d) / denom
@@ -126,24 +152,24 @@ def dw_statistic(res: ArrayLike) -> float:
 
 def estimate_theta_sq(path: ArrayLike) -> float:
     """Least squares slope of X_k on X_{k-2}; consistent for theta^2 when theta = -rho."""
-    x = _as_x(path)
-    if x.size < MIN_STEPS + 1:
-        raise TooShort(f"need at least {MIN_STEPS} steps, got {x.size - 1}")
-    denom = _total(x[:-2] * x[:-2])
-    if denom <= 0.0:
+    x = _as_block(path)
+    _check_steps(x)
+    denom = _total(x[..., :-2] * x[..., :-2])
+    if np.any(denom <= 0.0):
         raise DegenerateDenominator("sum of squared twice-lagged values is zero")
-    return _total(x[2:] * x[:-2]) / denom
+    return _total(x[..., 2:] * x[..., :-2]) / denom
 
 
 def estimate_all(path: ArrayLike) -> EstimateSet:
-    """Run the full pipeline on one series.
+    """Run the full pipeline on one series, or on every row of a (B, n+1) block.
 
+    Each row of a block gets bit for bit the statistics it gets on its own.
     A statistic that comes out non-finite, from nan/inf in the series or
     from values whose squares overflow float64 (magnitudes above about
     1e154), raises DomainError naming it, without numpy warnings, instead
-    of being returned.
+    of being returned.  In a block, any row that trips a check raises.
     """
-    x = _as_x(path)
+    x = _as_block(path)
     with np.errstate(over="ignore", invalid="ignore"):
         th = estimate_theta(x)
         res = residuals(x, th)
@@ -153,9 +179,9 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
         theta_sq = estimate_theta_sq(x)
     fitted = {"theta_hat": th, "rho_hat": rho, "sigma2_hat": sigma2, "dw": dw, "theta_sq_hat": theta_sq}
     for name, value in fitted.items():
-        if not math.isfinite(value):
+        if not np.all(np.isfinite(value)):
             raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
-    return EstimateSet(residuals=res, n=x.size - 1, **fitted)
+    return EstimateSet(residuals=res, n=x.shape[-1] - 1, **fitted)
 
 
 def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray:

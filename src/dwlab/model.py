@@ -10,11 +10,13 @@ with |theta| < 1, |rho| < 1 and (V_k) i.i.d. with mean zero, variance sigma2
 and a finite fourth moment.  Simulation is exact: the recurrences above hold
 bit for bit on the generated arrays.
 
-:func:`simulate` is the only user of ``scipy.signal`` (for ``lfilter``) and
-imports it on its first call, so commands that only read a series never
-load it.  That first call should run on the caller's thread, not in a
-worker of a thread pool: the Monte Carlo engine runs replicate 0 itself for
-this reason, because importing scipy.signal in a worker measured more page
+:func:`simulate_paths` draws a block of paths stacked along a leading
+axis, one Philox stream per row; :func:`simulate` is its one-path case.  It
+is the only user of ``scipy.signal`` (for ``lfilter``) and imports it on its
+first call, so commands that only read a series never load it.  That first
+call should run on the caller's thread, not in a worker of a thread pool:
+the Monte Carlo engine runs its first block of replicates itself for this
+reason, because importing scipy.signal in a worker measured more page
 faults and a slower run.
 """
 
@@ -155,11 +157,14 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series:
-    """Draw X_0..X_n with the latent sequences attached.
+def simulate_paths(params: ModelParams, noise: NoiseSpec, n: int, seeds: Sequence[int]) -> tuple:
+    """Draw a block of paths, row i from the stream ``make_rng(seeds[i])``.
 
-    The result is a deterministic function of (params, noise, n, seed) and
-    the defining recurrences hold exactly on the returned arrays: recomputing
+    Returns ``(x, eps, v)`` of shapes (B, n+1), (B, n+1) and (B, n) for
+    B = len(seeds): X_0..X_n, eps_0..eps_n and V_1..V_n of every path.  Each
+    row is a deterministic function of (params, noise, n, seeds[i]) alone,
+    bit for bit the path that a block of one draws from the same seed, and
+    the defining recurrences hold exactly on it: recomputing
     theta*X_{k-1} + eps_k in float64 reproduces X_k bit for bit.
     """
     validate_params(params)
@@ -170,18 +175,29 @@ def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series
     # Imported here, not at module load: scipy.signal takes about a second to import.
     from scipy.signal import lfilter
 
-    rng = make_rng(seed)
-    v = noise.sample(n, rng)
+    rows = len(seeds)
+    v = np.empty((rows, n))
+    for row, seed in zip(v, seeds):
+        row[:] = noise.sample(n, make_rng(seed))
 
-    # lfilter runs the one-pole recursions y_k = a*y_{k-1} + u_k in C with the
-    # same two roundings per step as a naive loop, hence bit-exact recurrences.
-    eps = np.empty(n + 1)
-    eps[0] = params.eps0
-    eps[1:] = lfilter([1.0], [1.0, -params.rho], v, zi=np.array([params.rho * params.eps0]))[0]
-    x = np.empty(n + 1)
-    x[0] = params.x0
-    x[1:] = lfilter([1.0], [1.0, -params.theta], eps[1:], zi=np.array([params.theta * params.x0]))[0]
-    return Series(x=x, eps=eps, v=v, params=params)
+    # lfilter runs the one-pole recursions y_k = a*y_{k-1} + u_k in C along
+    # each row, with the same two roundings per step as a naive loop, hence
+    # bit-exact recurrences.
+    eps = np.empty((rows, n + 1))
+    eps[:, 0] = params.eps0
+    zi = np.full((rows, 1), params.rho * params.eps0)
+    eps[:, 1:] = lfilter([1.0], [1.0, -params.rho], v, axis=-1, zi=zi)[0]
+    x = np.empty((rows, n + 1))
+    x[:, 0] = params.x0
+    zi = np.full((rows, 1), params.theta * params.x0)
+    x[:, 1:] = lfilter([1.0], [1.0, -params.theta], eps[:, 1:], axis=-1, zi=zi)[0]
+    return x, eps, v
+
+
+def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series:
+    """Draw X_0..X_n with the latent sequences attached: :func:`simulate_paths` for one seed."""
+    x, eps, v = simulate_paths(params, noise, n, [seed])
+    return Series(x=x[0], eps=eps[0], v=v[0], params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +257,15 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
     Accepts either a single numeric column of X values or the export format
     written by :func:`write_csv` (the column named ``x`` is used).  With
     ``header=None`` a header line is auto-detected by a non-numeric first
-    token.  Non-finite values (nan, inf) and bytes that the text encoding
-    cannot decode raise DomainError.  Latent sequences are never attached to
+    token.  Non-finite values (nan, inf), bytes that the text encoding
+    cannot decode and rows the CSV parser rejects (such as a field longer
+    than its limit of 131072 characters) raise DomainError.  A path is read
+    as UTF-8 text.  Latent sequences are never attached to
     ingested data.  Rows are parsed as they are read, so only the x values
     are held in memory.
     """
     own = isinstance(source, (str, Path))
-    fh = open(source, "r", newline="") if own else source
+    fh = open(source, "r", newline="", encoding="utf-8") if own else source
     try:
         rows = (row for row in csv.reader(fh) if "".join(row).strip())
         first = next(rows, None)
@@ -279,6 +297,8 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
         # raised by whichever read decodes the bad bytes: the first row or any later one
         bad_bytes = exc.object[exc.start : exc.end].hex()
         raise DomainError(f"CSV input is not valid {exc.encoding} text ({exc.reason}: 0x{bad_bytes})") from exc
+    except csv.Error as exc:
+        raise DomainError(f"malformed CSV input: {exc}") from exc
     finally:
         if own:
             fh.close()

@@ -6,8 +6,12 @@ central limit behavior (marginal and joint), test size and power, the
 quadratic strong law of the running estimators, and an envelope version of
 the law of iterated logarithm.
 
-Replicate i always uses seed ``derive_seed(base_seed, i)``, so reports are
-bit-identical whatever the degree of parallelism.
+Replicate i always uses seed ``derive_seed(base_seed, i)``.  Replicates are
+simulated and fitted in blocks of consecutive indices, one path per row of a
+(B, n+1) array; each row is the path its seed alone gives, so reports are
+bit-identical whatever the block size or the degree of parallelism.  The
+first block runs on the caller's thread, the rest in a pool of worker
+threads, in index order.
 """
 
 from __future__ import annotations
@@ -15,14 +19,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import limits
 from .dist import ks_statistic, normal_cdf
-from .errors import DomainError
+from .errors import DomainError, DWLabError
 from .estimators import (
+    EstimateSet,
     estimate_all,
     estimate_rho,
     estimate_theta,
@@ -30,10 +36,20 @@ from .estimators import (
     residuals,
     running_estimates,
 )
-from .model import _MASK64, ModelParams, NoiseSpec, check_seed, float_cells, simulate
-from .testing import critical_case_test, rho_test, rho_zero_test
+from .model import _MASK64, ModelParams, NoiseSpec, check_seed, float_cells, simulate_paths
+from .testing import critical_outcome, rho_outcome, zero_outcome
+
+# Unused here; the benchmark's span tracer wraps these names on this module.
+from .model import simulate  # noqa: F401
+from .testing import critical_case_test, rho_test, rho_zero_test  # noqa: F401
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+# Path values per replicate block, so B = max(1, _BLOCK_VALUES // (n + 1))
+# paths: 13 at n = 5000, one from n = 2^15 on.  Swept at n = 5000, B = 8 to
+# 64 ran equally fast on 2 threads, while the peak RSS grew with B (111 MB at
+# B = 1, 113 at 13, 122 at 32, 140 at 64).
+_BLOCK_VALUES = 2**16
 
 # Tolerances used by the verification experiments, echoed in every report.
 KS_TOLERANCE = 0.05
@@ -159,27 +175,50 @@ def _base_report(experiment: str, cfg: McConfig, targets: dict, tolerances: dict
     )
 
 
-def _map_paths(statistic: Callable[[np.ndarray], object], cfg: McConfig, threads: int) -> list:
+def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: int) -> list:
     """Simulate every replicate path and apply statistic to it, preserving index order.
 
-    Replicate i is simulated with seed ``derive_seed(cfg.base_seed, i)``, an
-    independent deterministic computation, so the result does not depend on
-    the number of worker threads.  Replicate 0 runs on the calling thread,
-    so the first ``simulate`` call, which imports scipy.signal, never runs
-    in a pool worker (see :mod:`dwlab.model`).
+    Replicate i is simulated with seed ``derive_seed(cfg.base_seed, i)``.
+    The replicates go in blocks of B = max(1, _BLOCK_VALUES // (n + 1))
+    consecutive indices: one :func:`simulate_paths` call draws a block as a
+    (B, n+1) array, and ``statistic`` returns the B per-replicate results of
+    its rows, in row order.  Each row depends only on its own seed, so the
+    result depends neither on B nor on the number of worker threads.  Block
+    0 runs on the calling thread, so the first ``simulate_paths`` call, which
+    imports scipy.signal, never runs in a pool worker (see
+    :mod:`dwlab.model`); the pool takes blocks 1.. in index order.
+
+    When a block raises, its rows are rerun one at a time, so the error is
+    the one the first failing replicate raises on its own, as with B = 1.
     """
+    size = max(1, _BLOCK_VALUES // (cfg.n + 1))
 
-    def one(i: int):
-        return statistic(simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i)).x)
+    def block(start: int) -> list:
+        seeds = [derive_seed(cfg.base_seed, i) for i in range(start, min(start + size, cfg.replicates))]
+        x = simulate_paths(cfg.params, cfg.noise, cfg.n, seeds)[0]
+        try:
+            return statistic(x)
+        except DWLabError:
+            for row in range(x.shape[0]):
+                statistic(x[row : row + 1])
+            raise
 
-    results = [one(0)]
-    rest = range(1, cfg.replicates)
+    results = block(0)
+    rest = range(size, cfg.replicates, size)
     if threads <= 1:
-        results.extend(map(one, rest))
+        results.extend(chain.from_iterable(map(block, rest)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results.extend(pool.map(one, rest))
+            results.extend(chain.from_iterable(pool.map(block, rest)))
     return results
+
+
+def _fit_rows(x: np.ndarray) -> list:
+    """One ``estimate_all`` over a block; each row's fit as an EstimateSet of floats."""
+    est = estimate_all(x)
+    columns = (est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat)
+    rows = zip(*(c.tolist() for c in columns), est.residuals)
+    return [EstimateSet(*values, residuals=res, n=est.n) for *values, res in rows]
 
 
 def _asymptotic_targets(cfg: McConfig) -> dict:
@@ -204,9 +243,8 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
     of sqrt(n)*(theta_hat - theta_star, rho_hat - rho_star).
     """
 
-    def fit(x: np.ndarray) -> tuple:
-        est = estimate_all(x)
-        return est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat
+    def fit(x: np.ndarray) -> list:
+        return [(e.theta_hat, e.rho_hat, e.sigma2_hat, e.dw, e.theta_sq_hat) for e in _fit_rows(x)]
 
     rows = _map_paths(fit, cfg, threads)
     theta_hat, rho_hat, sigma2_hat, dw, theta_sq_hat = (np.array(col) for col in zip(*rows))
@@ -268,14 +306,15 @@ def empirical_size_power(
     if test_kind == "rho0" and rho0 is None:
         raise DomainError("test kind 'rho0' needs a rho0 value")
 
-    def test(x: np.ndarray) -> tuple:
+    def outcome(est: EstimateSet):
         if test_kind == "zero":
-            outcome = rho_zero_test(x, cfg.alpha)
-        elif test_kind == "critical":
-            outcome = critical_case_test(x, cfg.alpha)
-        else:
-            outcome, _ = rho_test(x, rho0, cfg.alpha)
-        return outcome.statistic, outcome.reject
+            return zero_outcome(est, cfg.alpha)
+        if test_kind == "critical":
+            return critical_outcome(est, cfg.alpha)
+        return rho_outcome(est, rho0, cfg.alpha)[0]
+
+    def test(x: np.ndarray) -> list:
+        return [(o.statistic, o.reject) for o in map(outcome, _fit_rows(x))]
 
     rows = _map_paths(test, cfg, threads)
     stats = [r[0] for r in rows]
@@ -320,7 +359,7 @@ def qsl_check(cfg: McConfig, which: str, k0: int = QSL_BURN_IN, threads: int = 1
         np.square(track, out=track)
         return float(np.sum(track) / log_n)
 
-    values = _map_paths(log_average, cfg, threads)
+    values = _map_paths(lambda x: list(map(log_average, x)), cfg, threads)
     report = _base_report("qsl", cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE})
     report.qsl = {
         "which": which,
@@ -379,7 +418,7 @@ def lil_envelope_check(
     def deviations(x: np.ndarray) -> list:
         return [lil_deviation(_prefix_estimate(x, m, which), limit, m) for m in checkpoints]
 
-    rows = _map_paths(deviations, cfg, threads)
+    rows = _map_paths(lambda x: list(map(deviations, x)), cfg, threads)
     devs = np.array(rows)  # shape (replicates, checkpoints)
     exceed = devs > envelope
     per_checkpoint = {

@@ -12,8 +12,10 @@ Three procedures are available, all rejecting for large values against the
 the variant that remains valid on the accepted branch.
 
 Every statistic is a closed-form function of one ``EstimateSet``: each test
-fits the path once with ``estimate_all``, and ``auto_test`` shares that one
-fit between its two stages.
+fits the path once with ``estimate_all`` and hands the fit to its
+``*_outcome`` function, and ``auto_test`` shares that one fit between its two
+stages.  The Monte Carlo engine fits a block of paths at once and applies the
+``*_outcome`` functions to each row's fit.
 """
 
 from __future__ import annotations
@@ -163,34 +165,39 @@ def rho_weights(theta_hat: float, rho_hat: float, rho0: float) -> TestWeights:
     )
 
 
-def _critical(est: EstimateSet, alpha: float) -> TestOutcome:
-    stat = critical_statistic(est.n, est.dw, est.theta_sq_hat)
-    return _outcome(stat, alpha, KIND_CRITICAL)
+def critical_outcome(est: EstimateSet, alpha: float) -> TestOutcome:
+    """The theta = -rho test on a fit of one series."""
+    return _outcome(critical_statistic(est.n, est.dw, est.theta_sq_hat), alpha, KIND_CRITICAL)
 
 
-def _rho(est: EstimateSet, rho0: float, alpha: float) -> tuple[TestOutcome, TestWeights]:
+def rho_outcome(est: EstimateSet, rho0: float, alpha: float) -> tuple[TestOutcome, TestWeights]:
+    """The rho = rho0 test on a fit of one series, with its plug-in weights."""
     w = rho_weights(est.theta_hat, est.rho_hat, rho0)
     stat = est.n / w.tau2 * (est.dw - w.d_tilde) ** 2
     return _outcome(stat, alpha, KIND_RHO0), w
 
 
+def zero_outcome(est: EstimateSet, alpha: float) -> TestOutcome:
+    """The rho = 0 test on a fit of one series."""
+    return _outcome(zero_statistic(est.n, est.dw, est.theta_hat), alpha, KIND_ZERO)
+
+
 def critical_case_test(path: ArrayLike, alpha: float) -> TestOutcome:
     """Test H0: theta = -rho via the lag-2 regression plug-in."""
     _check_alpha(alpha)
-    return _critical(estimate_all(path), alpha)
+    return critical_outcome(estimate_all(path), alpha)
 
 
 def rho_test(path: ArrayLike, rho0: float, alpha: float) -> tuple[TestOutcome, TestWeights]:
     """Test H0: rho = rho0; needs theta != -rho and theta != rho0 to be informative."""
     _check_alpha(alpha)
-    return _rho(estimate_all(path), rho0, alpha)
+    return rho_outcome(estimate_all(path), rho0, alpha)
 
 
 def rho_zero_test(path: ArrayLike, alpha: float) -> TestOutcome:
     """Test H0: rho = 0 (residuals not autocorrelated)."""
     _check_alpha(alpha)
-    est = estimate_all(path)
-    return _outcome(zero_statistic(est.n, est.dw, est.theta_hat), alpha, KIND_ZERO)
+    return zero_outcome(estimate_all(path), alpha)
 
 
 def auto_test(path: ArrayLike, rho0: float, alpha: float) -> AutoOutcome:
@@ -203,7 +210,7 @@ def auto_test(path: ArrayLike, rho0: float, alpha: float) -> AutoOutcome:
     """
     _check_alpha(alpha)
     est = estimate_all(path)
-    preliminary = _critical(est, alpha)
+    preliminary = critical_outcome(est, alpha)
     if not preliminary.reject:
         stat = critical_statistic(est.n, est.dw, rho0 * rho0)
         return AutoOutcome(
@@ -212,5 +219,5 @@ def auto_test(path: ArrayLike, rho0: float, alpha: float) -> AutoOutcome:
             weights=None,
             branch="critical",
         )
-    final, weights = _rho(est, rho0, alpha)
+    final, weights = rho_outcome(est, rho0, alpha)
     return AutoOutcome(preliminary=preliminary, final=final, weights=weights, branch="general")

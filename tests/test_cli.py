@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from dwlab.model import ModelParams, NoiseSpec, read_csv, simulate
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
+def run_fresh(*args: str, stdin=None, env_updates: Optional[dict] = None) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a new interpreter with the package's src directory on PYTHONPATH."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("DW_LAB_THREADS", None)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    env.update(env_updates or {})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, stdin=stdin)
 
 
 def run_cli(capsys, *argv):
@@ -80,7 +82,8 @@ class TestSimulateEstimate:
             capsys, "simulate", "--theta", "0.5", "--rho", "0.3", "--n", "1000", "--seed", "42"
         )
         assert code == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO(csv_text))
+        # estimate reads the bytes under sys.stdin, as it does on a real stdin
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(csv_text.encode())))
         code, out, _ = run_cli(capsys, "estimate")
         assert code == 0
         est = json.loads(out)["estimates"]
@@ -379,6 +382,43 @@ class TestBadCsvText:
         assert "error: CSV input is not valid utf-8 text (invalid start byte: 0xff)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # (interpreter options, environment): the default, and a C locale with and without
+    # its coercion to UTF-8; the last decodes an open() without encoding as ascii
+    LOCALES = [
+        ([], {}),
+        ([], {"LC_ALL": "C", "PYTHONUTF8": "", "PYTHONIOENCODING": ""}),
+        (["-X", "utf8=0"], {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": ""}),
+    ]
+
+    @pytest.mark.parametrize("options, env", LOCALES, ids=["default", "c_locale", "c_locale_ascii"])
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"\xff\n0.5\n1.0\n0.2\n", "invalid start byte: 0xff"),
+            (b"x\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n", "invalid start byte: 0xff"),
+            (b"x\n0.5\n\xe9\n", "invalid continuation byte: 0xe9"),
+        ],
+        ids=["first_row", "past_first_buffer", "cut_sequence"],
+    )
+    def test_stdin_and_file_report_bad_bytes_alike(self, tmp_path, options, env, data, reason):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(data)
+        from_file = run_fresh(*options, "-m", "dwlab", "estimate", "--input", str(src), env_updates=env)
+        with open(src, "rb") as fh:
+            from_stdin = run_fresh(*options, "-m", "dwlab", "estimate", "--input", "-", stdin=fh, env_updates=env)
+        for proc in (from_file, from_stdin):
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == f"error: CSV input is not valid utf-8 text ({reason})\n"
+
+    def test_over_long_field_is_a_data_error(self, tmp_path):
+        src = tmp_path / "long_field.csv"
+        src.write_text("x\n" + "1" * 200_000 + "\n0.5\n")
+        proc = run_fresh("-m", "dwlab", "estimate", "--input", str(src))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: malformed CSV input: field larger than field limit (131072)\n"
+
     def test_non_finite_value_is_printed_plainly(self, tmp_path):
         src = tmp_path / "nan.csv"
         src.write_text("\n".join(["0.1", "0.4", "nan", "0.2", "-0.3", "0.5"]) + "\n")
@@ -422,6 +462,47 @@ class TestBlockedTrajectoriesUnderThreads:
         assert json.dumps(one) == json.dumps(two)
         assert len(one["report"]["qsl"]["values"]) == 4
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+class TestReplicateBlocksUnderThreads:
+    # n = 5000 puts 13 replicates in a block, so 40 replicates make four blocks and three go to the pool
+    BLOCKED = ["-m", "dwlab", "verify", "--theta", "0.5", "--rho", "0.3", "--n", "5000", "--reps", "40", "--seed", "8"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--experiment", "power", "--test-kind", "rho0", "--rho0", "0.0", "--noise", "rademacher"],
+            ["--experiment", "size", "--test-kind", "zero", "--rho", "0.0"],
+            ["--experiment", "critical", "--theta", "0.4", "--rho", "-0.4"],
+        ],
+        ids=["power_rho0_rademacher", "size_zero", "critical"],
+    )
+    def test_reports_are_thread_count_invariant(self, tmp_path, extra):
+        runs = [run_fresh(*self.BLOCKED, *extra, "--threads", t, "--csv", str(tmp_path / f"{t}.csv")) for t in "12"]
+        assert all(r.returncode == 0 for r in runs), runs[0].stderr + runs[1].stderr
+        one, two = (strip_manifest(r.stdout) for r in runs)
+        assert json.dumps(one) == json.dumps(two)
+        assert len(one["report"]["test_statistics"]) == 40
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # one block; replicate 1 is the first degenerate one
+            (["--theta", "0.02", "--n", "100", "--reps", "200", "--seed", "1"], "-0.0192687"),
+            # blocks of 32; replicate 61, in the second block, is the first degenerate one
+            (["--theta", "0.25", "--n", "2000", "--reps", "100", "--seed", "4"], "-0.0159358"),
+        ],
+        ids=["first_block", "pool_block"],
+    )
+    def test_degenerate_replicate_stops_the_run_alike(self, args, message):
+        for threads in "12":
+            proc = run_fresh("-m", "dwlab", "verify", "--experiment", "critical", "--rho", "0", *args, "--threads", threads)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"error: theta^2 plug-in {message} outside (0, 1); statistic leaves the chi-square regime\n"
+            )
 
 
 def _reference_jsonable(obj):

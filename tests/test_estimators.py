@@ -92,8 +92,12 @@ class TestGuards:
             estimate_theta([0.0, 0.0, 0.0, 1.0])
 
     def test_not_one_dimensional(self):
+        # a 2-D array is a block of series for the one-shot estimators, but not for the trajectories
+        for bad in (np.zeros((3, 3, 3)), np.float64(1.0)):
+            with pytest.raises(DomainError):
+                estimate_theta(bad)
         with pytest.raises(DomainError):
-            estimate_theta(np.zeros((3, 3)))
+            running_estimates(np.zeros((3, 20)))
 
     @pytest.mark.parametrize(
         "path, name",
@@ -109,6 +113,47 @@ class TestGuards:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{name} is not finite"):
                 estimate_all(path)
+
+
+_FITTED = ("theta_hat", "rho_hat", "sigma2_hat", "dw", "theta_sq_hat")
+
+
+class TestBlocks:
+    """estimate_all over a (B, n+1) block: each row fitted as on its own."""
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 64, 101, 127, 128, 999, 5000])
+    @pytest.mark.parametrize("rows", [1, 2, 13])
+    def test_rows_match_single_series_bit_for_bit(self, n, rows):
+        # below 128 values numpy sums with its unrolled loop, above it pairwise
+        block = np.stack([simulate(ModelParams(0.5, 0.3), NoiseSpec(), n, seed).x for seed in range(rows)])
+        fit = estimate_all(block)
+        assert fit.n == n and fit.residuals.shape == block.shape
+        for i in range(rows):
+            one = estimate_all(block[i])
+            for name in _FITTED:
+                assert type(getattr(one, name)) is float
+                assert np.float64(getattr(one, name)).tobytes() == getattr(fit, name)[i].tobytes(), (name, i)
+            assert one.residuals.tobytes() == fit.residuals[i].tobytes()
+
+    def test_fortran_ordered_block(self):
+        block = np.stack([simulate(ModelParams(-0.4, 0.6), NoiseSpec(), 301, seed).x for seed in range(5)])
+        fit, fortran = estimate_all(block), estimate_all(np.asfortranarray(block))
+        for name in _FITTED:
+            assert getattr(fit, name).tobytes() == getattr(fortran, name).tobytes()
+
+    def test_any_degenerate_row_raises(self):
+        good = simulate(ModelParams(0.5, 0.3), NoiseSpec(), 20, 1).x
+        for fn in (estimate_theta, estimate_rho, dw_statistic, estimate_theta_sq):
+            with pytest.raises(DegenerateDenominator):
+                fn(np.stack([good, np.zeros_like(good), good]))
+        with pytest.raises(TooShort):
+            estimate_all(np.zeros((4, 3)))
+        bad = good.copy()
+        bad[5] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^theta_hat is not finite"):
+                estimate_all(np.stack([good, bad]))
 
 
 class TestIdentities:

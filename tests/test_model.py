@@ -14,8 +14,10 @@ from dwlab.model import (
     ModelParams,
     NoiseSpec,
     Series,
+    make_rng,
     read_csv,
     simulate,
+    simulate_paths,
     validate_params,
     write_csv,
 )
@@ -30,6 +32,16 @@ params_st = st.builds(
 )
 kind_st = st.sampled_from(("gaussian", "uniform", "rademacher"))
 seed_st = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def _reference_path(p, noise, n, seed):
+    """One path with one-dimensional lfilter calls, as simulate drew it before paths came in blocks."""
+    from scipy.signal import lfilter
+
+    v = noise.sample(n, make_rng(seed))
+    eps = np.concatenate([[p.eps0], lfilter([1.0], [1.0, -p.rho], v, zi=np.array([p.rho * p.eps0]))[0]])
+    x = np.concatenate([[p.x0], lfilter([1.0], [1.0, -p.theta], eps[1:], zi=np.array([p.theta * p.x0]))[0]])
+    return x, eps, v
 
 
 class TestValidation:
@@ -153,6 +165,28 @@ class TestSimulate:
         mean_sq = float(np.sum(s.x[1:] ** 2)) / 10**6
         target = limits.ell(0.5, 0.3, 1.0)
         assert abs(mean_sq - target) <= 0.01 * target
+
+    @given(params_st, kind_st, st.lists(seed_st, min_size=1, max_size=5), st.sampled_from([2, 3, 127, 1001]))
+    @settings(max_examples=40, deadline=None)
+    def test_block_rows_are_the_single_paths(self, p, kind, seeds, n):
+        noise = NoiseSpec(kind=kind, sigma2=p.sigma2)
+        x, eps, v = simulate_paths(p, noise, n, seeds)
+        assert x.shape == eps.shape == (len(seeds), n + 1) and v.shape == (len(seeds), n)
+        for i, seed in enumerate(seeds):
+            ref = _reference_path(p, noise, n, seed)
+            one = simulate(p, noise, n, seed)
+            for got, single, want in zip((x[i], eps[i], v[i]), (one.x, one.eps, one.v), ref):
+                assert got.tobytes() == single.tobytes() == want.tobytes()
+        assert np.array_equal(x[:, 1:], p.theta * x[:, :-1] + eps[:, 1:])
+        assert np.array_equal(eps[:, 1:], p.rho * eps[:, :-1] + v)
+
+    def test_block_is_validated_like_one_path(self):
+        with pytest.raises(InvalidLength):
+            simulate_paths(ModelParams(theta=0.2, rho=0.1), NoiseSpec(), 1, [1, 2])
+        with pytest.raises(OutOfRegion):
+            simulate_paths(ModelParams(theta=1.0, rho=0.1), NoiseSpec(), 10, [1, 2])
+        with pytest.raises(DomainError):
+            simulate_paths(ModelParams(theta=0.2, rho=0.1), NoiseSpec(), 10, [1, -2])
 
     def test_arrays_are_read_only(self):
         s = simulate(ModelParams(theta=0.2, rho=0.1), NoiseSpec(), 10, 0)
@@ -279,6 +313,13 @@ class TestCsv:
         for data in (b"\xff\n0.5\n", b"x\n" + b"0.5\n" * 5000 + b"\xff\n1.0\n"):
             with pytest.raises(DomainError, match=r"not valid utf-8 text \(invalid start byte: 0xff\)"):
                 read_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+    def test_over_long_field_is_a_data_error(self, tmp_path):
+        # the csv module refuses a field over 131072 characters
+        src = tmp_path / "long_field.csv"
+        src.write_text("x\n" + "1" * 200_000 + "\n0.5\n")
+        with pytest.raises(DomainError, match=r"^malformed CSV input: field larger than field limit \(131072\)$"):
+            read_csv(src)
 
     def test_read_holds_only_the_parsed_values(self, tmp_path):
         # keeping every parsed row of the export (four strings each) would peak near 50 x.nbytes

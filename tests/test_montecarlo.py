@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from dwlab.errors import DomainError
-from dwlab.estimators import estimate_all
+from dwlab import montecarlo
+from dwlab.errors import DegenerateStatistic, DomainError
+from dwlab.estimators import dw_statistic, estimate_all, estimate_rho, estimate_theta, residuals, running_estimates
 from dwlab.model import ModelParams, NoiseSpec, simulate
+from dwlab.testing import critical_case_test, rho_test, rho_zero_test
 from dwlab.montecarlo import (
     McConfig,
     derive_seed,
@@ -187,3 +190,125 @@ class TestLil:
         assert 0.0 <= lil["exceedance_fraction"] <= 0.2
         assert "envelope" in lil and lil["envelope"] > 0.0
         assert "limsup" in lil["note"]
+
+
+# ---------------------------------------------------------------------------
+# Replicate blocks: every block size gives what one replicate at a time gives
+# ---------------------------------------------------------------------------
+
+
+def _reference_rows(experiment, cfg, rho0=None, which="theta", checkpoints=()):
+    """The per-replicate loop: each path simulated and fitted on its own through the one-path API."""
+    targets = montecarlo._asymptotic_targets(cfg)
+    limit = targets[montecarlo._TARGET_KEYS[which][0]]
+    rows = []
+    for i in range(cfg.replicates):
+        x = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i)).x
+        if experiment == "clt":
+            est = estimate_all(x)
+            rows.append((est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat))
+        elif experiment in ("zero", "critical", "rho0"):
+            if experiment == "zero":
+                outcome = rho_zero_test(x, cfg.alpha)
+            elif experiment == "critical":
+                outcome = critical_case_test(x, cfg.alpha)
+            else:
+                outcome, _ = rho_test(x, rho0, cfg.alpha)
+            rows.append((outcome.statistic, outcome.reject))
+        elif experiment == "qsl":
+            track = getattr(running_estimates(x, k0=montecarlo.QSL_BURN_IN), which)
+            rows.append(float(np.sum((track - limit) ** 2) / math.log(cfg.n)))
+        else:  # lil
+            devs = []
+            for m in checkpoints:
+                prefix = x[: m + 1]
+                th = estimate_theta(prefix)
+                res = residuals(prefix, th)
+                value = {"theta": th, "rho": estimate_rho(res), "dw": dw_statistic(res)}[which]
+                devs.append(lil_deviation(value, limit, m))
+            rows.append(devs)
+    return rows
+
+
+# experiment: (reference kind, model point, noise, n, replicates, keyword arguments)
+_BLOCK_CASES = {
+    "clt": ("clt", (0.5, 0.3), "gaussian", 500, 9, {}),
+    "size": ("zero", (0.5, 0.0), "uniform", 300, 9, {}),
+    "power": ("rho0", (0.5, 0.3), "rademacher", 400, 9, {"rho0": 0.0}),
+    "critical": ("critical", (0.4, -0.4), "gaussian", 300, 9, {}),
+    "qsl": ("qsl", (0.5, 0.3), "gaussian", 10_000, 5, {"which": "dw"}),
+    "lil": ("lil", (0.5, 0.3), "gaussian", 10_000, 5, {"which": "rho", "checkpoints": [100, 1000, 10_000]}),
+}
+
+
+def _run(experiment, cfg, kwargs, threads):
+    if experiment == "clt":
+        return run_replications(cfg, threads=threads)
+    if experiment in ("size", "power", "critical"):
+        kind = {"size": "zero", "power": "rho0", "critical": "critical"}[experiment]
+        return empirical_size_power(kind, cfg, rho0=kwargs.get("rho0"), threads=threads)
+    if experiment == "qsl":
+        return qsl_check(cfg, kwargs["which"], threads=threads)
+    return lil_envelope_check(cfg, kwargs["which"], kwargs["checkpoints"], threads=threads)
+
+
+class TestReplicateBlocks:
+    @pytest.mark.parametrize("experiment", list(_BLOCK_CASES))
+    def test_every_block_size_matches_the_per_replicate_loop(self, monkeypatch, experiment):
+        kind, (theta, rho), noise, n, reps, kwargs = _BLOCK_CASES[experiment]
+        cfg = config(theta, rho, n=n, reps=reps, seed=2024, kind=noise)
+        rows = _reference_rows(kind, cfg, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_map_paths", lambda statistic, cfg, threads: list(rows))
+            reference = json.dumps(_run(experiment, cfg, kwargs, 1).to_dict())
+        # blocks of 1, 2, 7, all replicates and more than the replicates
+        for size in (1, 2, 7, reps, reps + 3):
+            monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", size * (n + 1))
+            for threads in (1, 2):
+                assert json.dumps(_run(experiment, cfg, kwargs, threads).to_dict()) == reference, (size, threads)
+
+    def test_block_size_follows_the_path_length(self, monkeypatch):
+        sizes = []
+        real = montecarlo.simulate_paths
+
+        def recording(params, noise, n, seeds):
+            sizes.append(len(seeds))
+            return real(params, noise, n, seeds)
+
+        monkeypatch.setattr(montecarlo, "simulate_paths", recording)
+        run_replications(config(0.5, 0.3, n=5000, reps=30, seed=1))
+        assert sizes == [13, 13, 4]  # 2**16 // 5001 = 13
+        sizes.clear()
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 100)
+        run_replications(config(0.5, 0.3, n=5000, reps=3, seed=1))
+        assert sizes == [1, 1, 1]
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 103])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_degenerate_replicate_raises_its_own_error(self, monkeypatch, size, threads):
+        # replicate 61 is the first whose theta^2 plug-in is negative; it sits in a
+        # pool block for most block sizes, and later blocks fail too
+        cfg = config(0.25, 0.0, n=2000, reps=100, seed=4)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", size * (cfg.n + 1))
+        with pytest.raises(DegenerateStatistic, match=r"^theta\^2 plug-in -0\.0159358 outside \(0, 1\)"):
+            empirical_size_power("critical", cfg, threads=threads)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 40, 41])
+    def test_a_failing_block_reports_its_first_failing_row(self, monkeypatch, size):
+        # the block raises naming its largest offending value; the rows rerun one at
+        # a time, so the error names the first offending replicate, as at B = 1
+        def statistic(x):
+            bad = [row[1] for row in x if row[1] > 1.0]
+            if bad:
+                raise DomainError(repr(max(bad)))
+            return [0.0] * len(x)
+
+        cfg = config(0.5, 0.3, n=100, reps=40, seed=9)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
+        with pytest.raises(DomainError) as first:
+            montecarlo._map_paths(statistic, cfg, 1)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", size * (cfg.n + 1))
+        for threads in (1, 2):
+            with pytest.raises(DomainError) as blocked:
+                montecarlo._map_paths(statistic, cfg, threads)
+            assert str(blocked.value) == str(first.value)
