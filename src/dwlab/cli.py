@@ -118,12 +118,8 @@ def _threads(args) -> int:
 
 def _cmd_simulate(args, argv):
     params = ModelParams(theta=args.theta, rho=args.rho, sigma2=args.sigma2, x0=args.x0, eps0=args.eps0)
-    noise = NoiseSpec(kind=args.noise, sigma2=args.sigma2)
-    series = simulate(params, noise, args.n, args.seed)
-    if args.output:
-        write_csv(series, args.output)
-    else:
-        write_csv(series, sys.stdout)
+    series = simulate(params, NoiseSpec(kind=args.noise), args.n, args.seed)
+    write_csv(series, args.output or sys.stdout)
     return 0
 
 
@@ -156,20 +152,18 @@ def _cmd_estimate(args, argv):
 
 def _cmd_test(args, argv):
     series = _read_series(args.input, _header_flag(args.header))
+    if args.kind in ("rho0", "auto") and args.rho0 is None:
+        raise DomainError(f"--kind {args.kind} requires --rho0")
     payload = {"manifest": _manifest(argv, None)}
     if args.kind == "critical":
         payload["test"] = dataclasses.asdict(critical_case_test(series.x, args.alpha))
     elif args.kind == "zero":
         payload["test"] = dataclasses.asdict(rho_zero_test(series.x, args.alpha))
     elif args.kind == "rho0":
-        if args.rho0 is None:
-            raise DomainError("--kind rho0 requires --rho0")
         outcome, weights = rho_test(series.x, args.rho0, args.alpha)
         payload["test"] = dataclasses.asdict(outcome)
         payload["weights"] = dataclasses.asdict(weights)
     else:  # auto
-        if args.rho0 is None:
-            raise DomainError("--kind auto requires --rho0")
         auto = auto_test(series.x, args.rho0, args.alpha)
         payload["preliminary"] = dataclasses.asdict(auto.preliminary)
         payload["branch"] = auto.branch
@@ -222,10 +216,9 @@ def _cmd_limits(args, argv):
 
 def _cmd_verify(args, argv):
     params = ModelParams(theta=args.theta, rho=args.rho, sigma2=args.sigma2)
-    noise = NoiseSpec(kind=args.noise, sigma2=args.sigma2)
     cfg = McConfig(
         params=params,
-        noise=noise,
+        noise=NoiseSpec(kind=args.noise),
         n=args.n,
         replicates=args.reps,
         base_seed=args.seed,
@@ -336,10 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except DWLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DWLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

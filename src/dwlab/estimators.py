@@ -17,7 +17,6 @@ oracle.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Union
 
@@ -101,14 +100,23 @@ def _lagged(coef) -> np.ndarray:
     return np.asarray(coef)[..., None]
 
 
+def _slope(y: ArrayLike, lag: int, degenerate: str):
+    """Least squares slope of Y_k on Y_{k-lag}: sum(Y_k Y_{k-lag}) / sum(Y_{k-lag}^2).
+
+    A zero denominator raises DegenerateDenominator with the message ``degenerate``.
+    """
+    y = _as_block(y)
+    _check_steps(y)
+    head, tail = y[..., :-lag], y[..., lag:]
+    denom = _total(head * head)
+    if np.any(denom <= 0.0):
+        raise DegenerateDenominator(degenerate)
+    return _total(tail * head) / denom
+
+
 def estimate_theta(path: ArrayLike) -> float:
     """Least squares slope of X_k on X_{k-1}: sum(X_k X_{k-1}) / sum(X_{k-1}^2)."""
-    x = _as_block(path)
-    _check_steps(x)
-    denom = _total(x[..., :-1] * x[..., :-1])
-    if np.any(denom <= 0.0):
-        raise DegenerateDenominator("sum of squared lagged values is zero")
-    return _total(x[..., 1:] * x[..., :-1]) / denom
+    return _slope(path, 1, "sum of squared lagged values is zero")
 
 
 def residuals(path: ArrayLike, theta_hat: float) -> np.ndarray:
@@ -122,12 +130,7 @@ def residuals(path: ArrayLike, theta_hat: float) -> np.ndarray:
 
 def estimate_rho(res: ArrayLike) -> float:
     """Lag-1 least squares coefficient of the residual sequence."""
-    e = _as_block(res)
-    _check_steps(e)
-    denom = _total(e[..., :-1] * e[..., :-1])
-    if np.any(denom <= 0.0):
-        raise DegenerateDenominator("sum of squared lagged residuals is zero")
-    return _total(e[..., 1:] * e[..., :-1]) / denom
+    return _slope(res, 1, "sum of squared lagged residuals is zero")
 
 
 def estimate_sigma2(res: ArrayLike, rho_hat: float) -> float:
@@ -152,12 +155,7 @@ def dw_statistic(res: ArrayLike) -> float:
 
 def estimate_theta_sq(path: ArrayLike) -> float:
     """Least squares slope of X_k on X_{k-2}; consistent for theta^2 when theta = -rho."""
-    x = _as_block(path)
-    _check_steps(x)
-    denom = _total(x[..., :-2] * x[..., :-2])
-    if np.any(denom <= 0.0):
-        raise DegenerateDenominator("sum of squared twice-lagged values is zero")
-    return _total(x[..., 2:] * x[..., :-2]) / denom
+    return _slope(path, 2, "sum of squared twice-lagged values is zero")
 
 
 def estimate_all(path: ArrayLike) -> EstimateSet:
@@ -211,7 +209,10 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
         J_k = S_k - 2*theta_hat_k*P_k + theta_hat_k^2 * S_{k-1}
 
     so no residual vector is ever rebuilt per k.  Burn-in k0 skips the
-    erratic early estimates.
+    erratic early estimates.  A series holding nan or inf raises DomainError
+    before any sum is formed; a residual sum J_{k-1} that vanishes (or
+    cancels to a negative value) raises DegenerateDenominator at the block
+    where it happens, before that block divides by it.
 
     The path is walked in blocks of ``_BLOCK`` steps.  Each block's running
     sums start from the totals carried out of the block before it, so every
@@ -234,6 +235,10 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
         raise DomainError("burn-in k0 must be at least 3")
     if n < k0:
         raise TooShort(f"need at least k0={k0} steps, got {n}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"non-finite value {x[i]} at index {i} of the series")
 
     sums = np.empty((3, _BLOCK + 1))
     # S_1, P_1, Q_1 as a cumsum over the whole path forms them (its 0.0 + turns -0.0 into 0.0)
@@ -248,7 +253,6 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     theta, rho, dw = np.empty(k.size), np.empty(k.size), np.empty(k.size)
     scratch = np.empty((3, _BLOCK))
     x0_sq = x[0] * x[0]
-    lowest = np.inf  # running np.min of J_{k-1}: NaN once any is NaN, as np.min over the whole trajectory
     for a in range(k0, n + 1, _BLOCK):
         b = min(a + _BLOCK, n + 1)
         block = _advance_sums(x, a, b, sums)
@@ -272,18 +276,14 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
         np.subtract(x[a:b], eps_sq, out=eps_sq)
         np.multiply(eps_sq, eps_sq, out=eps_sq)
         np.subtract(j_k, eps_sq, out=j_prev)
-        lowest = np.minimum(lowest, j_prev.min())
+        if j_prev.min() <= 0.0:
+            raise DegenerateDenominator("residual sum of squares vanished along the trajectory")
 
-        # A nonpositive J_{k-1} raises after the loop unless a later block turns
-        # lowest into NaN, so until that is known its divisions stay silent.
-        with np.errstate(all="ignore") if lowest <= 0.0 else nullcontext():
-            np.divide(i_k, j_prev, out=rho[a - k0 : b - k0])
-            np.subtract(j_prev, i_k, out=i_k)  # dw = (2*(J_{k-1} - I_k) + eps_k^2 - X_0^2) / J_k
-            np.multiply(2.0, i_k, out=i_k)
-            np.add(i_k, eps_sq, out=i_k)
-            np.subtract(i_k, x0_sq, out=i_k)
-            np.divide(i_k, j_k, out=j_k)
+        np.divide(i_k, j_prev, out=rho[a - k0 : b - k0])
+        np.subtract(j_prev, i_k, out=i_k)  # dw = (2*(J_{k-1} - I_k) + eps_k^2 - X_0^2) / J_k
+        np.multiply(2.0, i_k, out=i_k)
+        np.add(i_k, eps_sq, out=i_k)
+        np.subtract(i_k, x0_sq, out=i_k)
+        np.divide(i_k, j_k, out=j_k)
         sums[:, 0] = block[:, -1]
-    if lowest <= 0.0:
-        raise DegenerateDenominator("residual sum of squares vanished along the trajectory")
     return RunningEstimates(k=k, theta=theta, rho=rho, dw=dw)

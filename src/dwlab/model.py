@@ -57,9 +57,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Distribution of the i.i.d. innovations V_k.
+    """Distribution of the i.i.d. innovations V_k; their variance is ``ModelParams.sigma2``.
 
-    All kinds have mean zero, variance ``sigma2`` and a finite fourth moment:
+    All kinds have mean zero, the variance ``sigma2`` passed to
+    :meth:`sample` and a finite fourth moment:
 
     * ``gaussian``    N(0, sigma2)
     * ``uniform``     uniform on [-sqrt(3 sigma2), +sqrt(3 sigma2)]
@@ -67,20 +68,18 @@ class NoiseSpec:
     """
 
     kind: str = "gaussian"
-    sigma2: float = 1.0
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise DomainError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
-        if not (self.sigma2 > 0.0) or not math.isfinite(self.sigma2):
-            raise OutOfRegion("sigma2", "noise variance must be positive and finite")
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        sd = math.sqrt(self.sigma2)
+    def sample(self, n: int, rng: np.random.Generator, sigma2: float) -> np.ndarray:
+        """n draws of the innovation with variance sigma2, which the caller has validated."""
+        sd = math.sqrt(sigma2)
         if self.kind == "gaussian":
             return rng.standard_normal(n) * sd
         if self.kind == "uniform":
-            half = math.sqrt(3.0 * self.sigma2)
+            half = math.sqrt(3.0 * sigma2)
             return rng.uniform(-half, half, n)
         # rademacher
         return (2.0 * rng.integers(0, 2, size=n) - 1.0) * sd
@@ -98,7 +97,6 @@ class Series:
     x: np.ndarray
     eps: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
-    params: Optional[ModelParams] = None
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=np.float64)
@@ -132,7 +130,7 @@ def validate_params(p: ModelParams) -> None:
     if not (abs(p.rho) < 1.0) or not math.isfinite(p.rho):
         raise OutOfRegion("rho")
     if not (p.sigma2 > 0.0) or not math.isfinite(p.sigma2):
-        raise OutOfRegion("sigma2")
+        raise OutOfRegion("sigma2", "noise variance must be positive and finite")
     for name in ("x0", "eps0"):
         if not math.isfinite(getattr(p, name)):
             raise OutOfRegion(name)
@@ -178,7 +176,7 @@ def simulate_paths(params: ModelParams, noise: NoiseSpec, n: int, seeds: Sequenc
     rows = len(seeds)
     v = np.empty((rows, n))
     for row, seed in zip(v, seeds):
-        row[:] = noise.sample(n, make_rng(seed))
+        row[:] = noise.sample(n, make_rng(seed), params.sigma2)
 
     # lfilter runs the one-pole recursions y_k = a*y_{k-1} + u_k in C along
     # each row, with the same two roundings per step as a naive loop, hence
@@ -197,7 +195,7 @@ def simulate_paths(params: ModelParams, noise: NoiseSpec, n: int, seeds: Sequenc
 def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series:
     """Draw X_0..X_n with the latent sequences attached: :func:`simulate_paths` for one seed."""
     x, eps, v = simulate_paths(params, noise, n, [seed])
-    return Series(x=x[0], eps=eps[0], v=v[0], params=params)
+    return Series(x=x[0], eps=eps[0], v=v[0])
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,8 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     When a block raises, its rows are rerun one at a time, so the error is
     the one the first failing replicate raises on its own, as with B = 1.
     """
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     size = max(1, _BLOCK_VALUES // (cfg.n + 1))
 
     def block(start: int) -> list:
@@ -204,12 +206,8 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
             raise
 
     results = block(0)
-    rest = range(size, cfg.replicates, size)
-    if threads <= 1:
-        results.extend(chain.from_iterable(map(block, rest)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results.extend(chain.from_iterable(pool.map(block, rest)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results.extend(chain.from_iterable(pool.map(block, range(size, cfg.replicates, size))))
     return results
 
 

@@ -51,7 +51,7 @@ def test_criterion_1_exact_identity_suite():
         eps0 = float(rng.uniform(-1.0, 1.0))
         seed = int(rng.integers(0, 2**63))
         p = ModelParams(theta=theta, rho=rho, sigma2=1.0, x0=x0, eps0=eps0)
-        s = simulate(p, NoiseSpec(kind=kinds[trial % 3], sigma2=1.0), 500, seed)
+        s = simulate(p, NoiseSpec(kind=kinds[trial % 3]), 500, seed)
         x, v = s.x, s.v
         n = s.n
 
@@ -100,7 +100,7 @@ def test_criterion_1_exact_identity_suite():
 def test_criterion_2_almost_sure_limits():
     """Single path, n = 10^6: estimators land on the closed-form limits."""
     start = time.perf_counter()
-    s = simulate(ModelParams(theta=0.5, rho=0.3, sigma2=1.0), NoiseSpec(sigma2=1.0), 10**6, 42)
+    s = simulate(ModelParams(theta=0.5, rho=0.3, sigma2=1.0), NoiseSpec(), 10**6, 42)
     est = estimate_all(s.x)
     elapsed = time.perf_counter() - start
     assert abs(est.theta_hat - 0.6956521739130435) <= 0.005
@@ -272,7 +272,7 @@ def test_criterion_8_recovery_round_trip():
             worst = max(worst, abs(sigma2 - 1.0))
     assert worst <= 1e-10
 
-    s = simulate(ModelParams(theta=0.3, rho=0.5, sigma2=1.0), NoiseSpec(sigma2=1.0), 10**6, 512)
+    s = simulate(ModelParams(theta=0.3, rho=0.5, sigma2=1.0), NoiseSpec(), 10**6, 512)
     est = estimate_all(s.x)
     rec = recover_params(est.theta_hat, est.rho_hat, "theta_less")
     sigma2 = recover_sigma2(est.theta_hat, est.rho_hat, est.sigma2_hat)

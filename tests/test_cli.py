@@ -192,6 +192,15 @@ class TestTestCommand:
         code, _, err = run_cli(capsys, "test", "--input", series_csv, "--kind", "rho0",
                                "--alpha", "0.05")
         assert code == 2
+        assert err == "error: --kind rho0 requires --rho0\n"
+
+    def test_auto_kind_needs_rho0_after_the_input_is_read(self, capsys, series_csv, tmp_path):
+        code, _, err = run_cli(capsys, "test", "--input", series_csv, "--kind", "auto", "--alpha", "0.05")
+        assert (code, err) == (2, "error: --kind auto requires --rho0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x\n1\nnan\n2\n")
+        code, _, err = run_cli(capsys, "test", "--input", str(bad), "--kind", "auto", "--alpha", "0.05")
+        assert (code, err) == (2, "error: non-finite value nan in CSV column 0, data row 1\n")
 
     def test_auto_kind(self, capsys, series_csv):
         code, out, _ = run_cli(capsys, "test", "--input", series_csv, "--kind", "auto",
@@ -328,6 +337,14 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "--threads" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_zero_noise_variance_rejected(self, capsys, command):
+        extra = ["--experiment", "clt", "--reps", "2"] if command == "verify" else []
+        code, out, err = run_cli(
+            capsys, command, *extra, "--theta", "0.5", "--rho", "0.3", "--n", "200", "--seed", "1", "--sigma2", "0"
+        )
+        assert (code, out, err) == (2, "", "error: noise variance must be positive and finite\n")
 
     def test_threads_flag_and_env(self, capsys, monkeypatch):
         args = ["verify", "--experiment", "clt", "--theta", "0.2", "--rho", "0.1",

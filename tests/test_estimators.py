@@ -91,6 +91,22 @@ class TestGuards:
         with pytest.raises(DegenerateDenominator):
             estimate_theta([0.0, 0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            (estimate_theta, "sum of squared lagged values is zero"),
+            (estimate_rho, "sum of squared lagged residuals is zero"),
+            (estimate_theta_sq, "sum of squared twice-lagged values is zero"),
+        ],
+    )
+    def test_slope_messages(self, fn, message):
+        block = np.zeros((3, 10))
+        block[0] = np.arange(10.0)
+        for zeros in (block[1], block):  # in a block, one zero row is enough
+            with pytest.raises(DegenerateDenominator) as exc:
+                fn(zeros)
+            assert str(exc.value) == message
+
     def test_not_one_dimensional(self):
         # a 2-D array is a block of series for the one-shot estimators, but not for the trajectories
         for bad in (np.zeros((3, 3, 3)), np.float64(1.0)):
@@ -166,7 +182,7 @@ class TestIdentities:
     @given(params_st, kind_st, seed_st)
     @settings(max_examples=30, deadline=None)
     def test_lag_one_decomposition(self, p, kind, seed):
-        s = simulate(p, NoiseSpec(kind=kind, sigma2=p.sigma2), 300, seed)
+        s = simulate(p, NoiseSpec(kind=kind), 300, seed)
         x, v = s.x, s.v
         n = s.n
         p_n = dot_fsum(x[1:], x[:-1])
@@ -184,7 +200,7 @@ class TestIdentities:
     @given(params_st, kind_st, seed_st)
     @settings(max_examples=30, deadline=None)
     def test_lag_two_decomposition(self, p, kind, seed):
-        s = simulate(p, NoiseSpec(kind=kind, sigma2=p.sigma2), 300, seed)
+        s = simulate(p, NoiseSpec(kind=kind), 300, seed)
         x, v = s.x, s.v
         q_n = dot_fsum(x[2:], x[:-2])
         p_prev = dot_fsum(x[1:-1], x[:-2])
@@ -196,7 +212,7 @@ class TestIdentities:
     @given(params_st, kind_st, seed_st)
     @settings(max_examples=30, deadline=None)
     def test_residual_sum_expansions(self, p, kind, seed):
-        s = simulate(p, NoiseSpec(kind=kind, sigma2=p.sigma2), 300, seed)
+        s = simulate(p, NoiseSpec(kind=kind), 300, seed)
         x = s.x
         th = theta_hat_fsum(x)
         res = residuals(x, th)
@@ -213,7 +229,7 @@ class TestIdentities:
     @given(params_st, kind_st, seed_st)
     @settings(max_examples=30, deadline=None)
     def test_dw_linear_relations(self, p, kind, seed):
-        s = simulate(p, NoiseSpec(kind=kind, sigma2=p.sigma2), 300, seed)
+        s = simulate(p, NoiseSpec(kind=kind), 300, seed)
         x = s.x
         th = theta_hat_fsum(x)
         res = residuals(x, th)
@@ -236,7 +252,7 @@ class TestIdentities:
         # the lag-1 and lag-2 decompositions are identities for all n >= 2,
         # not only at the endpoint; check every prefix with running sums
         p = ModelParams(theta=0.6, rho=-0.3, sigma2=1.0, x0=0.8, eps0=-0.5)
-        s = simulate(p, NoiseSpec(sigma2=1.0), 400, 314)
+        s = simulate(p, NoiseSpec(), 400, 314)
         x, v = s.x, s.v
         s_run = np.cumsum(x * x)
         lag1 = np.concatenate(([0.0], x[1:] * x[:-1]))
@@ -410,32 +426,28 @@ class TestBlockedRunningEstimates:
         k0 = block + offsets[k0_pick] if k0_pick in offsets else k0_pick
         k0 = max(k0, 3)
         n = max(k0, k0 - 1 + blocks * block + extra)
-        x = simulate(p, NoiseSpec(kind, p.sigma2), n, seed).x
+        x = simulate(p, NoiseSpec(kind), n, seed).x
         expected = _outcome(_reference_running_estimates, x, k0, block)
         assert _outcome(running_estimates, x, k0, block) == expected
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_guards_raise_on_the_same_inputs(self, block):
-        zeros = np.zeros(40)
-        nan_later = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 3000, 4).x.copy()
-        nan_later[2500] = np.nan
-        cancelling_then_nan = np.concatenate([_CANCELLING, [np.nan], _CANCELLING[1:]])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the reference divides by the cancelled sums
-            for x in (zeros, nan_later, _CANCELLING, cancelling_then_nan):
+            warnings.simplefilter("error")  # both kernels raise before any division by the vanished sums
+            for x in (np.zeros(40), _CANCELLING):
                 for k0 in (3, 10):
                     expected = _outcome(_reference_running_estimates, x, k0, block)
-                    assert _outcome(running_estimates, x, k0, block) == expected
-            # NaN turns np.min over the trajectory into NaN, so neither NaN path raises
-            assert isinstance(_outcome(running_estimates, cancelling_then_nan, 3, block), tuple)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the reference raises before any division by the cancelled sums
-            for k0 in (3, 10):
-                assert _outcome(_reference_running_estimates, _CANCELLING, k0, block) is DegenerateDenominator
-                assert _outcome(running_estimates, _CANCELLING, k0, block) is DegenerateDenominator
-            assert _outcome(running_estimates, zeros, 3, block) is DegenerateDenominator
-        traj = running_estimates(nan_later, k0=10)
-        assert np.array_equal(np.flatnonzero(np.isnan(traj.dw)), np.arange(2500 - 10, 3000 - 9))
+                    assert expected is DegenerateDenominator
+                    assert _outcome(running_estimates, x, k0, block) is expected
+        path = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 3000, 4).x
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in (0, 1500, 3000):
+                x = path.copy()
+                x[index] = bad
+                with pytest.MonkeyPatch.context() as mp, pytest.raises(DomainError) as exc:
+                    mp.setattr(estimators, "_BLOCK", block)
+                    running_estimates(x, k0=10)
+                assert str(exc.value) == f"non-finite value {bad} at index {index} of the series"
 
     @pytest.mark.parametrize("theta", [0.99, -0.99])
     def test_no_floating_point_warnings_near_the_unit_root(self, theta):

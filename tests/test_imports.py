@@ -1,0 +1,72 @@
+"""Every name that a module under ``src/dwlab`` imports is used in that module.
+
+Two kinds of import need no use: the names ``dwlab/__init__.py`` re-exports
+through ``__all__``, and the names that the benchmark's span tracer wraps on
+a module (``BINDINGS`` in ``bench/spans.py``), which it replaces by attribute.
+"""
+
+import ast
+from pathlib import Path
+
+import dwlab
+
+PACKAGE = Path(dwlab.__file__).resolve().parent
+
+# Imported by a module that never calls them, so that the span tracer can wrap
+# them there; binding the spans where the names are used would let them go.
+TRACER_ONLY = [
+    "dwlab.montecarlo.critical_case_test",
+    "dwlab.montecarlo.rho_test",
+    "dwlab.montecarlo.rho_zero_test",
+    "dwlab.montecarlo.simulate",
+    "dwlab.testing.chi2_cdf1",
+    "dwlab.testing.dw_statistic",
+    "dwlab.testing.estimate_rho",
+    "dwlab.testing.estimate_theta",
+    "dwlab.testing.estimate_theta_sq",
+    "dwlab.testing.residuals",
+]
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import statement anywhere in the source and never read as a name."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def _unused_by_module() -> dict:
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "dwlab" if path.stem == "__init__" else f"dwlab.{path.stem}"
+        out[module] = unused_imports(path.read_text(encoding="utf-8"))
+    return out
+
+
+def test_every_import_is_used(bench_spans):
+    wrapped = {f"{module}.{name}" for module, names in bench_spans.BINDINGS for name in names}
+    exported = {f"dwlab.{name}" for name in dwlab.__all__}
+    unused = [
+        f"{module}.{name}"
+        for module, names in _unused_by_module().items()
+        for name in names
+        if f"{module}.{name}" not in wrapped | exported
+    ]
+    assert not unused, unused
+
+
+def test_tracer_only_imports_are_listed(bench_spans):
+    wrapped = {f"{module}.{name}" for module, names in bench_spans.BINDINGS for name in names}
+    found = [f"{module}.{name}" for module, names in _unused_by_module().items() for name in names]
+    assert sorted(set(found) & wrapped) == TRACER_ONLY
+
+
+def test_a_leftover_import_is_caught():
+    source = "from contextlib import nullcontext\nimport os.path\nimport numpy as np\n\nnp.zeros(os.sep)\n"
+    assert unused_imports(source) == ["nullcontext"]

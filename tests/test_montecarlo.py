@@ -23,7 +23,7 @@ from dwlab.montecarlo import (
 def config(theta, rho, n, reps, seed, alpha=0.05, kind="gaussian", sigma2=1.0):
     return McConfig(
         params=ModelParams(theta=theta, rho=rho, sigma2=sigma2),
-        noise=NoiseSpec(kind=kind, sigma2=sigma2),
+        noise=NoiseSpec(kind=kind),
         n=n,
         replicates=reps,
         base_seed=seed,
@@ -84,6 +84,11 @@ class TestRunReplications:
         c = run_replications(cfg, threads=8).to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(DomainError, match="^threads must be at least 1"):
+            run_replications(config(0.4, -0.2, n=400, reps=64, seed=123), threads=threads)
 
     def test_clt_sanity_at_the_origin(self):
         # theta = rho = 0: sqrt(n) * theta_hat is asymptotically standard

@@ -31,7 +31,7 @@ from oracles import rel_close
 
 
 def path(theta, rho, n=5000, seed=42, sigma2=1.0):
-    return simulate(ModelParams(theta=theta, rho=rho, sigma2=sigma2), NoiseSpec(sigma2=sigma2), n, seed).x
+    return simulate(ModelParams(theta=theta, rho=rho, sigma2=sigma2), NoiseSpec(), n, seed).x
 
 
 class TestStatisticFormulas:
