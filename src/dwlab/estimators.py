@@ -212,7 +212,10 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     erratic early estimates.  A series holding nan or inf raises DomainError
     before any sum is formed; a residual sum J_{k-1} that vanishes (or
     cancels to a negative value) raises DegenerateDenominator at the block
-    where it happens, before that block divides by it.
+    where it happens, before that block divides by it.  Finite values whose
+    sums or trajectories overflow float64 (as magnitudes above about 1e154 do)
+    raise DomainError at the first overflow, as :func:`estimate_all` does,
+    without numpy warnings.
 
     The path is walked in blocks of ``_BLOCK`` steps.  Each block's running
     sums start from the totals carried out of the block before it, so every
@@ -239,7 +242,17 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     if not finite.all():
         i = int(np.argmin(finite))
         raise DomainError(f"non-finite value {x[i]} at index {i} of the series")
+    try:
+        # numpy checks its floating-point flags after every operation anyway; raising costs nothing
+        with np.errstate(over="raise", invalid="raise"):
+            return _trajectories(x, k0)
+    except FloatingPointError as exc:
+        raise DomainError("running estimates are not finite: a running sum or estimate overflows float64") from exc
 
+
+def _trajectories(x: np.ndarray, k0: int) -> RunningEstimates:
+    """The blocked kernel of :func:`running_estimates` on a validated series."""
+    n = x.size - 1
     sums = np.empty((3, _BLOCK + 1))
     # S_1, P_1, Q_1 as a cumsum over the whole path forms them (its 0.0 + turns -0.0 into 0.0)
     sums[:, 0] = (x[0] * x[0] + x[1] * x[1], 0.0 + x[1] * x[0], 0.0)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRegion
+from .model import check_sigma2
 
 # Stay clear of the |theta| = 1 boundary; see check_region.
 REGION_MARGIN = 1e-9
@@ -26,11 +27,6 @@ def check_region(theta: float, rho: float) -> None:
         raise OutOfRegion("theta")
     if not (abs(rho) < bound):
         raise OutOfRegion("rho")
-
-
-def _check_sigma2(sigma2: float) -> None:
-    if not (sigma2 > 0.0) or not np.isfinite(sigma2):
-        raise OutOfRegion("sigma2")
 
 
 def theta_star(theta: float, rho: float) -> float:
@@ -98,7 +94,7 @@ def gamma_matrix(theta: float, rho: float) -> np.ndarray:
 def ell(theta: float, rho: float, sigma2: float) -> float:
     """Almost-sure limit of (1/n) * sum X_k^2."""
     check_region(theta, rho)
-    _check_sigma2(sigma2)
+    check_sigma2(sigma2)
     tr = theta * rho
     return sigma2 * (1.0 + tr) / ((1.0 - theta * theta) * (1.0 - tr) * (1.0 - rho * rho))
 
@@ -111,7 +107,7 @@ def ell1(theta: float, rho: float, sigma2: float) -> float:
 def ell2(theta: float, rho: float, sigma2: float) -> float:
     """Almost-sure limit of (1/n) * sum X_k X_{k-2}."""
     check_region(theta, rho)
-    _check_sigma2(sigma2)
+    check_sigma2(sigma2)
     tr = theta * rho
     return sigma2 * ((theta + rho) ** 2 - tr * (1.0 + tr)) / (
         (1.0 - theta * theta) * (1.0 - tr) * (1.0 - rho * rho)
@@ -124,7 +120,7 @@ def sigma_hat_limit(theta: float, rho: float, sigma2: float) -> float:
     Equals sigma2 exactly when theta*rho = 0, linear in sigma2 always.
     """
     check_region(theta, rho)
-    _check_sigma2(sigma2)
+    check_sigma2(sigma2)
     tr = theta * rho
     return sigma2 * ((1.0 + tr) ** 2 - tr * tr * (theta + rho) ** 2) / ((1.0 - tr) * (1.0 + tr) ** 3)
 

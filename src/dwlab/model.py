@@ -12,20 +12,27 @@ bit for bit on the generated arrays.
 
 :func:`simulate_paths` draws a block of paths stacked along a leading
 axis, one Philox stream per row; :func:`simulate` is its one-path case.  It
-is the only user of ``scipy.signal`` (for ``lfilter``) and imports it on its
-first call, so commands that only read a series never load it.  That first
-call should run on the caller's thread, not in a worker of a thread pool:
-the Monte Carlo engine runs its first block of replicates itself for this
-reason, because importing scipy.signal in a worker measured more page
-faults and a slower run.
+is the only user of scipy.  Its two one-pole recursions run in the compiled
+loop behind ``scipy.signal.lfilter`` (``_linear_filter`` in scipy's
+``_sigtools`` extension), which :func:`_linear_filter` loads from its file
+on the first call without importing the ``scipy.signal`` package: that
+import takes over a second and pulls in scipy.stats, scipy.interpolate and
+scipy.optimize.  Commands that only read a series never load the extension.
+The first call should run on the caller's thread, not in a worker of a
+thread pool, so that the load happens once, before any worker starts; the
+Monte Carlo engine runs its first block of replicates itself for this reason.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
 import math
+import sysconfig
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -119,6 +126,12 @@ class Series:
         return self.x.size - 1
 
 
+def check_sigma2(sigma2: float) -> None:
+    """Raise OutOfRegion unless the noise variance sigma2 is positive and finite."""
+    if not (sigma2 > 0.0) or not math.isfinite(sigma2):
+        raise OutOfRegion("sigma2", "noise variance must be positive and finite")
+
+
 def validate_params(p: ModelParams) -> None:
     """Check |theta| < 1, |rho| < 1 and sigma2 > 0.
 
@@ -129,8 +142,7 @@ def validate_params(p: ModelParams) -> None:
         raise OutOfRegion("theta")
     if not (abs(p.rho) < 1.0) or not math.isfinite(p.rho):
         raise OutOfRegion("rho")
-    if not (p.sigma2 > 0.0) or not math.isfinite(p.sigma2):
-        raise OutOfRegion("sigma2", "noise variance must be positive and finite")
+    check_sigma2(p.sigma2)
     for name in ("x0", "eps0"):
         if not math.isfinite(getattr(p, name)):
             raise OutOfRegion(name)
@@ -170,26 +182,44 @@ def simulate_paths(params: ModelParams, noise: NoiseSpec, n: int, seeds: Sequenc
         raise InvalidLength(f"need n >= 2 steps, got {n}")
     if n > MAX_LENGTH:
         raise InvalidLength(f"n exceeds the supported maximum {MAX_LENGTH}")
-    # Imported here, not at module load: scipy.signal takes about a second to import.
-    from scipy.signal import lfilter
-
     rows = len(seeds)
     v = np.empty((rows, n))
     for row, seed in zip(v, seeds):
         row[:] = noise.sample(n, make_rng(seed), params.sigma2)
 
-    # lfilter runs the one-pole recursions y_k = a*y_{k-1} + u_k in C along
-    # each row, with the same two roundings per step as a naive loop, hence
-    # bit-exact recurrences.
+    # lfilter's C loop runs the one-pole recursions y_k = a*y_{k-1} + u_k
+    # along each row, with the same two roundings per step as a naive loop,
+    # hence bit-exact recurrences.  With a[0] = 1 lfilter would pass b, a, u
+    # and zi to it unchanged, so the paths are the ones lfilter draws.
+    one_pole = _linear_filter()
+    b = np.array([1.0])
     eps = np.empty((rows, n + 1))
     eps[:, 0] = params.eps0
     zi = np.full((rows, 1), params.rho * params.eps0)
-    eps[:, 1:] = lfilter([1.0], [1.0, -params.rho], v, axis=-1, zi=zi)[0]
+    eps[:, 1:] = one_pole(b, np.array([1.0, -params.rho]), v, -1, zi)[0]
     x = np.empty((rows, n + 1))
     x[:, 0] = params.x0
     zi = np.full((rows, 1), params.theta * params.x0)
-    x[:, 1:] = lfilter([1.0], [1.0, -params.theta], eps[:, 1:], axis=-1, zi=zi)[0]
+    x[:, 1:] = one_pole(b, np.array([1.0, -params.theta]), eps[:, 1:], -1, zi)[0]
     return x, eps, v
+
+
+@cache
+def _linear_filter():
+    """``_linear_filter(b, a, u, axis, zi)`` from scipy's ``signal/_sigtools`` extension.
+
+    The extension is loaded from its file, found without running any scipy
+    ``__init__``, so the ``scipy.signal`` package is never imported.  The
+    module is registered under its own name, so a later ``import
+    scipy.signal`` by other code reuses it.
+    """
+    name = "scipy.signal._sigtools"
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = str(Path(scipy_dir, "signal", "_sigtools" + sysconfig.get_config_var("EXT_SUFFIX")))
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module._linear_filter
 
 
 def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series:

@@ -185,8 +185,9 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     its rows, in row order.  Each row depends only on its own seed, so the
     result depends neither on B nor on the number of worker threads.  Block
     0 runs on the calling thread, so the first ``simulate_paths`` call, which
-    imports scipy.signal, never runs in a pool worker (see
-    :mod:`dwlab.model`); the pool takes blocks 1.. in index order.
+    loads scipy's compiled filter extension once, never runs in a pool
+    worker (see :mod:`dwlab.model`); the pool takes blocks 1.. in index
+    order.
 
     When a block raises, its rows are rerun one at a time, so the error is
     the one the first failing replicate raises on its own, as with B = 1.

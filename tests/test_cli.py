@@ -346,6 +346,11 @@ class TestVerifyCommand:
         )
         assert (code, out, err) == (2, "", "error: noise variance must be positive and finite\n")
 
+    @pytest.mark.parametrize("sigma2", ["0", "nan"])
+    def test_limits_rejects_noise_variance_alike(self, capsys, sigma2):
+        code, out, err = run_cli(capsys, "limits", "--theta", "0.5", "--rho", "0.3", "--sigma2", sigma2)
+        assert (code, out, err) == (2, "", "error: noise variance must be positive and finite\n")
+
     def test_threads_flag_and_env(self, capsys, monkeypatch):
         args = ["verify", "--experiment", "clt", "--theta", "0.2", "--rho", "0.1",
                 "--n", "300", "--reps", "40", "--seed", "9"]
@@ -449,18 +454,25 @@ class TestDeferredScipyImport:
     def test_reading_commands_do_not_load_scipy_signal(self, tmp_path):
         src = tmp_path / "s.csv"
         src.write_text("\n".join(["0.3", "-0.1", "0.8", "0.4", "-0.6", "0.2", "0.9"]) + "\n")
+        path = ["--theta", "0.5", "--rho", "0.3", "--seed", "2"]
         script = (
             "import sys, dwlab.cli\n"
             "assert 'scipy.signal' not in sys.modules, 'loaded by import'\n"
             "assert dwlab.cli.main(['limits', '--theta', '0.5', '--rho', '0.3']) == 0\n"
             f"assert dwlab.cli.main(['estimate', '--input', {str(src)!r}]) == 0\n"
-            "assert 'scipy.signal' not in sys.modules, 'loaded by a command'\n"
+            "assert 'scipy.signal' not in sys.modules, 'loaded by a reading command'\n"
+            f"assert dwlab.cli.main(['simulate', *{path!r}, '--n', '50',"
+            f" '--output', {str(tmp_path / 'p.csv')!r}]) == 0\n"
+            # 13 replicates to a block at n = 5000, so the pool simulates two blocks
+            f"assert dwlab.cli.main(['verify', '--experiment', 'clt', *{path!r}, '--n', '5000', '--reps', '30',"
+            " '--threads', '2']) == 0\n"
+            "assert 'scipy.signal' not in sys.modules, 'loaded by simulating a path'\n"
         )
         proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr
 
     def test_first_simulate_under_a_pool_is_thread_count_invariant(self):
-        # a fresh process imports scipy.signal during the run, which the in-process tests cannot see
+        # a fresh process loads scipy's filter extension during the run, which the in-process tests cannot see
         args = ["-m", "dwlab", "verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3",
                 "--n", "200", "--reps", "8", "--seed", "3"]
         one, two = run_fresh(*args, "--threads", "1"), run_fresh(*args, "--threads", "2")

@@ -449,6 +449,22 @@ class TestBlockedRunningEstimates:
                     running_estimates(x, k0=10)
                 assert str(exc.value) == f"non-finite value {bad} at index {index} of the series"
 
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_overflow_raises_without_warnings(self, block):
+        path = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 3000, 4).x
+        overflowing = [
+            1e200 * np.where(np.arange(31) % 3 == 0, 1.0, -1.0),  # every square overflows
+            np.concatenate([path, [1e200]]),  # only the last step's square does
+            np.concatenate([np.full(10, 1e-100), np.full(20, 1e57)]),  # S stays finite, theta_hat_k^2 does not
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in overflowing:
+                with pytest.MonkeyPatch.context() as mp, pytest.raises(DomainError) as exc:
+                    mp.setattr(estimators, "_BLOCK", block)
+                    running_estimates(x, k0=5)
+                assert str(exc.value) == "running estimates are not finite: a running sum or estimate overflows float64"
+
     @pytest.mark.parametrize("theta", [0.99, -0.99])
     def test_no_floating_point_warnings_near_the_unit_root(self, theta):
         x = simulate(ModelParams(theta=theta, rho=0.99), NoiseSpec(), 5 * 10**4, 6).x

@@ -3,6 +3,9 @@
 Two kinds of import need no use: the names ``dwlab/__init__.py`` re-exports
 through ``__all__``, and the names that the benchmark's span tracer wraps on
 a module (``BINDINGS`` in ``bench/spans.py``), which it replaces by attribute.
+
+No module imports the ``scipy.signal`` package, which takes over a second to
+import; ``dwlab.model`` loads the one compiled filter it needs by file path.
 """
 
 import ast
@@ -41,12 +44,30 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def scipy_signal_imports(source: str) -> list:
+    """Line numbers of the import statements that load ``scipy.signal`` or a module under it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _sources() -> dict:
+    return {
+        "dwlab" if path.stem == "__init__" else f"dwlab.{path.stem}": path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
 def _unused_by_module() -> dict:
-    out = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = "dwlab" if path.stem == "__init__" else f"dwlab.{path.stem}"
-        out[module] = unused_imports(path.read_text(encoding="utf-8"))
-    return out
+    return {module: unused_imports(source) for module, source in _sources().items()}
 
 
 def test_every_import_is_used(bench_spans):
@@ -70,3 +91,22 @@ def test_tracer_only_imports_are_listed(bench_spans):
 def test_a_leftover_import_is_caught():
     source = "from contextlib import nullcontext\nimport os.path\nimport numpy as np\n\nnp.zeros(os.sep)\n"
     assert unused_imports(source) == ["nullcontext"]
+
+
+def test_no_module_imports_scipy_signal():
+    found = {module: lines for module, source in _sources().items() if (lines := scipy_signal_imports(source))}
+    assert not found, found
+
+
+def test_a_scipy_signal_import_is_caught():
+    source = (
+        "import scipy\n"
+        "import scipy.signal\n"
+        "from scipy.signal import lfilter\n"
+        "from scipy import signal\n"
+        "import scipy.signal._sigtools as st\n"
+        "from scipy.special import erfc\n"
+        "def f():\n"
+        "    from scipy.signal._signaltools import lfilter\n"
+    )
+    assert scipy_signal_imports(source) == [2, 3, 4, 5, 8]
