@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, limits
 from .errors import DWLabError, DomainError
-from .estimators import estimate_all, running_estimates
+from .estimators import DEFAULT_BURN_IN, estimate_all, running_estimates
 from .model import (
     ModelParams,
     NoiseSpec,
@@ -36,6 +36,8 @@ from .model import (
     write_table,
 )
 from .montecarlo import (
+    STATS,
+    TEST_KINDS,
     McConfig,
     empirical_size_power,
     lil_envelope_check,
@@ -103,12 +105,25 @@ def _threads(args) -> int:
             raise DomainError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get(THREADS_ENV)
-    if env:
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError as exc:
+        raise DomainError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
+    if threads < 1:
+        raise DomainError(f"{THREADS_ENV} must be at least 1, got {env!r}")
+    return threads
+
+
+def _checkpoints(text: str) -> list[int]:
+    checkpoints = []
+    for token in text.split(","):
         try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise DomainError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return 1
+            checkpoints.append(int(token))
+        except ValueError:
+            raise DomainError(f"--checkpoints must be comma-separated integers, got {token!r}") from None
+    return checkpoints
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +243,16 @@ def _cmd_verify(args, argv):
     experiment = args.experiment
     if experiment in ("clt", "joint"):
         report = run_replications(cfg, threads=threads)
-        report.experiment = experiment
     elif experiment in ("size", "power"):
         report = empirical_size_power(args.test_kind, cfg, rho0=args.rho0, threads=threads)
-        report.experiment = experiment
     elif experiment == "critical":
         report = empirical_size_power("critical", cfg, threads=threads)
     elif experiment == "qsl":
         report = qsl_check(cfg, args.which, k0=args.k0, threads=threads)
     else:  # lil
-        checkpoints = [int(tok) for tok in args.checkpoints.split(",")] if args.checkpoints else [cfg.n]
+        checkpoints = _checkpoints(args.checkpoints) if args.checkpoints else [cfg.n]
         report = lil_envelope_check(cfg, args.which, checkpoints, threads=threads)
+    report.experiment = experiment
     if args.csv:
         write_table(args.csv, *report.table())
     _emit({"manifest": _manifest(argv, args.seed), "report": report.to_dict()})
@@ -270,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="CSV file or '-' for stdin")
     p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
     p.add_argument("--trajectories", help="also write running estimates to this CSV file")
-    p.add_argument("--k0", type=int, default=10, help="burn-in index for trajectories")
+    p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in index for trajectories")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("test", help="run a residual autocorrelation test")
@@ -308,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--rho0", type=float, help="null value for the rho0 test kind")
-    p.add_argument("--test-kind", choices=("zero", "rho0", "critical"), default="zero")
-    p.add_argument("--which", choices=("theta", "rho", "dw"), default="theta")
-    p.add_argument("--k0", type=int, default=10, help="burn-in for the qsl experiment")
+    p.add_argument("--test-kind", choices=TEST_KINDS, default="zero")
+    p.add_argument("--which", choices=STATS, default="theta")
+    p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in for the qsl experiment")
     p.add_argument("--checkpoints", help="comma-separated sample sizes for the lil experiment")
     p.add_argument("--csv", help="dump per-replicate rows to this CSV file")
     p.add_argument("--threads", type=int, help=f"worker threads (fallback: ${THREADS_ENV}, then 1)")

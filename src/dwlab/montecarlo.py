@@ -28,6 +28,7 @@ from . import limits
 from .dist import ks_statistic, normal_cdf
 from .errors import DomainError, DWLabError
 from .estimators import (
+    DEFAULT_BURN_IN,
     EstimateSet,
     estimate_all,
     estimate_rho,
@@ -60,17 +61,26 @@ SIZE_BAND_SIGMAS = 3.0
 LIL_SD_MULTIPLE = 3.0
 LIL_MAX_FRACTION = 0.05
 
-QSL_BURN_IN = 10  # matches the trajectory default; see decision notes
-
 LIL_NOTE = (
     "envelope check at fixed sample sizes; the limsup characterization of the "
     "law of iterated logarithm is not observable at finite n"
 )
 
-STATS = ("theta", "rho", "dw")
+# Each checked statistic: its EstimateSet field, then the target keys of its
+# almost-sure limit and of its asymptotic variance.
+_STATISTICS = {
+    "theta": ("theta_hat", "theta_star", "var_theta"),
+    "rho": ("rho_hat", "rho_star", "var_rho"),
+    "dw": ("dw", "d_star", "var_d"),
+}
+STATS = tuple(_STATISTICS)
 
-# Target keys (almost-sure limit, asymptotic variance) of each running statistic.
-_TARGET_KEYS = {"theta": ("theta_star", "var_theta"), "rho": ("rho_star", "var_rho"), "dw": ("d_star", "var_d")}
+# The fitted statistics of each replicate, in EstimateSet and report order.
+_ESTIMATES = ("theta_hat", "rho_hat", "sigma2_hat", "dw", "theta_sq_hat")
+
+# The report targets besides gamma, in report order: the limits and the
+# asymptotic variances of the three statistics.
+_TARGETS = ("theta_star", "rho_star", "d_star", "var_theta", "var_rho", "var_d")
 
 
 def _mix64(z: int) -> int:
@@ -215,22 +225,22 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
 def _fit_rows(x: np.ndarray) -> list:
     """One ``estimate_all`` over a block; each row's fit as an EstimateSet of floats."""
     est = estimate_all(x)
-    columns = (est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat)
-    rows = zip(*(c.tolist() for c in columns), est.residuals)
+    rows = zip(*(getattr(est, name).tolist() for name in _ESTIMATES), est.residuals)
     return [EstimateSet(*values, residuals=res, n=est.n) for *values, res in rows]
 
 
 def _asymptotic_targets(cfg: McConfig) -> dict:
-    theta, rho = cfg.params.theta, cfg.params.rho
-    return {
-        "theta_star": limits.theta_star(theta, rho),
-        "rho_star": limits.rho_star(theta, rho),
-        "d_star": limits.d_star(theta, rho),
-        "var_theta": limits.var_theta(theta, rho),
-        "var_rho": limits.var_rho(theta, rho),
-        "var_d": limits.var_d(theta, rho),
-        "gamma": limits.gamma_matrix(theta, rho).tolist(),
-    }
+    a = limits.asymptotics(cfg.params.theta, cfg.params.rho, cfg.params.sigma2)
+    return {**{key: getattr(a, key) for key in _TARGETS}, "gamma": a.gamma.tolist()}
+
+
+def _limit_and_variance(cfg: McConfig, which: str) -> tuple[dict, float, float]:
+    """The targets, and the almost-sure limit and asymptotic variance of statistic ``which``."""
+    if which not in STATS:
+        raise DomainError(f"which must be one of {STATS}")
+    targets = _asymptotic_targets(cfg)
+    _, limit_key, var_key = _STATISTICS[which]
+    return targets, targets[limit_key], targets[var_key]
 
 
 def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
@@ -243,11 +253,10 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
     """
 
     def fit(x: np.ndarray) -> list:
-        return [(e.theta_hat, e.rho_hat, e.sigma2_hat, e.dw, e.theta_sq_hat) for e in _fit_rows(x)]
+        est = estimate_all(x)
+        return list(zip(*(getattr(est, name).tolist() for name in _ESTIMATES)))
 
     rows = _map_paths(fit, cfg, threads)
-    theta_hat, rho_hat, sigma2_hat, dw, theta_sq_hat = (np.array(col) for col in zip(*rows))
-
     targets = _asymptotic_targets(cfg)
     report = _base_report(
         "replications",
@@ -255,30 +264,17 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
         targets,
         {"ks": KS_TOLERANCE, "cov_rel": COV_REL_TOLERANCE, "cov_abs": COV_ABS_TOLERANCE},
     )
-    report.estimates = {
-        "theta_hat": theta_hat.tolist(),
-        "rho_hat": rho_hat.tolist(),
-        "sigma2_hat": sigma2_hat.tolist(),
-        "dw": dw.tolist(),
-        "theta_sq_hat": theta_sq_hat.tolist(),
-    }
+    report.estimates = {name: list(column) for name, column in zip(_ESTIMATES, zip(*rows))}
 
     root_n = math.sqrt(cfg.n)
-    centered = {
-        "theta": root_n * (theta_hat - targets["theta_star"]),
-        "rho": root_n * (rho_hat - targets["rho_star"]),
-        "dw": root_n * (dw - targets["d_star"]),
-    }
-    sds = {
-        "theta": math.sqrt(targets["var_theta"]),
-        "rho": math.sqrt(targets["var_rho"]),
-        "dw": math.sqrt(targets["var_d"]),
-    }
+    centered = {}
     report.standardized = {}
     report.ks = {}
-    for name in STATS:
-        if sds[name] > 0.0:
-            std = centered[name] / sds[name]
+    for name, (column, limit_key, var_key) in _STATISTICS.items():
+        centered[name] = root_n * (np.array(report.estimates[column]) - targets[limit_key])
+        sd = math.sqrt(targets[var_key])
+        if sd > 0.0:
+            std = centered[name] / sd
             report.standardized[name] = std.tolist()
             ks = ks_statistic(std, normal_cdf)
             report.ks[name] = {"statistic": ks.statistic, "n": ks.n}
@@ -335,21 +331,17 @@ def empirical_size_power(
     return report
 
 
-def qsl_check(cfg: McConfig, which: str, k0: int = QSL_BURN_IN, threads: int = 1) -> McReport:
+def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int = 1) -> McReport:
     """Log-averaged squared deviation of one running estimator, per path.
 
     Computes (1/log n) * sum_{k=k0..n} (estimate_k - limit)^2 on every
     replicate; the strong law predicts the asymptotic variance of the chosen
     statistic.  Needs n >= 10^4 so the log average carries enough scales.
     """
-    if which not in STATS:
-        raise DomainError(f"which must be one of {STATS}")
     if cfg.n < 10_000:
         raise DomainError("quadratic strong law check needs n >= 10^4")
 
-    targets = _asymptotic_targets(cfg)
-    limit_key, var_key = _TARGET_KEYS[which]
-    limit, target_var = targets[limit_key], targets[var_key]
+    targets, limit, target_var = _limit_and_variance(cfg, which)
     log_n = math.log(cfg.n)
 
     def log_average(x: np.ndarray) -> float:
@@ -370,15 +362,19 @@ def qsl_check(cfg: McConfig, which: str, k0: int = QSL_BURN_IN, threads: int = 1
     return report
 
 
-def lil_deviation(estimate: float, limit: float, m: int) -> float:
-    """Normalized deviation sqrt(m / (2 log log m)) * |estimate - limit|."""
+def lil_deviation(estimate, limit: float, m: int):
+    """Normalized deviation sqrt(m / (2 log log m)) * |estimate - limit|.
+
+    ``estimate`` is one value or an array of them, one per path.
+    """
     if m < 16:
         raise DomainError("checkpoint too small: log log m must be positive")
     return math.sqrt(m / (2.0 * math.log(math.log(m)))) * abs(estimate - limit)
 
 
-def _prefix_estimate(x: np.ndarray, m: int, which: str) -> float:
-    prefix = x[: m + 1]
+def _prefix_estimate(x: np.ndarray, m: int, which: str) -> np.ndarray:
+    """Statistic ``which`` of X_0..X_m, fitted on every row of a (B, n+1) block."""
+    prefix = x[:, : m + 1]
     theta_hat = estimate_theta(prefix)
     if which == "theta":
         return theta_hat
@@ -399,8 +395,6 @@ def lil_envelope_check(
     the asymptotic sd; the report carries the exceedance fractions.  This is
     a sanity envelope at fixed sample sizes, not a limsup estimate.
     """
-    if which not in STATS:
-        raise DomainError(f"which must be one of {STATS}")
     checkpoints = sorted(int(m) for m in checkpoints)
     if not checkpoints:
         raise DomainError("need at least one checkpoint")
@@ -408,16 +402,18 @@ def lil_envelope_check(
         raise DomainError("checkpoints must be at least 16 so log log m is positive")
     if checkpoints[-1] > cfg.n:
         raise DomainError("checkpoints cannot exceed the path length")
+    repeated = [m for m, following in zip(checkpoints, checkpoints[1:]) if m == following]
+    if repeated:
+        raise DomainError(f"checkpoints must be distinct, {repeated[0]} is repeated")
 
-    targets = _asymptotic_targets(cfg)
-    limit_key, var_key = _TARGET_KEYS[which]
-    limit, sd = targets[limit_key], math.sqrt(targets[var_key])
-    envelope = LIL_SD_MULTIPLE * sd
+    targets, limit, variance = _limit_and_variance(cfg, which)
+    envelope = LIL_SD_MULTIPLE * math.sqrt(variance)
 
     def deviations(x: np.ndarray) -> list:
-        return [lil_deviation(_prefix_estimate(x, m, which), limit, m) for m in checkpoints]
+        columns = [lil_deviation(_prefix_estimate(x, m, which), limit, m) for m in checkpoints]
+        return np.column_stack(columns).tolist()
 
-    rows = _map_paths(lambda x: list(map(deviations, x)), cfg, threads)
+    rows = _map_paths(deviations, cfg, threads)
     devs = np.array(rows)  # shape (replicates, checkpoints)
     exceed = devs > envelope
     per_checkpoint = {

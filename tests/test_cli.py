@@ -338,6 +338,50 @@ class TestVerifyCommand:
         assert code == 2
         assert "--threads" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_env_threads_below_one_rejected(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("DW_LAB_THREADS", threads)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3",
+            "--n", "200", "--reps", "2", "--seed", "1",
+        )
+        assert (code, out, err) == (2, "", f"error: DW_LAB_THREADS must be at least 1, got '{threads}'\n")
+
+    @pytest.mark.parametrize("checkpoints, token", [("100,abc", "abc"), ("100,,200", ""), ("1e3", "1e3")])
+    def test_malformed_checkpoints_rejected(self, capsys, checkpoints, token):
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--experiment", "lil", "--theta", "0.5", "--rho", "0.3",
+            "--n", "1000", "--reps", "2", "--seed", "1", "--checkpoints", checkpoints,
+        )
+        message = f"error: --checkpoints must be comma-separated integers, got {token!r}\n"
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            ["clt"],
+            ["joint"],
+            ["size"],
+            ["power", "--test-kind", "rho0", "--rho0", "0.1"],
+            ["critical"],
+            ["qsl", "--n", "10000"],
+            ["lil"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_report_names_its_experiment(self, capsys, experiment):
+        name, *extra = experiment
+        n = [] if "--n" in extra else ["--n", "300"]
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--experiment", name, "--theta", "0.4", "--rho", "-0.3",
+            *n, "--reps", "2", "--seed", "1", *extra,
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["experiment"] == name
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_zero_noise_variance_rejected(self, capsys, command):
         extra = ["--experiment", "clt", "--reps", "2"] if command == "verify" else []

@@ -6,7 +6,15 @@ import pytest
 
 from dwlab import montecarlo
 from dwlab.errors import DegenerateStatistic, DomainError
-from dwlab.estimators import dw_statistic, estimate_all, estimate_rho, estimate_theta, residuals, running_estimates
+from dwlab.estimators import (
+    DEFAULT_BURN_IN,
+    dw_statistic,
+    estimate_all,
+    estimate_rho,
+    estimate_theta,
+    residuals,
+    running_estimates,
+)
 from dwlab.model import ModelParams, NoiseSpec, simulate
 from dwlab.testing import critical_case_test, rho_test, rho_zero_test
 from dwlab.montecarlo import (
@@ -185,6 +193,8 @@ class TestLil:
             lil_envelope_check(cfg, "theta", [8])
         with pytest.raises(DomainError):
             lil_envelope_check(cfg, "theta", [])
+        with pytest.raises(DomainError, match="^checkpoints must be distinct, 100 is repeated$"):
+            lil_envelope_check(cfg, "theta", [100, 5000, 100])
 
     def test_envelope_smoke(self):
         cfg = config(0.5, 0.3, n=10_000, reps=30, seed=808)
@@ -205,7 +215,7 @@ class TestLil:
 def _reference_rows(experiment, cfg, rho0=None, which="theta", checkpoints=()):
     """The per-replicate loop: each path simulated and fitted on its own through the one-path API."""
     targets = montecarlo._asymptotic_targets(cfg)
-    limit = targets[montecarlo._TARGET_KEYS[which][0]]
+    limit = targets[montecarlo._STATISTICS[which][1]]
     rows = []
     for i in range(cfg.replicates):
         x = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i)).x
@@ -221,7 +231,7 @@ def _reference_rows(experiment, cfg, rho0=None, which="theta", checkpoints=()):
                 outcome, _ = rho_test(x, rho0, cfg.alpha)
             rows.append((outcome.statistic, outcome.reject))
         elif experiment == "qsl":
-            track = getattr(running_estimates(x, k0=montecarlo.QSL_BURN_IN), which)
+            track = getattr(running_estimates(x, k0=DEFAULT_BURN_IN), which)
             rows.append(float(np.sum((track - limit) ** 2) / math.log(cfg.n)))
         else:  # lil
             devs = []
@@ -243,6 +253,8 @@ _BLOCK_CASES = {
     "critical": ("critical", (0.4, -0.4), "gaussian", 300, 9, {}),
     "qsl": ("qsl", (0.5, 0.3), "gaussian", 10_000, 5, {"which": "dw"}),
     "lil": ("lil", (0.5, 0.3), "gaussian", 10_000, 5, {"which": "rho", "checkpoints": [100, 1000, 10_000]}),
+    "lil-theta": ("lil", (0.5, 0.3), "uniform", 10_000, 5, {"which": "theta", "checkpoints": [16, 2500, 10_000]}),
+    "lil-dw": ("lil", (-0.6, 0.7), "rademacher", 10_000, 5, {"which": "dw", "checkpoints": [500, 10_000]}),
 }
 
 
