@@ -17,6 +17,7 @@ oracle.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
@@ -61,6 +62,9 @@ class RunningEstimates:
     theta: np.ndarray
     rho: np.ndarray
     dw: np.ndarray
+
+
+TRAJECTORIES = ("theta", "rho", "dw")  # the trajectory fields of RunningEstimates, in walk order
 
 
 def _as_block(path: ArrayLike) -> np.ndarray:
@@ -183,18 +187,38 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
 
 
 def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray:
-    """Extend the running sums S, P, Q over steps a..b-1 (a >= 2) in place.
+    """Extend the running sums S, P and, if ``sums`` has a third row, Q over steps a..b-1 (a >= 2) in place.
 
-    Column 0 of ``sums`` holds the three sums at step a-1; the returned view
+    Column 0 of ``sums`` holds the sums at step a-1; the returned view
     ``sums[:, :b-a+1]`` holds them at steps a-1..b-1, one row per sum.
     """
     block = sums[:, : b - a + 1]
     xb = x[a:b]
     np.multiply(xb, xb, out=block[0, 1:])
     np.multiply(xb, x[a - 1 : b - 1], out=block[1, 1:])
-    np.multiply(xb, x[a - 2 : b - 2], out=block[2, 1:])
+    if len(sums) == 3:
+        np.multiply(xb, x[a - 2 : b - 2], out=block[2, 1:])
     np.cumsum(block, axis=1, out=block)
     return block
+
+
+def check_burn_in(n: int, k0: int) -> None:
+    """Raise unless burn-in k0 is at least 3 and a path of n steps reaches it."""
+    if k0 < 3:
+        raise DomainError("burn-in k0 must be at least 3")
+    if n < k0:
+        raise TooShort(f"need at least k0={k0} steps, got {n}")
+
+
+@contextmanager
+def _overflow_guard():
+    """Report numpy overflow or invalid operations in the body as DomainError, without warnings."""
+    try:
+        # numpy checks its floating-point flags after every operation anyway; raising costs nothing
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError("running estimates are not finite: a running sum or estimate overflows float64") from exc
 
 
 def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEstimates:
@@ -224,6 +248,7 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     the same order as the whole-array formulas; the trajectories are
     therefore bit-identical for any block size.  Besides the four returned
     arrays, a call holds six block buffers (about 0.8 MB) whatever n is.
+    :func:`squared_deviation_sum` takes the same walk.
 
     The expansions cancel as theta_hat_k approaches 1, so the end point
     agrees with the one-shot estimators less closely near the unit root.
@@ -232,71 +257,106 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     1.3e-9 on rho_hat; theta_hat_k, a plain ratio of running sums, stayed
     within 3e-14.  The tests pin 1e-6 on dw at (0.99, 0.99).
     """
+    with _overflow_guard():
+        theta, rho, dw = _walk(path, k0, residual_sums=True)
+    return RunningEstimates(k=np.arange(k0, k0 + theta.size), theta=theta, rho=rho, dw=dw)
+
+
+def squared_deviation_sum(path: ArrayLike, which: str, limit: float, k0: int = DEFAULT_BURN_IN) -> float:
+    """sum_{k=k0..n} (estimate_k - limit)^2 along the running trajectory ``which``.
+
+    ``which`` names a trajectory of :func:`running_estimates` (theta, rho or
+    dw), and the sum is bit for bit the one over that trajectory.  For theta
+    the walk forms only S and P and the one trajectory it needs, and no
+    residual sum; the check that J_{k-1} does not vanish guards the rho and
+    dw divisions, so it applies to rho and dw alone.  Every other check of
+    :func:`running_estimates` applies, and a squared deviation or a sum that
+    overflows raises the same DomainError, without numpy warnings.
+    """
+    if which not in TRAJECTORIES:
+        raise DomainError(f"which must be one of {TRAJECTORIES}")
+    with _overflow_guard():
+        track = _walk(path, k0, residual_sums=which != "theta")[TRAJECTORIES.index(which)]
+        np.subtract(track, limit, out=track)
+        np.square(track, out=track)
+        return float(np.sum(track))
+
+
+def _walk(path: ArrayLike, k0: int, residual_sums: bool) -> tuple:
+    """The blocked walk of the running sums: (theta,), or (theta, rho, dw) with the residual sums.
+
+    Validates the series and the burn-in, then carries S and P (and Q when
+    ``residual_sums``) from block to block; run it under :func:`_overflow_guard`.
+    """
     x = _as_x(path)
     n = x.size - 1
-    if k0 < 3:
-        raise DomainError("burn-in k0 must be at least 3")
-    if n < k0:
-        raise TooShort(f"need at least k0={k0} steps, got {n}")
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    check_burn_in(n, k0)
+    if not np.isfinite(x).all():  # no mask is held through the walk
+        i = int(np.argmin(np.isfinite(x)))
         raise DomainError(f"non-finite value {x[i]} at index {i} of the series")
-    try:
-        # numpy checks its floating-point flags after every operation anyway; raising costs nothing
-        with np.errstate(over="raise", invalid="raise"):
-            return _trajectories(x, k0)
-    except FloatingPointError as exc:
-        raise DomainError("running estimates are not finite: a running sum or estimate overflows float64") from exc
 
-
-def _trajectories(x: np.ndarray, k0: int) -> RunningEstimates:
-    """The blocked kernel of :func:`running_estimates` on a validated series."""
-    n = x.size - 1
-    sums = np.empty((3, _BLOCK + 1))
+    sums = np.empty((3 if residual_sums else 2, _BLOCK + 1))
     # S_1, P_1, Q_1 as a cumsum over the whole path forms them (its 0.0 + turns -0.0 into 0.0)
-    sums[:, 0] = (x[0] * x[0] + x[1] * x[1], 0.0 + x[1] * x[0], 0.0)
+    sums[:, 0] = (x[0] * x[0] + x[1] * x[1], 0.0 + x[1] * x[0], 0.0)[: len(sums)]
     for a in range(2, k0, _BLOCK):
         b = min(a + _BLOCK, k0)
         sums[:, 0] = _advance_sums(x, a, b, sums)[:, -1]
     if sums[0, 0] <= 0.0:
         raise DegenerateDenominator("series is identically zero up to the burn-in")
 
-    k = np.arange(k0, n + 1)
-    theta, rho, dw = np.empty(k.size), np.empty(k.size), np.empty(k.size)
-    scratch = np.empty((3, _BLOCK))
-    x0_sq = x[0] * x[0]
+    theta = np.empty(n + 1 - k0)
+    if residual_sums:
+        rho, dw, scratch = np.empty(theta.size), np.empty(theta.size), np.empty((3, _BLOCK))
     for a in range(k0, n + 1, _BLOCK):
         b = min(a + _BLOCK, n + 1)
         block = _advance_sums(x, a, b, sums)
-        s, p, q = block
-        th, j_k = theta[a - k0 : b - k0], dw[a - k0 : b - k0]  # J_k sits in dw's slot until the last division
-        i_k, eps_sq, j_prev = scratch[:, : b - a]
-
-        np.divide(p[1:], s[:-1], out=th)
-        np.multiply(2.0, th, out=i_k)  # J_k = S_k - 2*th*P_k + th*th*S_{k-1}
-        np.multiply(i_k, p[1:], out=i_k)
-        np.subtract(s[1:], i_k, out=i_k)
-        np.multiply(th, th, out=eps_sq)
-        np.multiply(eps_sq, s[:-1], out=j_k)
-        np.add(i_k, j_k, out=j_k)
-        np.add(s[:-1], q[1:], out=j_prev)  # I_k = P_k - th*(S_{k-1} + Q_k) + th*th*P_{k-1}
-        np.multiply(th, j_prev, out=j_prev)
-        np.subtract(p[1:], j_prev, out=i_k)
-        np.multiply(eps_sq, p[:-1], out=eps_sq)
-        np.add(i_k, eps_sq, out=i_k)
-        np.multiply(th, x[a - 1 : b - 1], out=eps_sq)  # eps_k = X_k - th*X_{k-1}, squared
-        np.subtract(x[a:b], eps_sq, out=eps_sq)
-        np.multiply(eps_sq, eps_sq, out=eps_sq)
-        np.subtract(j_k, eps_sq, out=j_prev)
-        if j_prev.min() <= 0.0:
-            raise DegenerateDenominator("residual sum of squares vanished along the trajectory")
-
-        np.divide(i_k, j_prev, out=rho[a - k0 : b - k0])
-        np.subtract(j_prev, i_k, out=i_k)  # dw = (2*(J_{k-1} - I_k) + eps_k^2 - X_0^2) / J_k
-        np.multiply(2.0, i_k, out=i_k)
-        np.add(i_k, eps_sq, out=i_k)
-        np.subtract(i_k, x0_sq, out=i_k)
-        np.divide(i_k, j_k, out=j_k)
+        out = slice(a - k0, b - k0)
+        np.divide(block[1, 1:], block[0, :-1], out=theta[out])
+        if residual_sums:
+            _residual_block(x, a, b, block, theta[out], rho[out], dw[out], scratch[:, : b - a])
         sums[:, 0] = block[:, -1]
-    return RunningEstimates(k=k, theta=theta, rho=rho, dw=dw)
+    return (theta, rho, dw) if residual_sums else (theta,)
+
+
+def _residual_block(
+    x: np.ndarray,
+    a: int,
+    b: int,
+    block: np.ndarray,
+    th: np.ndarray,
+    rho: np.ndarray,
+    dw: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Write rho_hat_k and dw_k for k = a..b-1 from the block's running sums and theta_hat_k.
+
+    ``scratch`` holds three rows of b-a values.
+    """
+    s, p, q = block
+    j_k = dw  # J_k sits in dw's slot until the last division
+    i_k, eps_sq, j_prev = scratch
+
+    np.multiply(2.0, th, out=i_k)  # J_k = S_k - 2*th*P_k + th*th*S_{k-1}
+    np.multiply(i_k, p[1:], out=i_k)
+    np.subtract(s[1:], i_k, out=i_k)
+    np.multiply(th, th, out=eps_sq)
+    np.multiply(eps_sq, s[:-1], out=j_k)
+    np.add(i_k, j_k, out=j_k)
+    np.add(s[:-1], q[1:], out=j_prev)  # I_k = P_k - th*(S_{k-1} + Q_k) + th*th*P_{k-1}
+    np.multiply(th, j_prev, out=j_prev)
+    np.subtract(p[1:], j_prev, out=i_k)
+    np.multiply(eps_sq, p[:-1], out=eps_sq)
+    np.add(i_k, eps_sq, out=i_k)
+    np.multiply(th, x[a - 1 : b - 1], out=eps_sq)  # eps_k = X_k - th*X_{k-1}, squared
+    np.subtract(x[a:b], eps_sq, out=eps_sq)
+    np.multiply(eps_sq, eps_sq, out=eps_sq)
+    np.subtract(j_k, eps_sq, out=j_prev)
+    if j_prev.min() <= 0.0:
+        raise DegenerateDenominator("residual sum of squares vanished along the trajectory")
+
+    np.divide(i_k, j_prev, out=rho)
+    np.subtract(j_prev, i_k, out=i_k)  # dw = (2*(J_{k-1} - I_k) + eps_k^2 - X_0^2) / J_k
+    np.multiply(2.0, i_k, out=i_k)
+    np.add(i_k, eps_sq, out=i_k)
+    np.subtract(i_k, x[0] * x[0], out=i_k)
+    np.divide(i_k, j_k, out=j_k)

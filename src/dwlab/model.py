@@ -82,14 +82,30 @@ class NoiseSpec:
 
     def sample(self, n: int, rng: np.random.Generator, sigma2: float) -> np.ndarray:
         """n draws of the innovation with variance sigma2, which the caller has validated."""
+        out = np.empty(n)
+        self._draw_into(out, rng, sigma2)
+        return out
+
+    def _draw_into(self, out: np.ndarray, rng: np.random.Generator, sigma2: float) -> None:
+        """Fill the contiguous float64 array ``out`` with draws, in place.
+
+        The values are bit for bit those of ``rng.standard_normal(n) * sd``,
+        ``rng.uniform(-half, half, n)`` (which forms -half + 2*half*u) and
+        ``(2.0 * rng.integers(0, 2, size=n) - 1.0) * sd``.
+        """
         sd = math.sqrt(sigma2)
         if self.kind == "gaussian":
-            return rng.standard_normal(n) * sd
-        if self.kind == "uniform":
+            rng.standard_normal(out=out)
+            out *= sd
+        elif self.kind == "uniform":
             half = math.sqrt(3.0 * sigma2)
-            return rng.uniform(-half, half, n)
-        # rademacher
-        return (2.0 * rng.integers(0, 2, size=n) - 1.0) * sd
+            rng.random(out=out)
+            out *= 2.0 * half
+            out += -half
+        else:  # rademacher
+            np.multiply(rng.integers(0, 2, size=out.size), 2.0, out=out)
+            out -= 1.0
+            out *= sd
 
 
 @dataclass(frozen=True)
@@ -185,7 +201,7 @@ def simulate_paths(params: ModelParams, noise: NoiseSpec, n: int, seeds: Sequenc
     rows = len(seeds)
     v = np.empty((rows, n))
     for row, seed in zip(v, seeds):
-        row[:] = noise.sample(n, make_rng(seed), params.sigma2)
+        noise._draw_into(row, make_rng(seed), params.sigma2)
 
     # lfilter's C loop runs the one-pole recursions y_k = a*y_{k-1} + u_k
     # along each row, with the same two roundings per step as a naive loop,

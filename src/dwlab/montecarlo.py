@@ -30,17 +30,19 @@ from .errors import DomainError, DWLabError
 from .estimators import (
     DEFAULT_BURN_IN,
     EstimateSet,
+    check_burn_in,
     estimate_all,
     estimate_rho,
     estimate_theta,
     dw_statistic,
     residuals,
-    running_estimates,
+    squared_deviation_sum,
 )
 from .model import _MASK64, ModelParams, NoiseSpec, check_seed, float_cells, simulate_paths
 from .testing import critical_outcome, rho_outcome, zero_outcome
 
 # Unused here; the benchmark's span tracer wraps these names on this module.
+from .estimators import running_estimates  # noqa: F401
 from .model import simulate  # noqa: F401
 from .testing import critical_case_test, rho_test, rho_zero_test  # noqa: F401
 
@@ -336,19 +338,21 @@ def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int
 
     Computes (1/log n) * sum_{k=k0..n} (estimate_k - limit)^2 on every
     replicate; the strong law predicts the asymptotic variance of the chosen
-    statistic.  Needs n >= 10^4 so the log average carries enough scales.
+    statistic.  Needs n >= 10^4 so the log average carries enough scales,
+    and checks the burn-in before any path is drawn.  Each path takes one
+    walk of :func:`squared_deviation_sum`: for theta it forms only the
+    running sums S and P and one trajectory; rho and dw need the residual
+    sums and all three trajectories.
     """
     if cfg.n < 10_000:
         raise DomainError("quadratic strong law check needs n >= 10^4")
 
     targets, limit, target_var = _limit_and_variance(cfg, which)
+    check_burn_in(cfg.n, k0)
     log_n = math.log(cfg.n)
 
     def log_average(x: np.ndarray) -> float:
-        track = getattr(running_estimates(x, k0=k0), which)
-        np.subtract(track, limit, out=track)
-        np.square(track, out=track)
-        return float(np.sum(track) / log_n)
+        return squared_deviation_sum(x, which, limit, k0) / log_n
 
     values = _map_paths(lambda x: list(map(log_average, x)), cfg, threads)
     report = _base_report("qsl", cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE})

@@ -382,6 +382,22 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["report"]["experiment"] == name
 
+    @pytest.mark.parametrize(
+        "k0, n, message",
+        [("2", "20000", "burn-in k0 must be at least 3"), ("30000", "20000", "need at least k0=30000 steps, got 20000")],
+    )
+    def test_qsl_rejects_a_bad_burn_in_before_drawing(self, capsys, monkeypatch, k0, n, message):
+        def no_draw(*args):
+            raise AssertionError("simulate_paths was called")
+
+        monkeypatch.setattr("dwlab.montecarlo.simulate_paths", no_draw)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--experiment", "qsl", "--theta", "0.5", "--rho", "0.3",
+            "--n", n, "--reps", "2", "--seed", "1", "--k0", k0,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_zero_noise_variance_rejected(self, capsys, command):
         extra = ["--experiment", "clt", "--reps", "2"] if command == "verify" else []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dwlab import estimators
 from dwlab.errors import DegenerateDenominator, DomainError, TooShort
 from dwlab.estimators import (
+    TRAJECTORIES,
     RunningEstimates,
     dw_statistic,
     estimate_all,
@@ -18,6 +19,7 @@ from dwlab.estimators import (
     estimate_theta_sq,
     residuals,
     running_estimates,
+    squared_deviation_sum,
 )
 from dwlab.model import ModelParams, NoiseSpec, simulate
 
@@ -298,6 +300,10 @@ class TestScaleInvariance:
         assert rel_close(b.sigma2_hat, c * c * a.sigma2_hat, 1e-12)
 
 
+def _theta_deviations(x, k0):
+    return squared_deviation_sum(x, "theta", 0.5, k0)
+
+
 class TestRunningEstimates:
     def test_constant_path_gives_flat_trajectories(self):
         x = np.full(50, 3.0)
@@ -346,16 +352,18 @@ class TestRunningEstimates:
 
     def test_guards(self):
         x = np.arange(20, dtype=float)
-        with pytest.raises(DomainError):
-            running_estimates(x, k0=2)
-        with pytest.raises(TooShort):
-            running_estimates(x[:5], k0=10)
-        with pytest.raises(DegenerateDenominator):
-            running_estimates(np.zeros(30), k0=5)
+        for fn in (running_estimates, _theta_deviations):
+            with pytest.raises(DomainError, match="^burn-in k0 must be at least 3$"):
+                fn(x, k0=2)
+            with pytest.raises(TooShort, match="^need at least k0=10 steps, got 4$"):
+                fn(x[:5], k0=10)
+            with pytest.raises(DegenerateDenominator):
+                fn(np.zeros(30), k0=5)
 
 
-def _reference_running_estimates(x: np.ndarray, k0: int):
-    # the whole-array kernel that the blocked running_estimates must reproduce bit for bit
+def _reference_running_estimates(x: np.ndarray, k0: int, theta_only: bool = False):
+    # the whole-array kernel that the blocked running_estimates must reproduce bit for bit;
+    # theta_only stops at the theta trajectory, which needs no residual sum
     n = x.size - 1
     xsq = x * x
     s_run = np.cumsum(xsq)
@@ -374,6 +382,8 @@ def _reference_running_estimates(x: np.ndarray, k0: int):
         raise DegenerateDenominator("series is identically zero up to the burn-in")
 
     th = p_k / s_prev
+    if theta_only:
+        return (th,)
     j_k = s_k - 2.0 * th * p_k + th * th * s_prev
     i_k = p_k - th * (s_prev + q_run[k]) + th * th * p_prev
     eps_k = x[k] - th * x[k - 1]
@@ -388,8 +398,17 @@ def _reference_running_estimates(x: np.ndarray, k0: int):
 BLOCKS = (1, 7, 1000, 2**14)
 
 
+def _theta_walk(x, k0):
+    with estimators._overflow_guard():
+        return estimators._walk(x, k0, residual_sums=False)
+
+
+def _reference_theta(x, k0):
+    return _reference_running_estimates(x, k0, theta_only=True)
+
+
 def _outcome(fn, x, k0, block):
-    """The four trajectory arrays as bytes, or the type of the exception raised."""
+    """The trajectory arrays as bytes, or the type of the exception raised."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_BLOCK", block)
         try:
@@ -429,6 +448,7 @@ class TestBlockedRunningEstimates:
         x = simulate(p, NoiseSpec(kind), n, seed).x
         expected = _outcome(_reference_running_estimates, x, k0, block)
         assert _outcome(running_estimates, x, k0, block) == expected
+        assert _outcome(_theta_walk, x, k0, block) == _outcome(_reference_theta, x, k0, block)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_guards_raise_on_the_same_inputs(self, block):
@@ -439,15 +459,21 @@ class TestBlockedRunningEstimates:
                     expected = _outcome(_reference_running_estimates, x, k0, block)
                     assert expected is DegenerateDenominator
                     assert _outcome(running_estimates, x, k0, block) is expected
+            # the theta trajectory divides by no residual sum, so only the zero burn-in raises
+            for x, k0 in ((np.zeros(40), 10), (_CANCELLING, 3), (_CANCELLING, 10)):
+                expected = _outcome(_reference_theta, x, k0, block)
+                assert _outcome(_theta_walk, x, k0, block) == expected
+            assert _outcome(_theta_walk, np.zeros(40), 10, block) is DegenerateDenominator
         path = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 3000, 4).x
         for bad in (np.nan, np.inf, -np.inf):
             for index in (0, 1500, 3000):
                 x = path.copy()
                 x[index] = bad
-                with pytest.MonkeyPatch.context() as mp, pytest.raises(DomainError) as exc:
-                    mp.setattr(estimators, "_BLOCK", block)
-                    running_estimates(x, k0=10)
-                assert str(exc.value) == f"non-finite value {bad} at index {index} of the series"
+                for fn in (running_estimates, _theta_deviations):
+                    with pytest.MonkeyPatch.context() as mp, pytest.raises(DomainError) as exc:
+                        mp.setattr(estimators, "_BLOCK", block)
+                        fn(x, k0=10)
+                    assert str(exc.value) == f"non-finite value {bad} at index {index} of the series"
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_overflow_raises_without_warnings(self, block):
@@ -457,13 +483,17 @@ class TestBlockedRunningEstimates:
             np.concatenate([path, [1e200]]),  # only the last step's square does
             np.concatenate([np.full(10, 1e-100), np.full(20, 1e57)]),  # S stays finite, theta_hat_k^2 does not
         ]
+        statistics = [running_estimates] + [
+            lambda x, k0, which=which: squared_deviation_sum(x, which, 0.5, k0) for which in TRAJECTORIES
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x in overflowing:
-                with pytest.MonkeyPatch.context() as mp, pytest.raises(DomainError) as exc:
-                    mp.setattr(estimators, "_BLOCK", block)
-                    running_estimates(x, k0=5)
-                assert str(exc.value) == "running estimates are not finite: a running sum or estimate overflows float64"
+                for fn in statistics:
+                    with pytest.MonkeyPatch.context() as mp, pytest.raises(DomainError) as exc:
+                        mp.setattr(estimators, "_BLOCK", block)
+                        fn(x, k0=5)
+                    assert str(exc.value) == "running estimates are not finite: a running sum or estimate overflows float64"
 
     @pytest.mark.parametrize("theta", [0.99, -0.99])
     def test_no_floating_point_warnings_near_the_unit_root(self, theta):
@@ -486,6 +516,31 @@ class TestBlockedRunningEstimates:
             tracemalloc.stop()
         assert traj.k.size == 10**5 - 9
         assert peak <= 6 * x.nbytes
+
+    def test_theta_statistic_holds_one_trajectory(self):
+        # one trajectory (about x.nbytes) plus two rows of block sums; no Q, residual sums or k
+        x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 2).x
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            squared_deviation_sum(x, "theta", 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.nbytes
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("which", TRAJECTORIES)
+    def test_squared_deviation_sum_is_the_sum_over_the_trajectory(self, block, which):
+        x = simulate(ModelParams(theta=-0.4, rho=0.6, x0=1.5), NoiseSpec("uniform"), 3000, 8).x
+        track = getattr(running_estimates(x, k0=7), which)
+        expected = float(np.sum((track - 0.3) ** 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_BLOCK", block)
+            assert squared_deviation_sum(x, which, 0.3, k0=7) == expected
+        with pytest.raises(DomainError):
+            squared_deviation_sum(x, "sigma2", 0.3)
 
 
 class TestConsistency:

@@ -21,6 +21,7 @@ TRACER_ONLY = [
     "dwlab.montecarlo.critical_case_test",
     "dwlab.montecarlo.rho_test",
     "dwlab.montecarlo.rho_zero_test",
+    "dwlab.montecarlo.running_estimates",
     "dwlab.montecarlo.simulate",
     "dwlab.testing.chi2_cdf1",
     "dwlab.testing.dw_statistic",

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -215,6 +216,23 @@ class TestNoiseKinds:
             5,
         )
         assert set(np.unique(s.v)) == {-2.0, 2.0}
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
+    @pytest.mark.parametrize("sigma2", [2.0, 0.37, 1e-3])
+    def test_draws_are_the_allocating_formulas(self, kind, sigma2):
+        # the rows of a block are drawn in place; these are the formulas that allocate each draw
+        n, seeds = 5000, [3, 2**64 - 1]
+        sd, half = math.sqrt(sigma2), math.sqrt(3.0 * sigma2)
+        formulas = {
+            "gaussian": lambda rng: rng.standard_normal(n) * sd,
+            "uniform": lambda rng: rng.uniform(-half, half, n),
+            "rademacher": lambda rng: (2.0 * rng.integers(0, 2, size=n) - 1.0) * sd,
+        }
+        v = simulate_paths(ModelParams(theta=0.5, rho=0.3, sigma2=sigma2), NoiseSpec(kind), n, seeds)[2]
+        for row, seed in zip(v, seeds):
+            expected = formulas[kind](make_rng(seed)).tobytes()
+            assert row.tobytes() == expected
+            assert NoiseSpec(kind).sample(n, make_rng(seed), sigma2).tobytes() == expected
 
 
 class TestCsv:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dwlab import montecarlo
-from dwlab.errors import DegenerateStatistic, DomainError
+from dwlab.errors import DegenerateStatistic, DomainError, TooShort
 from dwlab.estimators import (
     DEFAULT_BURN_IN,
     dw_statistic,
@@ -160,6 +160,20 @@ class TestQsl:
         with pytest.raises(DomainError):
             qsl_check(cfg, "sigma")
 
+    @pytest.mark.parametrize(
+        "k0, n, error, message",
+        [(2, 20_000, DomainError, "burn-in k0 must be at least 3"),
+         (30_000, 20_000, TooShort, "need at least k0=30000 steps, got 20000")],
+    )
+    def test_bad_burn_in_fails_before_any_path_is_drawn(self, monkeypatch, k0, n, error, message):
+        def no_draw(*args):
+            raise AssertionError("simulate_paths was called")
+
+        monkeypatch.setattr(montecarlo, "simulate_paths", no_draw)
+        with pytest.raises(error) as exc:
+            qsl_check(config(0.5, 0.3, n=n, reps=2, seed=1), "theta", k0=k0)
+        assert str(exc.value) == message
+
     def test_order_of_magnitude_at_moderate_n(self):
         # at n = 10^4 the log average should already sit near the target
         cfg = config(0.5, 0.3, n=10_000, reps=8, seed=606)
@@ -252,19 +266,20 @@ _BLOCK_CASES = {
     "power": ("rho0", (0.5, 0.3), "rademacher", 400, 9, {"rho0": 0.0}),
     "critical": ("critical", (0.4, -0.4), "gaussian", 300, 9, {}),
     "qsl": ("qsl", (0.5, 0.3), "gaussian", 10_000, 5, {"which": "dw"}),
+    "qsl-theta": ("qsl", (0.5, 0.3), "uniform", 10_000, 5, {"which": "theta"}),
+    "qsl-rho": ("qsl", (-0.6, 0.7), "rademacher", 10_000, 5, {"which": "rho"}),
     "lil": ("lil", (0.5, 0.3), "gaussian", 10_000, 5, {"which": "rho", "checkpoints": [100, 1000, 10_000]}),
     "lil-theta": ("lil", (0.5, 0.3), "uniform", 10_000, 5, {"which": "theta", "checkpoints": [16, 2500, 10_000]}),
     "lil-dw": ("lil", (-0.6, 0.7), "rademacher", 10_000, 5, {"which": "dw", "checkpoints": [500, 10_000]}),
 }
 
 
-def _run(experiment, cfg, kwargs, threads):
-    if experiment == "clt":
+def _run(kind, cfg, kwargs, threads):
+    if kind == "clt":
         return run_replications(cfg, threads=threads)
-    if experiment in ("size", "power", "critical"):
-        kind = {"size": "zero", "power": "rho0", "critical": "critical"}[experiment]
+    if kind in ("zero", "rho0", "critical"):
         return empirical_size_power(kind, cfg, rho0=kwargs.get("rho0"), threads=threads)
-    if experiment == "qsl":
+    if kind == "qsl":
         return qsl_check(cfg, kwargs["which"], threads=threads)
     return lil_envelope_check(cfg, kwargs["which"], kwargs["checkpoints"], threads=threads)
 
@@ -277,12 +292,12 @@ class TestReplicateBlocks:
         rows = _reference_rows(kind, cfg, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_map_paths", lambda statistic, cfg, threads: list(rows))
-            reference = json.dumps(_run(experiment, cfg, kwargs, 1).to_dict())
+            reference = json.dumps(_run(kind, cfg, kwargs, 1).to_dict())
         # blocks of 1, 2, 7, all replicates and more than the replicates
         for size in (1, 2, 7, reps, reps + 3):
             monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", size * (n + 1))
             for threads in (1, 2):
-                assert json.dumps(_run(experiment, cfg, kwargs, threads).to_dict()) == reference, (size, threads)
+                assert json.dumps(_run(kind, cfg, kwargs, threads).to_dict()) == reference, (size, threads)
 
     def test_block_size_follows_the_path_length(self, monkeypatch):
         sizes = []
