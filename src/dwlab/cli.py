@@ -4,6 +4,10 @@ Subcommands: simulate, estimate, test, recover, limits, verify.  All JSON
 output goes to stdout and embeds a run manifest (command line, seed, RNG
 algorithm, version, timestamp); diagnostics go to stderr.  Exit codes:
 0 success, 1 usage error, 2 data or domain error.
+
+Each ``_cmd_*`` function returns its payload dict (``simulate`` writes CSV
+and returns None); ``main`` alone wraps the payload with the manifest and
+writes the JSON.
 """
 
 from __future__ import annotations
@@ -84,19 +88,16 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _read_series(path: str, header: Optional[bool]) -> Series:
-    if path != "-":
-        return read_csv(path, header=header)
+def _read_series(args) -> Series:
+    header = {"auto": None, "yes": True, "no": False}[args.header]
+    if args.input != "-":
+        return read_csv(args.input, header=header)
     # Strict UTF-8 as for a file: under a C locale sys.stdin would pass bad bytes on as surrogates.
     stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
     try:
         return read_csv(stdin, header=header)
     finally:
         stdin.detach()  # leave sys.stdin.buffer open
-
-
-def _header_flag(value: str) -> Optional[bool]:
-    return {"auto": None, "yes": True, "no": False}[value]
 
 
 def _threads(args) -> int:
@@ -131,15 +132,14 @@ def _checkpoints(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, argv):
+def _cmd_simulate(args):
     params = ModelParams(theta=args.theta, rho=args.rho, sigma2=args.sigma2, x0=args.x0, eps0=args.eps0)
     series = simulate(params, NoiseSpec(kind=args.noise), args.n, args.seed)
     write_csv(series, args.output or sys.stdout)
-    return 0
 
 
-def _cmd_estimate(args, argv):
-    series = _read_series(args.input, _header_flag(args.header))
+def _cmd_estimate(args):
+    series = _read_series(args)
     est = estimate_all(series.x)
     if args.trajectories:
         traj = running_estimates(series.x, k0=args.k0)
@@ -148,88 +148,71 @@ def _cmd_estimate(args, argv):
             ("k", "theta_hat", "rho_hat", "dw"),
             (traj.k.tolist(), float_cells(traj.theta), float_cells(traj.rho), float_cells(traj.dw)),
         )
-    _emit(
-        {
-            "manifest": _manifest(argv, None),
-            "estimates": {
-                "theta_hat": est.theta_hat,
-                "rho_hat": est.rho_hat,
-                "sigma2_hat": est.sigma2_hat,
-                "dw": est.dw,
-                "theta_sq_hat": est.theta_sq_hat,
-                "n": est.n,
-                "residuals": est.residuals.tolist(),
-            },
-        }
-    )
-    return 0
+    return {
+        "estimates": {
+            "theta_hat": est.theta_hat,
+            "rho_hat": est.rho_hat,
+            "sigma2_hat": est.sigma2_hat,
+            "dw": est.dw,
+            "theta_sq_hat": est.theta_sq_hat,
+            "n": est.n,
+            "residuals": est.residuals.tolist(),
+        },
+    }
 
 
-def _cmd_test(args, argv):
-    series = _read_series(args.input, _header_flag(args.header))
+def _cmd_test(args):
+    series = _read_series(args)
     if args.kind in ("rho0", "auto") and args.rho0 is None:
         raise DomainError(f"--kind {args.kind} requires --rho0")
-    payload = {"manifest": _manifest(argv, None)}
     if args.kind == "critical":
-        payload["test"] = dataclasses.asdict(critical_case_test(series.x, args.alpha))
-    elif args.kind == "zero":
-        payload["test"] = dataclasses.asdict(rho_zero_test(series.x, args.alpha))
-    elif args.kind == "rho0":
+        return {"test": dataclasses.asdict(critical_case_test(series.x, args.alpha))}
+    if args.kind == "zero":
+        return {"test": dataclasses.asdict(rho_zero_test(series.x, args.alpha))}
+    if args.kind == "rho0":
         outcome, weights = rho_test(series.x, args.rho0, args.alpha)
-        payload["test"] = dataclasses.asdict(outcome)
-        payload["weights"] = dataclasses.asdict(weights)
-    else:  # auto
-        auto = auto_test(series.x, args.rho0, args.alpha)
-        payload["preliminary"] = dataclasses.asdict(auto.preliminary)
-        payload["branch"] = auto.branch
-        payload["test"] = dataclasses.asdict(auto.final)
-        if auto.weights is not None:
-            payload["weights"] = dataclasses.asdict(auto.weights)
-    _emit(payload)
-    return 0
+        return {"test": dataclasses.asdict(outcome), "weights": dataclasses.asdict(weights)}
+    auto = auto_test(series.x, args.rho0, args.alpha)
+    payload = {
+        "preliminary": dataclasses.asdict(auto.preliminary),
+        "branch": auto.branch,
+        "test": dataclasses.asdict(auto.final),
+    }
+    if auto.weights is not None:
+        payload["weights"] = dataclasses.asdict(auto.weights)
+    return payload
 
 
-def _cmd_recover(args, argv):
-    series = _read_series(args.input, _header_flag(args.header))
+def _cmd_recover(args):
+    series = _read_series(args)
     est = estimate_all(series.x)
     convention = args.convention.replace("-", "_")
     rec = recover_params(est.theta_hat, est.rho_hat, convention)
     sigma2_rec = recover_sigma2(est.theta_hat, est.rho_hat, est.sigma2_hat)
-    _emit(
-        {
-            "manifest": _manifest(argv, None),
-            "estimates": {
-                "theta_hat": est.theta_hat,
-                "rho_hat": est.rho_hat,
-                "sigma2_hat": est.sigma2_hat,
-                "n": est.n,
-            },
-            "recovered": {
-                "theta_rec": rec.theta_rec,
-                "rho_rec": rec.rho_rec,
-                "sigma2_rec": sigma2_rec,
-                "convention": rec.convention,
-                "s_hat": rec.s_hat,
-                "p_hat": rec.p_hat,
-                "out_of_region": rec.out_of_region,
-            },
-        }
-    )
-    return 0
+    return {
+        "estimates": {
+            "theta_hat": est.theta_hat,
+            "rho_hat": est.rho_hat,
+            "sigma2_hat": est.sigma2_hat,
+            "n": est.n,
+        },
+        "recovered": {
+            "theta_rec": rec.theta_rec,
+            "rho_rec": rec.rho_rec,
+            "sigma2_rec": sigma2_rec,
+            "convention": rec.convention,
+            "s_hat": rec.s_hat,
+            "p_hat": rec.p_hat,
+            "out_of_region": rec.out_of_region,
+        },
+    }
 
 
-def _cmd_limits(args, argv):
-    a = limits.asymptotics(args.theta, args.rho, args.sigma2)
-    _emit(
-        {
-            "manifest": _manifest(argv, None),
-            "limits": dataclasses.asdict(a),
-        }
-    )
-    return 0
+def _cmd_limits(args):
+    return {"limits": dataclasses.asdict(limits.asymptotics(args.theta, args.rho, args.sigma2))}
 
 
-def _cmd_verify(args, argv):
+def _cmd_verify(args):
     params = ModelParams(theta=args.theta, rho=args.rho, sigma2=args.sigma2)
     cfg = McConfig(
         params=params,
@@ -255,8 +238,7 @@ def _cmd_verify(args, argv):
     report.experiment = experiment
     if args.csv:
         write_table(args.csv, *report.table())
-    _emit({"manifest": _manifest(argv, args.seed), "report": report.to_dict()})
-    return 0
+    return {"report": report.to_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +247,8 @@ def _cmd_verify(args, argv):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dwlab", description=__doc__)
+    # --help shows the docstring up to its last paragraph, which is about the code
+    parser = _Parser(prog="dwlab", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a path and write it as CSV")
@@ -342,10 +325,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, argv)
+        payload = args.func(args)
+        if payload is not None:
+            seed = args.seed if args.command == "verify" else None
+            _emit({"manifest": _manifest(argv, seed), **payload})
     except (DWLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

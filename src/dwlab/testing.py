@@ -94,6 +94,14 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError("significance level must satisfy 0 < alpha < 1")
 
 
+def check_rho0(rho0: Optional[float]) -> None:
+    """Raise unless the null value rho0 is given and lies in (-1, 1)."""
+    if rho0 is None:
+        raise DomainError("test kind 'rho0' needs a rho0 value")
+    if not (abs(rho0) < 1.0):
+        raise DomainError("rho0 must lie in (-1, 1)")
+
+
 def _outcome(statistic: float, alpha: float, kind: str) -> TestOutcome:
     threshold = chi2_quantile1(1.0 - alpha)
     return TestOutcome(
@@ -131,8 +139,7 @@ def rho_weights(theta_hat: float, rho_hat: float, rho0: float) -> TestWeights:
     entries are the asymptotic variances of :mod:`dwlab.limits` without the
     region check, because theta_tilde may leave the region.
     """
-    if not (abs(rho0) < 1.0):
-        raise DomainError("rho0 must lie in (-1, 1)")
+    check_rho0(rho0)
     theta_tilde = theta_hat + rho_hat - rho0
     rho_tilde = rho0 * theta_tilde * (theta_tilde + rho0) / (1.0 + rho0 * theta_tilde)
     d_tilde = 2.0 * (1.0 - rho_tilde)
@@ -191,6 +198,7 @@ def critical_case_test(path: ArrayLike, alpha: float) -> TestOutcome:
 def rho_test(path: ArrayLike, rho0: float, alpha: float) -> tuple[TestOutcome, TestWeights]:
     """Test H0: rho = rho0; needs theta != -rho and theta != rho0 to be informative."""
     _check_alpha(alpha)
+    check_rho0(rho0)
     return rho_outcome(estimate_all(path), rho0, alpha)
 
 
@@ -209,6 +217,7 @@ def auto_test(path: ArrayLike, rho0: float, alpha: float) -> AutoOutcome:
     form applies.  Both stages use the same fit of the path.
     """
     _check_alpha(alpha)
+    check_rho0(rho0)
     est = estimate_all(path)
     preliminary = critical_outcome(est, alpha)
     if not preliminary.reject:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -10,10 +11,11 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from dwlab.cli import _emit, main
+import dwlab.cli
+from dwlab.cli import _emit, _json_default, build_parser, main
 from dwlab.errors import DomainError
 from dwlab.estimators import estimate_all, running_estimates
-from dwlab.model import ModelParams, NoiseSpec, read_csv, simulate
+from dwlab.model import ModelParams, NoiseSpec, read_csv, simulate, write_csv
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -201,6 +203,16 @@ class TestTestCommand:
         bad.write_text("x\n1\nnan\n2\n")
         code, _, err = run_cli(capsys, "test", "--input", str(bad), "--kind", "auto", "--alpha", "0.05")
         assert (code, err) == (2, "error: non-finite value nan in CSV column 0, data row 1\n")
+
+    def test_auto_kind_rejects_rho0_outside_the_interval(self, capsys, tmp_path):
+        # this path takes the critical branch, where rho0^2 = 2.25 would replace the theta^2 plug-in
+        dest = tmp_path / "c.csv"
+        run_cli(capsys, "simulate", "--theta", "0.4", "--rho", "-0.4", "--n", "3000", "--seed", "5",
+                "--output", str(dest))
+        for kind in ("auto", "rho0"):
+            code, out, err = run_cli(capsys, "test", "--input", str(dest), "--kind", kind, "--rho0", "1.5",
+                                     "--alpha", "0.05")
+            assert (code, out, err) == (2, "", "error: rho0 must lie in (-1, 1)\n")
 
     def test_auto_kind(self, capsys, series_csv):
         code, out, _ = run_cli(capsys, "test", "--input", series_csv, "--kind", "auto",
@@ -397,6 +409,28 @@ class TestVerifyCommand:
             "--n", n, "--reps", "2", "--seed", "1", "--k0", k0,
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_bad_rho0_rejected_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("simulate_paths was called")
+
+        monkeypatch.setattr("dwlab.montecarlo.simulate_paths", no_draw)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--experiment", "power", "--test-kind", "rho0", "--rho0", "1.5", "--theta", "0.5",
+            "--rho", "0.3", "--n", "1000", "--reps", "2", "--seed", "1",
+        )
+        assert (code, out, err) == (2, "", "error: rho0 must lie in (-1, 1)\n")
+
+    @pytest.mark.parametrize("kind, rho0", [("zero", "1.5"), ("critical", "0.2"), ("rho0", "0.2")])
+    def test_report_shows_rho0_only_for_the_rho0_kind(self, capsys, kind, rho0):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--experiment", "power", "--test-kind", kind, "--rho0", rho0, "--theta", "0.4",
+            "--rho", "-0.3", "--n", "300", "--reps", "2", "--seed", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["report"].get("rho0") == (0.2 if kind == "rho0" else None)
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_zero_noise_variance_rejected(self, capsys, command):
@@ -663,3 +697,119 @@ class TestReadCsvClosesFile:
         proc = run_fresh("-X", "dev", "-W", "error::ResourceWarning", "-c", script, *paths)
         assert proc.returncode == 0, proc.stderr
         assert "ResourceWarning" not in proc.stderr
+
+
+MANIFEST_KEYS = ["command_line", "seed", "rng_algorithm", "artifact_version", "timestamp"]
+_VERIFY = ["--theta", "0.4", "--rho", "-0.3", "--n", "300", "--reps", "2", "--seed", "3"]
+# every command that prints JSON; {general} and {critical} name series on which auto takes each branch
+JSON_COMMANDS = {
+    "estimate": ["estimate", "--input", "{general}", "--trajectories", "{tmp}/traj.csv"],
+    "test-critical": ["test", "--input", "{general}", "--kind", "critical", "--alpha", "0.05"],
+    "test-zero": ["test", "--input", "{general}", "--kind", "zero", "--alpha", "0.05"],
+    "test-rho0": ["test", "--input", "{general}", "--kind", "rho0", "--rho0", "0.3", "--alpha", "0.05"],
+    "test-auto-general": ["test", "--input", "{general}", "--kind", "auto", "--rho0", "0.3", "--alpha", "0.05"],
+    "test-auto-critical": ["test", "--input", "{critical}", "--kind", "auto", "--rho0", "-0.4", "--alpha", "0.05"],
+    "recover": ["recover", "--input", "{general}", "--convention", "theta-greater"],
+    "limits": ["limits", "--theta", "0.5", "--rho", "0.3"],
+    "verify-clt": ["verify", "--experiment", "clt", *_VERIFY, "--csv", "{tmp}/rows.csv"],
+    "verify-joint": ["verify", "--experiment", "joint", *_VERIFY],
+    "verify-size": ["verify", "--experiment", "size", *_VERIFY],
+    "verify-power": ["verify", "--experiment", "power", "--test-kind", "rho0", "--rho0", "0.1", *_VERIFY],
+    "verify-critical": ["verify", "--experiment", "critical", *_VERIFY],
+    "verify-qsl": ["verify", "--experiment", "qsl", *_VERIFY, "--n", "10000"],
+    "verify-lil": ["verify", "--experiment", "lil", *_VERIFY, "--checkpoints", "100,300"],
+}
+AUTO_BRANCH = {"test-auto-general": "general", "test-auto-critical": "critical"}
+
+
+class TestOneWrapper:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("series")
+        for name, theta, rho in (("general", 0.5, 0.3), ("critical", 0.4, -0.4)):
+            write_csv(simulate(ModelParams(theta=theta, rho=rho), NoiseSpec(), 3000, 5), tmp / f"{name}.csv")
+        return {"general": str(tmp / "general.csv"), "critical": str(tmp / "critical.csv"), "tmp": str(tmp)}
+
+    @staticmethod
+    def _argv(name, paths):
+        return [arg.format(**paths) for arg in JSON_COMMANDS[name]]
+
+    @pytest.mark.parametrize("name", JSON_COMMANDS)
+    def test_main_prints_one_object_led_by_the_manifest(self, capsys, paths, name):
+        argv = self._argv(name, paths)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        data = json.loads(out)  # one object: a second one would be extra data
+        assert next(iter(data)) == "manifest"
+        assert list(data["manifest"]) == MANIFEST_KEYS
+        assert data["manifest"]["seed"] == (3 if argv[0] == "verify" else None)
+        if name in AUTO_BRANCH:
+            assert data["branch"] == AUTO_BRANCH[name]
+
+    @pytest.mark.parametrize("name", JSON_COMMANDS)
+    def test_commands_return_their_payload_and_print_no_json(self, capsys, paths, name):
+        argv = self._argv(name, paths)
+        args = build_parser().parse_args(argv)
+        payload = args.func(args)
+        assert capsys.readouterr().out == ""
+        _, out, _ = run_cli(capsys, *argv)
+        printed = json.loads(out)
+        assert list(printed) == ["manifest", *payload]
+        assert json.loads(json.dumps(payload, default=_json_default)) == strip_manifest(out)
+
+    def test_simulate_returns_nothing(self, capsys, tmp_path):
+        dest = tmp_path / "s.csv"
+        args = build_parser().parse_args(
+            ["simulate", "--theta", "0.5", "--rho", "0.3", "--n", "50", "--seed", "1", "--output", str(dest)]
+        )
+        assert args.func(args) is None
+        assert capsys.readouterr().out == ""
+        assert read_csv(dest).x.size == 51
+
+
+def wrapper_calls(source: str) -> dict:
+    """For ``_emit`` and ``_manifest``, the top-level definition around each call, in source order.
+
+    A call at module level counts as None.
+    """
+    calls = {"_emit": [], "_manifest": []}
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in calls:
+                    calls[name].append(owner)
+    return calls
+
+
+def commands_taking_argv(source: str) -> list:
+    """Names of the ``_cmd_*`` functions with a parameter called ``argv``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(a.arg == "argv" for a in params):
+                found.append(node.name)
+    return sorted(found)
+
+
+class TestOneWrapperScan:
+    def test_only_main_wraps_and_writes_the_json(self):
+        source = Path(dwlab.cli.__file__).read_text(encoding="utf-8")
+        assert wrapper_calls(source) == {"_emit": ["main"], "_manifest": ["main"]}
+        assert commands_taking_argv(source) == []
+
+    def test_a_second_wrapper_is_caught(self):
+        source = (
+            "def _cmd_a(args, argv):\n"
+            "    cli._emit({'manifest': _manifest(argv, None)})\n"
+            "def _cmd_b(args, *, argv=None):\n"
+            "    return {}\n"
+            "def main(argv):\n"
+            "    _emit({'manifest': _manifest(argv, None)})\n"
+            "    _emit({})\n"
+            "_emit({})\n"
+        )
+        assert wrapper_calls(source) == {"_emit": ["_cmd_a", "main", "main", None], "_manifest": ["_cmd_a", "main"]}
+        assert commands_taking_argv(source) == ["_cmd_a", "_cmd_b"]

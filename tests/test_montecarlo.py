@@ -132,6 +132,20 @@ class TestSizePower:
         with pytest.raises(DomainError):
             empirical_size_power("rho0", cfg)
 
+    @pytest.mark.parametrize(
+        "rho0, message",
+        [(None, "test kind 'rho0' needs a rho0 value"), (1.5, "rho0 must lie in (-1, 1)"),
+         (float("nan"), "rho0 must lie in (-1, 1)")],
+    )
+    def test_bad_rho0_fails_before_any_path_is_drawn(self, monkeypatch, rho0, message):
+        def no_draw(*args):
+            raise AssertionError("simulate_paths was called")
+
+        monkeypatch.setattr(montecarlo, "simulate_paths", no_draw)
+        with pytest.raises(DomainError) as exc:
+            empirical_size_power("rho0", config(0.5, 0.3, n=1000, reps=10, seed=1), rho0=rho0)
+        assert str(exc.value) == message
+
     def test_unknown_kind(self):
         cfg = config(0.5, 0.3, n=1000, reps=10, seed=1)
         with pytest.raises(DomainError):

@@ -18,6 +18,7 @@ from dwlab.model import ModelParams, NoiseSpec, simulate
 from dwlab.montecarlo import McConfig, empirical_size_power
 from dwlab.testing import (
     auto_test,
+    check_rho0,
     critical_case_test,
     critical_statistic,
     rho_test,
@@ -108,6 +109,48 @@ class TestWeightsConstruction:
             rho_weights(0.5, 0.1, 1.0)
         with pytest.raises(DomainError):
             rho_weights(0.5, 0.1, -1.2)
+
+
+RHO0_RANGE = "rho0 must lie in (-1, 1)"
+
+
+class TestRho0Check:
+    @pytest.mark.parametrize(
+        "rho0, message",
+        [
+            (None, "test kind 'rho0' needs a rho0 value"),
+            (1.0, RHO0_RANGE),
+            (-1.2, RHO0_RANGE),
+            (1.5, RHO0_RANGE),
+            (float("nan"), RHO0_RANGE),
+        ],
+    )
+    def test_every_entry_point_rejects_before_the_fit(self, monkeypatch, rho0, message):
+        def no_fit(path):
+            raise AssertionError("estimate_all was called")
+
+        x = path(0.4, -0.4, seed=15)
+        monkeypatch.setattr(dwlab.testing, "estimate_all", no_fit)
+        for run in (
+            lambda: check_rho0(rho0),
+            lambda: rho_weights(0.5, 0.1, rho0),
+            lambda: rho_test(x, rho0, 0.05),
+            lambda: auto_test(x, rho0, 0.05),
+        ):
+            with pytest.raises(DomainError) as exc:
+                run()
+            assert (type(exc.value), str(exc.value)) == (DomainError, message)
+
+    @pytest.mark.parametrize("rho0", [0.0, -0.999, 0.5])
+    def test_open_interval_passes(self, rho0):
+        assert check_rho0(rho0) is None
+
+    def test_critical_branch_reports_rho0_not_its_square(self):
+        # this path takes the critical branch, where rho0^2 = 2.25 would replace the theta^2 plug-in
+        x = path(0.4, -0.4, seed=15)
+        assert auto_test(x, 0.4, 0.05).branch == "critical"
+        with pytest.raises(DomainError, match=r"^rho0 must lie in \(-1, 1\)$"):
+            auto_test(x, 1.5, 0.05)
 
 
 class TestOutcomeInvariants:
