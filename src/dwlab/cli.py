@@ -233,7 +233,7 @@ def _cmd_verify(args):
     elif experiment == "qsl":
         report = qsl_check(cfg, args.which, k0=args.k0, threads=threads)
     else:  # lil
-        checkpoints = _checkpoints(args.checkpoints) if args.checkpoints else [cfg.n]
+        checkpoints = _checkpoints(args.checkpoints) if args.checkpoints is not None else [cfg.n]
         report = lil_envelope_check(cfg, args.which, checkpoints, threads=threads)
     report.experiment = experiment
     if args.csv:

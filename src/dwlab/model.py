@@ -18,9 +18,6 @@ loop behind ``scipy.signal.lfilter`` (``_linear_filter`` in scipy's
 on the first call without importing the ``scipy.signal`` package: that
 import takes over a second and pulls in scipy.stats, scipy.interpolate and
 scipy.optimize.  Commands that only read a series never load the extension.
-The first call should run on the caller's thread, not in a worker of a
-thread pool, so that the load happens once, before any worker starts; the
-Monte Carlo engine runs its first block of replicates itself for this reason.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import csv
 import importlib.machinery
 import importlib.util
 import math
-import sysconfig
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
@@ -227,11 +223,13 @@ def _linear_filter():
     The extension is loaded from its file, found without running any scipy
     ``__init__``, so the ``scipy.signal`` package is never imported.  The
     module is registered under its own name, so a later ``import
-    scipy.signal`` by other code reuses it.
+    scipy.signal`` by other code reuses it.  The file suffix comes from
+    ``EXTENSION_SUFFIXES``, which is complete from interpreter start, so the
+    first call may come from any thread.
     """
     name = "scipy.signal._sigtools"
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = str(Path(scipy_dir, "signal", "_sigtools" + sysconfig.get_config_var("EXT_SUFFIX")))
+    path = str(Path(scipy_dir, "signal", "_sigtools" + importlib.machinery.EXTENSION_SUFFIXES[0]))
     loader = importlib.machinery.ExtensionFileLoader(name, path)
     module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
     loader.exec_module(module)

@@ -9,9 +9,8 @@ the law of iterated logarithm.
 Replicate i always uses seed ``derive_seed(base_seed, i)``.  Replicates are
 simulated and fitted in blocks of consecutive indices, one path per row of a
 (B, n+1) array; each row is the path its seed alone gives, so reports are
-bit-identical whatever the block size or the degree of parallelism.  The
-first block runs on the caller's thread, the rest in a pool of worker
-threads, in index order.
+bit-identical whatever the block size or the degree of parallelism.  All
+blocks run in a pool of worker threads, in index order.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .estimators import (
     squared_deviation_sum,
 )
 from .model import _MASK64, ModelParams, NoiseSpec, check_seed, float_cells, simulate_paths
-from .testing import check_rho0, critical_outcome, rho_outcome, zero_outcome
+from .testing import check_alpha, check_rho0, critical_outcome, rho_outcome, zero_outcome
 
 # Unused here; the benchmark's span tracer wraps these names on this module.
 from .estimators import running_estimates  # noqa: F401
@@ -121,8 +120,7 @@ class McConfig:
             raise DomainError("need at least one replicate")
         if self.n < 100:
             raise DomainError("verification runs need n >= 100")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
 
 
 @dataclass
@@ -195,11 +193,9 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     consecutive indices: one :func:`simulate_paths` call draws a block as a
     (B, n+1) array, and ``statistic`` returns the B per-replicate results of
     its rows, in row order.  Each row depends only on its own seed, so the
-    result depends neither on B nor on the number of worker threads.  Block
-    0 runs on the calling thread, so the first ``simulate_paths`` call, which
-    loads scipy's compiled filter extension once, never runs in a pool
-    worker (see :mod:`dwlab.model`); the pool takes blocks 1.. in index
-    order.
+    result depends neither on B nor on the number of worker threads.  The
+    pool takes every block in index order, and the first block in that order
+    to raise cancels the blocks still queued.
 
     When a block raises, its rows are rerun one at a time, so the error is
     the one the first failing replicate raises on its own, as with B = 1.
@@ -218,10 +214,8 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
                 statistic(x[row : row + 1])
             raise
 
-    results = block(0)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results.extend(chain.from_iterable(pool.map(block, range(size, cfg.replicates, size))))
-    return results
+        return list(chain.from_iterable(pool.map(block, range(0, cfg.replicates, size))))
 
 
 def _fit_rows(x: np.ndarray) -> list:
@@ -258,8 +252,8 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
         est = estimate_all(x)
         return list(zip(*(getattr(est, name).tolist() for name in _ESTIMATES)))
 
-    rows = _map_paths(fit, cfg, threads)
     targets = _asymptotic_targets(cfg)
+    rows = _map_paths(fit, cfg, threads)
     report = _base_report(
         "replications",
         cfg,
@@ -313,6 +307,7 @@ def empirical_size_power(
     def test(x: np.ndarray) -> list:
         return [(o.statistic, o.reject) for o in map(outcome, _fit_rows(x))]
 
+    targets = _asymptotic_targets(cfg)
     rows = _map_paths(test, cfg, threads)
     stats = [r[0] for r in rows]
     rejects = [bool(r[1]) for r in rows]
@@ -322,7 +317,7 @@ def empirical_size_power(
     report = _base_report(
         "size_power",
         cfg,
-        _asymptotic_targets(cfg),
+        targets,
         {"size_band_sigmas": SIZE_BAND_SIGMAS, "size_band_halfwidth": band},
     )
     report.test_kind = test_kind

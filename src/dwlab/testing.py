@@ -89,7 +89,8 @@ class AutoOutcome:
     branch: str  # "critical" when theta = -rho was accepted, else "general"
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """Raise unless the significance level alpha lies in (0, 1)."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("significance level must satisfy 0 < alpha < 1")
 
@@ -191,20 +192,20 @@ def zero_outcome(est: EstimateSet, alpha: float) -> TestOutcome:
 
 def critical_case_test(path: ArrayLike, alpha: float) -> TestOutcome:
     """Test H0: theta = -rho via the lag-2 regression plug-in."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return critical_outcome(estimate_all(path), alpha)
 
 
 def rho_test(path: ArrayLike, rho0: float, alpha: float) -> tuple[TestOutcome, TestWeights]:
     """Test H0: rho = rho0; needs theta != -rho and theta != rho0 to be informative."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     check_rho0(rho0)
     return rho_outcome(estimate_all(path), rho0, alpha)
 
 
 def rho_zero_test(path: ArrayLike, alpha: float) -> TestOutcome:
     """Test H0: rho = 0 (residuals not autocorrelated)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return zero_outcome(estimate_all(path), alpha)
 
 
@@ -213,14 +214,17 @@ def auto_test(path: ArrayLike, rho0: float, alpha: float) -> AutoOutcome:
 
     If theta = -rho is accepted the general statistic would degenerate, so
     the rho0 hypothesis is tested with rho0^2 substituted for the theta^2
-    plug-in of the critical-case statistic; otherwise the general quadratic
-    form applies.  Both stages use the same fit of the path.
+    plug-in of the critical-case statistic, which rho0 = 0 leaves undefined;
+    otherwise the general quadratic form applies.  Both stages use the same
+    fit of the path.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     check_rho0(rho0)
     est = estimate_all(path)
     preliminary = critical_outcome(est, alpha)
     if not preliminary.reject:
+        if rho0 == 0.0:
+            raise DegenerateStatistic("theta = -rho accepted: the rho = rho0 test is undefined at rho0 = 0")
         stat = critical_statistic(est.n, est.dw, rho0 * rho0)
         return AutoOutcome(
             preliminary=preliminary,

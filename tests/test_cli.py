@@ -214,6 +214,26 @@ class TestTestCommand:
                                      "--alpha", "0.05")
             assert (code, out, err) == (2, "", "error: rho0 must lie in (-1, 1)\n")
 
+    def test_auto_kind_names_rho0_when_the_critical_branch_is_undefined(self, capsys, tmp_path):
+        # the preliminary test accepts theta = -rho here (statistic 1.54 < 3.84)
+        dest = tmp_path / "c.csv"
+        run_cli(capsys, "simulate", "--theta", "0.5", "--rho", "-0.5", "--n", "5000", "--seed", "3",
+                "--output", str(dest))
+        code, out, err = run_cli(capsys, "test", "--input", str(dest), "--kind", "auto", "--rho0", "0",
+                                 "--alpha", "0.05")
+        message = "error: theta = -rho accepted: the rho = rho0 test is undefined at rho0 = 0\n"
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+    def test_alpha_is_checked_alike_by_test_and_verify(self, capsys, series_csv, alpha):
+        message = "error: significance level must satisfy 0 < alpha < 1\n"
+        for argv in (
+            ["test", "--input", series_csv, "--kind", "zero"],
+            ["verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3", "--n", "200", "--reps", "2",
+             "--seed", "1"],
+        ):
+            assert run_cli(capsys, *argv, "--alpha", alpha) == (2, "", message)
+
     def test_auto_kind(self, capsys, series_csv):
         code, out, _ = run_cli(capsys, "test", "--input", series_csv, "--kind", "auto",
                                "--rho0", "0.3", "--alpha", "0.05")
@@ -360,7 +380,9 @@ class TestVerifyCommand:
         )
         assert (code, out, err) == (2, "", f"error: DW_LAB_THREADS must be at least 1, got '{threads}'\n")
 
-    @pytest.mark.parametrize("checkpoints, token", [("100,abc", "abc"), ("100,,200", ""), ("1e3", "1e3")])
+    @pytest.mark.parametrize(
+        "checkpoints, token", [("100,abc", "abc"), ("100,,200", ""), ("1e3", "1e3"), ("", "")]
+    )
     def test_malformed_checkpoints_rejected(self, capsys, checkpoints, token):
         code, out, err = run_cli(
             capsys,
@@ -421,6 +443,18 @@ class TestVerifyCommand:
             "--rho", "0.3", "--n", "1000", "--reps", "2", "--seed", "1",
         )
         assert (code, out, err) == (2, "", "error: rho0 must lie in (-1, 1)\n")
+
+    def test_critical_experiment_checks_the_model_point_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("simulate_paths was called")
+
+        monkeypatch.setattr("dwlab.montecarlo.simulate_paths", no_draw)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--experiment", "critical", "--theta", "0.9999999999", "--rho", "0.3",
+            "--n", "5000", "--reps", "3000", "--seed", "1", "--threads", "2",
+        )
+        assert (code, out, err) == (2, "", "error: parameter out of admissible region: theta\n")
 
     @pytest.mark.parametrize("kind, rho0", [("zero", "1.5"), ("critical", "0.2"), ("rho0", "0.2")])
     def test_report_shows_rho0_only_for_the_rho0_kind(self, capsys, kind, rho0):
@@ -557,7 +591,7 @@ class TestDeferredScipyImport:
             "assert 'scipy.signal' not in sys.modules, 'loaded by a reading command'\n"
             f"assert dwlab.cli.main(['simulate', *{path!r}, '--n', '50',"
             f" '--output', {str(tmp_path / 'p.csv')!r}]) == 0\n"
-            # 13 replicates to a block at n = 5000, so the pool simulates two blocks
+            # 13 replicates to a block at n = 5000, so the pool simulates three blocks
             f"assert dwlab.cli.main(['verify', '--experiment', 'clt', *{path!r}, '--n', '5000', '--reps', '30',"
             " '--threads', '2']) == 0\n"
             "assert 'scipy.signal' not in sys.modules, 'loaded by simulating a path'\n"
@@ -572,6 +606,37 @@ class TestDeferredScipyImport:
         one, two = run_fresh(*args, "--threads", "1"), run_fresh(*args, "--threads", "2")
         assert one.returncode == two.returncode == 0, one.stderr + two.stderr
         assert strip_manifest(one.stdout) == strip_manifest(two.stdout)
+
+    def test_first_call_does_not_read_sysconfig(self):
+        # while one thread fills sysconfig's config cache, another reads None from get_config_var
+        script = (
+            "import sysconfig\n"
+            "from dwlab.model import ModelParams, NoiseSpec, simulate\n"
+            "sysconfig.get_config_var = lambda *names: None\n"
+            "print(simulate(ModelParams(0.5, 0.3), NoiseSpec(), 100, 7).x.tobytes().hex())\n"
+        )
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == simulate(ModelParams(0.5, 0.3), NoiseSpec(), 100, 7).x.tobytes().hex() + "\n"
+
+    def test_first_calls_from_four_threads_at_once_agree(self):
+        script = (
+            "import threading\n"
+            "from dwlab.model import ModelParams, NoiseSpec, simulate_paths\n"
+            "barrier = threading.Barrier(4, timeout=60)\n"
+            "rows = [None] * 4\n"
+            "def first_call(i):\n"
+            "    barrier.wait()\n"
+            "    rows[i] = simulate_paths(ModelParams(0.5, 0.3), NoiseSpec(), 100_000, [7])[0].tobytes()\n"
+            "workers = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]\n"
+            "for w in workers: w.start()\n"
+            "for w in workers: w.join(timeout=60)\n"
+            "assert not any(w.is_alive() for w in workers), 'a first call hung'\n"
+            "assert None not in rows and len(set(rows)) == 1, 'a first call failed or the rows differ'\n"
+        )
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestBlockedTrajectoriesUnderThreads:
@@ -588,7 +653,7 @@ class TestBlockedTrajectoriesUnderThreads:
 
 
 class TestReplicateBlocksUnderThreads:
-    # n = 5000 puts 13 replicates in a block, so 40 replicates make four blocks and three go to the pool
+    # n = 5000 puts 13 replicates in a block, so 40 replicates make four blocks for the pool
     BLOCKED = ["-m", "dwlab", "verify", "--theta", "0.5", "--rho", "0.3", "--n", "5000", "--reps", "40", "--seed", "8"]
 
     @pytest.mark.parametrize(

@@ -6,6 +6,9 @@ a module (``BINDINGS`` in ``bench/spans.py``), which it replaces by attribute.
 
 No module imports the ``scipy.signal`` package, which takes over a second to
 import; ``dwlab.model`` loads the one compiled filter it needs by file path.
+No module imports ``sysconfig`` either: a thread that reads its config cache
+while another fills it gets None, so a first simulation from several threads
+at once could fail.
 """
 
 import ast
@@ -45,8 +48,8 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
-def scipy_signal_imports(source: str) -> list:
-    """Line numbers of the import statements that load ``scipy.signal`` or a module under it."""
+def imports_of(source: str, package: str) -> list:
+    """Line numbers of the import statements that load ``package`` or a module under it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -55,7 +58,7 @@ def scipy_signal_imports(source: str) -> list:
             modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in modules):
+        if any(m == package or m.startswith(package + ".") for m in modules):
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -94,9 +97,30 @@ def test_a_leftover_import_is_caught():
     assert unused_imports(source) == ["nullcontext"]
 
 
+def _importers(package: str) -> dict:
+    return {module: lines for module, source in _sources().items() if (lines := imports_of(source, package))}
+
+
 def test_no_module_imports_scipy_signal():
-    found = {module: lines for module, source in _sources().items() if (lines := scipy_signal_imports(source))}
+    found = _importers("scipy.signal")
     assert not found, found
+
+
+def test_no_module_imports_sysconfig():
+    found = _importers("sysconfig")
+    assert not found, found
+
+
+def test_a_sysconfig_import_is_caught():
+    source = (
+        "import sys\n"
+        "import sysconfig\n"
+        "from sysconfig import get_config_var\n"
+        "import sysconfigure\n"
+        "def f():\n"
+        "    import sysconfig as sc\n"
+    )
+    assert imports_of(source, "sysconfig") == [2, 3, 6]
 
 
 def test_a_scipy_signal_import_is_caught():
@@ -110,4 +134,4 @@ def test_a_scipy_signal_import_is_caught():
         "def f():\n"
         "    from scipy.signal._signaltools import lfilter\n"
     )
-    assert scipy_signal_imports(source) == [2, 3, 4, 5, 8]
+    assert imports_of(source, "scipy.signal") == [2, 3, 4, 5, 8]

@@ -1,11 +1,12 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from dwlab import montecarlo
-from dwlab.errors import DegenerateStatistic, DomainError, TooShort
+from dwlab.errors import DegenerateStatistic, DomainError, OutOfRegion, TooShort
 from dwlab.estimators import (
     DEFAULT_BURN_IN,
     dw_statistic,
@@ -329,11 +330,25 @@ class TestReplicateBlocks:
         run_replications(config(0.5, 0.3, n=5000, reps=3, seed=1))
         assert sizes == [1, 1, 1]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_block_is_simulated_in_the_pool(self, monkeypatch, threads):
+        callers = []
+        real = montecarlo.simulate_paths
+
+        def recording(*args):
+            callers.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "simulate_paths", recording)
+        run_replications(config(0.5, 0.3, n=5000, reps=30, seed=1), threads=threads)
+        assert len(callers) == 3  # blocks of 13, 13 and 4
+        assert threading.get_ident() not in callers
+
     @pytest.mark.parametrize("size", [1, 2, 7, 100, 103])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_degenerate_replicate_raises_its_own_error(self, monkeypatch, size, threads):
-        # replicate 61 is the first whose theta^2 plug-in is negative; it sits in a
-        # pool block for most block sizes, and later blocks fail too
+        # replicate 61 is the first whose theta^2 plug-in is negative; it sits past
+        # the first block for most block sizes, and later blocks fail too
         cfg = config(0.25, 0.0, n=2000, reps=100, seed=4)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", size * (cfg.n + 1))
         with pytest.raises(DegenerateStatistic, match=r"^theta\^2 plug-in -0\.0159358 outside \(0, 1\)"):
@@ -358,3 +373,24 @@ class TestReplicateBlocks:
             with pytest.raises(DomainError) as blocked:
                 montecarlo._map_paths(statistic, cfg, threads)
             assert str(blocked.value) == str(first.value)
+
+
+# |theta| < 1, so the path could be drawn, but outside the limits' region |theta| < 1 - 1e-9
+_OUT_OF_REGION = {
+    "clt": lambda cfg: run_replications(cfg, threads=2),
+    "size": lambda cfg: empirical_size_power("zero", cfg, threads=2),
+    "power": lambda cfg: empirical_size_power("rho0", cfg, rho0=0.1, threads=2),
+    "critical": lambda cfg: empirical_size_power("critical", cfg, threads=2),
+    "qsl": lambda cfg: qsl_check(cfg, "theta", threads=2),
+    "lil": lambda cfg: lil_envelope_check(cfg, "theta", [cfg.n], threads=2),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_OUT_OF_REGION))
+def test_out_of_region_point_fails_before_any_path_is_drawn(monkeypatch, experiment):
+    def no_draw(*args):
+        raise AssertionError("simulate_paths was called")
+
+    monkeypatch.setattr(montecarlo, "simulate_paths", no_draw)
+    with pytest.raises(OutOfRegion, match="^parameter out of admissible region: theta$"):
+        _OUT_OF_REGION[experiment](config(0.9999999999, 0.3, n=10_000, reps=3000, seed=1))

@@ -279,8 +279,11 @@ class TestAutoFlow:
 
     def test_critical_branch_with_zero_rho0_degenerates(self):
         x = path(0.4, -0.4, seed=16)
-        with pytest.raises(DegenerateStatistic):
-            auto_test(x, 0.0, 0.05)
+        assert auto_test(x, 0.4, 0.05).branch == "critical"
+        for rho0 in (0.0, -0.0):
+            with pytest.raises(DegenerateStatistic) as exc:
+                auto_test(x, rho0, 0.05)
+            assert str(exc.value) == "theta = -rho accepted: the rho = rho0 test is undefined at rho0 = 0"
 
 
 def _dw_of(x):
