@@ -128,7 +128,9 @@ def residuals(path: ArrayLike, theta_hat: float) -> np.ndarray:
     x = _as_block(path)
     res = np.empty_like(x)
     res[..., 0] = x[..., 0]
-    res[..., 1:] = x[..., 1:] - _lagged(theta_hat) * x[..., :-1]
+    # X_k - theta_hat*X_{k-1}, formed in res itself: the same two roundings, no temporaries
+    np.multiply(_lagged(theta_hat), x[..., :-1], out=res[..., 1:])
+    np.subtract(x[..., 1:], res[..., 1:], out=res[..., 1:])
     return res
 
 

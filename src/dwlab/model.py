@@ -18,6 +18,9 @@ loop behind ``scipy.signal.lfilter`` (``_linear_filter`` in scipy's
 on the first call without importing the ``scipy.signal`` package: that
 import takes over a second and pulls in scipy.stats, scipy.interpolate and
 scipy.optimize.  Commands that only read a series never load the extension.
+Each recursion runs from zero state over rows that start with the initial
+value, eps_0 or X_0, so a block holds three path-sized arrays (the draws,
+eps and X) and copies none of them.
 """
 
 from __future__ import annotations
@@ -187,33 +190,38 @@ def simulate_paths(params: ModelParams, noise: NoiseSpec, n: int, seeds: Sequenc
     row is a deterministic function of (params, noise, n, seeds[i]) alone,
     bit for bit the path that a block of one draws from the same seed, and
     the defining recurrences hold exactly on it: recomputing
-    theta*X_{k-1} + eps_k in float64 reproduces X_k bit for bit.
+    theta*X_{k-1} + eps_k in float64 reproduces X_k bit for bit.  ``v`` is a
+    view from column 1 of a (B, n+1) buffer: each row is contiguous, the
+    block is not.
     """
     validate_params(params)
     if n < 2:
         raise InvalidLength(f"need n >= 2 steps, got {n}")
     if n > MAX_LENGTH:
         raise InvalidLength(f"n exceeds the supported maximum {MAX_LENGTH}")
-    rows = len(seeds)
-    v = np.empty((rows, n))
-    for row, seed in zip(v, seeds):
-        noise._draw_into(row, make_rng(seed), params.sigma2)
+    # u holds eps_0 then V_1..V_n in each row
+    u = np.empty((len(seeds), n + 1))
+    u[:, 0] = params.eps0
+    for row, seed in zip(u, seeds):
+        noise._draw_into(row[1:], make_rng(seed), params.sigma2)
 
-    # lfilter's C loop runs the one-pole recursions y_k = a*y_{k-1} + u_k
+    # lfilter's C loop runs the one-pole recursion y_k = a*y_{k-1} + u_k
     # along each row, with the same two roundings per step as a naive loop,
-    # hence bit-exact recurrences.  With a[0] = 1 lfilter would pass b, a, u
-    # and zi to it unchanged, so the paths are the ones lfilter draws.
+    # hence bit-exact recurrences.  From zero state its first step is
+    # y_0 = 0.0 + 1.0*u_0 = u_0, and it carries a*u_0 on, just as zi = a*u_0
+    # would: a row led by its initial value filters to the path, with no
+    # copy.  eps's column 0 carries X_0 into the second filter and is then
+    # restored; x's is written back, as a -0.0 start comes out as +0.0.
+    # With a[0] = 1 lfilter would pass b, a and u to the loop unchanged, so
+    # the paths are the ones lfilter draws.
     one_pole = _linear_filter()
     b = np.array([1.0])
-    eps = np.empty((rows, n + 1))
+    eps = one_pole(b, np.array([1.0, -params.rho]), u, -1)
+    eps[:, 0] = params.x0
+    x = one_pole(b, np.array([1.0, -params.theta]), eps, -1)
     eps[:, 0] = params.eps0
-    zi = np.full((rows, 1), params.rho * params.eps0)
-    eps[:, 1:] = one_pole(b, np.array([1.0, -params.rho]), v, -1, zi)[0]
-    x = np.empty((rows, n + 1))
     x[:, 0] = params.x0
-    zi = np.full((rows, 1), params.theta * params.x0)
-    x[:, 1:] = one_pole(b, np.array([1.0, -params.theta]), eps[:, 1:], -1, zi)[0]
-    return x, eps, v
+    return x, eps, u[:, 1:]
 
 
 @cache

@@ -48,9 +48,11 @@ from .testing import critical_case_test, rho_test, rho_zero_test  # noqa: F401
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 # Path values per replicate block, so B = max(1, _BLOCK_VALUES // (n + 1))
-# paths: 13 at n = 5000, one from n = 2^15 on.  Swept at n = 5000, B = 8 to
-# 64 ran equally fast on 2 threads, while the peak RSS grew with B (111 MB at
-# B = 1, 113 at 13, 122 at 32, 140 at 64).
+# paths: 13 at n = 5000, one from n = 2^15 on.  Swept at n = 5000 (clt and
+# power, 3000 replicates each, twice, in one process under verify's pinned
+# malloc thresholds), B = 13 to 64 ran equally fast on 2 threads and B = 1
+# half as fast, while the peak RSS grew with B (44 MB at B = 1, 48 at 13, 56
+# at 32, 69 at 64).
 _BLOCK_VALUES = 2**16
 
 # Tolerances used by the verification experiments, echoed in every report.

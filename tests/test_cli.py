@@ -1,11 +1,14 @@
 import ast
 import csv
+import ctypes
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -691,6 +694,87 @@ class TestReplicateBlocksUnderThreads:
             assert proc.stderr == (
                 f"error: theta^2 plug-in {message} outside (0, 1); statistic leaves the chi-square regime\n"
             )
+
+
+def _minor_faults(*args: str) -> int:
+    """Minor page faults of one ``python *args`` child, from RUSAGE_CHILDREN around its run."""
+    import resource  # POSIX only, like the test that calls this
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = run_fresh(*args)
+    assert proc.returncode == 0, proc.stderr
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+def _without_timestamp(stdout: str) -> str:
+    data = json.loads(stdout)
+    data["manifest"].pop("timestamp")
+    return json.dumps(data)
+
+
+class TestWarmBlockMemory:
+    """verify pins glibc's malloc thresholds, so a pool worker reuses its heap from block to block."""
+
+    VERIFY = ["verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3", "--n", "500", "--reps", "300",
+              "--seed", "2", "--threads", "2"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+    def test_faults_per_replicate_stay_small(self):
+        # with glibc's dynamic thresholds each 1.6 MB block page-faulted back in: about 1500 faults per replicate
+        args = ["-m", "dwlab", "verify", "--experiment", "qsl", "--theta", "0.5", "--rho", "0.3", "--n", "200000",
+                "--threads", "2", "--seed", "1", "--reps"]
+        many, one = _minor_faults(*args, "40"), _minor_faults(*args, "1")
+        assert (many - one) / 39 < 300, (many, one)
+
+    def test_importing_the_cli_does_not_import_ctypes(self):
+        # numpy imports ctypes itself if it can, so block it: no command but verify may need it
+        script = (
+            "import sys\n"
+            "sys.modules['ctypes'] = None\n"
+            "import dwlab.cli\n"
+            "assert dwlab.cli.main(['limits', '--theta', '0.5', '--rho', '0.3']) == 0\n"
+        )
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_thresholds_are_set_once_per_verify(self, capsys, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert run_cli(capsys, *self.VERIFY)[0] == 0
+        assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+        assert run_cli(capsys, "limits", "--theta", "0.5", "--rho", "0.3")[0] == 0
+        assert len(calls) == 2
+
+    def test_a_libc_without_mallopt_changes_nothing(self, capsys, monkeypatch):
+        def no_library(name):
+            raise OSError("no C library")
+
+        code, expected, _ = run_cli(capsys, *self.VERIFY)
+        assert code == 0
+        for cdll in (no_library, lambda name: SimpleNamespace()):
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            code, out, err = run_cli(capsys, *self.VERIFY)
+            assert code == 0 and err == ""
+            assert _without_timestamp(out) == _without_timestamp(expected)
+
+    def test_no_library_is_opened_off_posix(self, capsys, monkeypatch):
+        # Windows' CDLL takes no None; the C library there has no mallopt anyway
+        def no_call(name):
+            raise AssertionError("CDLL called")
+
+        expected = run_cli(capsys, *self.VERIFY)[1]
+        monkeypatch.setattr(ctypes, "CDLL", no_call)
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "name", "nt")
+            code, out, err = run_cli(capsys, *self.VERIFY)
+        assert code == 0 and err == ""
+        assert _without_timestamp(out) == _without_timestamp(expected)
 
 
 def _reference_jsonable(obj):

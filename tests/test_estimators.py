@@ -21,7 +21,7 @@ from dwlab.estimators import (
     running_estimates,
     squared_deviation_sum,
 )
-from dwlab.model import ModelParams, NoiseSpec, simulate
+from dwlab.model import NOISE_KINDS, ModelParams, NoiseSpec, simulate
 
 from oracles import dot_fsum, dw_fsum, rel_close, rho_hat_fsum, sum_fsum, theta_hat_fsum
 
@@ -172,6 +172,52 @@ class TestBlocks:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="^theta_hat is not finite"):
                 estimate_all(np.stack([good, bad]))
+
+
+def _reference_residuals(x, theta_hat):
+    """residuals as one expression, with its two path-sized temporaries."""
+    x = np.asarray(x, dtype=np.float64)
+    res = np.empty_like(x)
+    res[..., 0] = x[..., 0]
+    res[..., 1:] = x[..., 1:] - np.asarray(theta_hat)[..., None] * x[..., :-1]
+    return res
+
+
+class TestResiduals:
+    """residuals forms X_k - theta_hat*X_{k-1} in its output, with the expression's roundings."""
+
+    def test_series_is_the_expression(self):
+        x = simulate(ModelParams(0.93, -0.4, x0=3.5), NoiseSpec("uniform"), 5000, 3).x
+        for theta_hat in (estimate_theta(x), 0.0, -0.999, 1e-300):
+            assert residuals(x, theta_hat).tobytes() == _reference_residuals(x, theta_hat).tobytes()
+
+    def test_block_with_a_theta_per_row(self):
+        block = np.stack([simulate(ModelParams(0.5, 0.3), NoiseSpec(kind), 777, 9).x for kind in NOISE_KINDS])
+        theta_hat = estimate_theta(block)
+        got = residuals(block, theta_hat)
+        assert got.tobytes() == _reference_residuals(block, theta_hat).tobytes()
+        for row, th, res in zip(block, theta_hat, got):
+            assert residuals(row, float(th)).tobytes() == res.tobytes()
+
+    def test_signed_zeros(self):
+        # -0.0 - 0.0*x and 0.0 - (-0.0) keep numpy's signs only if the same two operations run
+        block = np.array([[-0.0, -0.0, 1.0, -0.0, 0.0], [0.0, -0.0, -0.0, 2.0, -0.0], [-0.0] * 5])
+        for theta_hat in (0.0, -0.0, np.array([0.0, -0.0, 0.5]), np.array([-0.5, 0.0, -0.0])):
+            assert residuals(block, theta_hat).tobytes() == _reference_residuals(block, theta_hat).tobytes()
+            assert residuals(block[2], 0.0).tobytes() == _reference_residuals(block[2], 0.0).tobytes()
+
+    def test_memory_is_the_output(self):
+        # the expression form also held the product and the difference, near 3 x.nbytes
+        x = simulate(ModelParams(0.5, 0.3), NoiseSpec(), 10**5, 4).x
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            residuals(x, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * x.nbytes
 
 
 class TestIdentities:

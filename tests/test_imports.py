@@ -8,7 +8,8 @@ No module imports the ``scipy.signal`` package, which takes over a second to
 import; ``dwlab.model`` loads the one compiled filter it needs by file path.
 No module imports ``sysconfig`` either: a thread that reads its config cache
 while another fills it gets None, so a first simulation from several threads
-at once could fail.
+at once could fail.  Only ``dwlab.cli`` imports ``ctypes``, inside the
+function that sets the allocator up for ``verify``.
 """
 
 import ast
@@ -135,3 +136,11 @@ def test_a_scipy_signal_import_is_caught():
         "    from scipy.signal._signaltools import lfilter\n"
     )
     assert imports_of(source, "scipy.signal") == [2, 3, 4, 5, 8]
+
+
+def test_only_the_cli_imports_ctypes_and_only_inside_a_function():
+    # the allocator setup of `verify` is the one user; numpy loads ctypes for itself
+    found = _importers("ctypes")
+    assert list(found) == ["dwlab.cli"], found
+    top_level = [node.lineno for node in ast.parse(_sources()["dwlab.cli"]).body if node.lineno in found["dwlab.cli"]]
+    assert not top_level, top_level

@@ -45,6 +45,24 @@ def _reference_path(p, noise, n, seed):
     return x, eps, v
 
 
+def _reference_block(p, noise, n, seeds):
+    """A block as simulate_paths drew it with five path-sized arrays: V, two filter outputs, eps and x."""
+    one_pole = model._linear_filter()
+    b = np.array([1.0])
+    v = np.empty((len(seeds), n))
+    for row, seed in zip(v, seeds):
+        noise._draw_into(row, make_rng(seed), p.sigma2)
+    eps = np.empty((len(seeds), n + 1))
+    eps[:, 0] = p.eps0
+    zi = np.full((len(seeds), 1), p.rho * p.eps0)
+    eps[:, 1:] = one_pole(b, np.array([1.0, -p.rho]), v, -1, zi)[0]
+    x = np.empty((len(seeds), n + 1))
+    x[:, 0] = p.x0
+    zi = np.full((len(seeds), 1), p.theta * p.x0)
+    x[:, 1:] = one_pole(b, np.array([1.0, -p.theta]), eps[:, 1:], -1, zi)[0]
+    return x, eps, v
+
+
 class TestValidation:
     def test_interior_point_ok(self):
         validate_params(ModelParams(theta=0.5, rho=0.3, sigma2=1.0))
@@ -178,6 +196,32 @@ class TestSimulate:
                 assert got.tobytes() == single.tobytes() == want.tobytes()
         assert np.array_equal(x[:, 1:], p.theta * x[:, :-1] + eps[:, 1:])
         assert np.array_equal(eps[:, 1:], p.rho * eps[:, :-1] + v)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("x0, eps0", [(0.0, 0.0), (-0.0, -0.0), (0.7, -0.2), (1e10, -3.0)])
+    def test_zero_state_filter_is_the_five_array_block(self, kind, rows, x0, eps0):
+        # filtering rows led by their initial values, from zero state, draws the same bytes
+        seeds = [41, 2**64 - 1, 0][:rows]
+        for theta, rho in [(0.0, 0.0), (0.99, -0.99), (-0.99, 0.99), (0.5, 0.0), (0.0, -0.3), (-0.99, -0.99)]:
+            p = ModelParams(theta=theta, rho=rho, sigma2=1.7, x0=x0, eps0=eps0)
+            got = simulate_paths(p, NoiseSpec(kind), 301, seeds)
+            for a, want in zip(got, _reference_block(p, NoiseSpec(kind), 301, seeds)):
+                assert a.shape == want.shape and a.tobytes() == want.tobytes(), (theta, rho)
+
+    def test_block_holds_three_path_sized_arrays(self):
+        # u (eps_0 and V), eps and x; the five-array block peaked near 4 x.nbytes
+        simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 2, [7])  # imports numpy.random on first use
+        for seeds in ([7], [7, 8, 9]):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                x, eps, v = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, seeds)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.2 * x.nbytes
 
     def test_block_is_validated_like_one_path(self):
         with pytest.raises(InvalidLength):
