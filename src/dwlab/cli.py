@@ -217,11 +217,12 @@ def _cmd_limits(args):
 def _keep_freed_memory() -> None:
     """Pin glibc's malloc thresholds, so that the memory a block frees stays mapped for the next block.
 
-    Under glibc's dynamic thresholds each pool worker's heap is trimmed
-    after a block, and at n = 10^6 the next block page-faults about 10 MB
-    back in.  Fixed thresholds keep arrays of up to 32 MiB in the heaps and
-    let up to 128 MiB of free memory stay there.  ``ctypes`` is imported
-    only here.  Where the C library has no ``mallopt`` this does nothing.
+    Under glibc's dynamic thresholds the heap is trimmed after a block, and
+    at n = 10^6 the next block page-faults about 10 MB back in.  Fixed
+    thresholds keep arrays of up to 32 MiB in the heap and let up to
+    128 MiB of free memory stay there; forked workers inherit them.
+    ``ctypes`` is imported only here.  Where the C library has no
+    ``mallopt`` this does nothing.
     """
     if os.name != "posix":  # CDLL(None) is dlopen(NULL), the running program's symbols
         return
@@ -336,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in for the qsl experiment")
     p.add_argument("--checkpoints", help="comma-separated sample sizes for the lil experiment")
     p.add_argument("--csv", help="dump per-replicate rows to this CSV file")
-    p.add_argument("--threads", type=int, help=f"worker threads (fallback: ${THREADS_ENV}, then 1)")
+    p.add_argument(
+        "--threads", type=int, help=f"worker processes, at most one per usable CPU (fallback: ${THREADS_ENV}, then 1)"
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -12,6 +12,10 @@ class OutOfRegion(DWLabError):
         self.field = field
         super().__init__(message or f"parameter out of admissible region: {field}")
 
+    def __reduce__(self):
+        # args holds the message alone, so the default would pass it back in as the field
+        return type(self), (self.field, str(self))
+
 
 class InvalidLength(DWLabError):
     """Requested or supplied series length is unusable."""

@@ -9,14 +9,15 @@ the law of iterated logarithm.
 Replicate i always uses seed ``derive_seed(base_seed, i)``.  Replicates are
 simulated and fitted in blocks of consecutive indices, one path per row of a
 (B, n+1) array; each row is the path its seed alone gives, so reports are
-bit-identical whatever the block size or the degree of parallelism.  All
-blocks run in a pool of worker threads, in index order.
+bit-identical whatever the block size or the number of workers.  With more
+than one worker the blocks run in processes forked from the caller, each
+taking one contiguous share of them; otherwise they run in the caller.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Optional, Sequence
@@ -187,6 +188,27 @@ def _base_report(experiment: str, cfg: McConfig, targets: dict, tolerances: dict
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# In a forked worker: the block function of the _map_paths call that forked it.
+_worker_block: Optional[Callable[[int], list]] = None
+
+
+def _start_worker(block: Callable[[int], list]) -> None:
+    global _worker_block
+    _worker_block = block
+
+
+def _run_share(starts: Sequence[int]) -> list:
+    """The results of the blocks at ``starts``, in order; the first failing block stops the share."""
+    return list(chain.from_iterable(map(_worker_block, starts)))
+
+
 def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: int) -> list:
     """Simulate every replicate path and apply statistic to it, preserving index order.
 
@@ -195,9 +217,17 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     consecutive indices: one :func:`simulate_paths` call draws a block as a
     (B, n+1) array, and ``statistic`` returns the B per-replicate results of
     its rows, in row order.  Each row depends only on its own seed, so the
-    result depends neither on B nor on the number of worker threads.  The
-    pool takes every block in index order, and the first block in that order
-    to raise cancels the blocks still queued.
+    result depends neither on B nor on the number of workers.
+
+    The blocks run on W = min(threads, blocks, usable CPUs) workers.  With
+    W >= 2, and where the platform can fork, the blocks are cut into
+    contiguous shares of ceil(blocks / W), and one worker process forked
+    from this one runs each share.  The workers reach ``statistic`` through
+    the fork, so nothing but each share's results is pickled.  Otherwise
+    the blocks run here, one after another.  A worker stops at its first
+    failing block, and the error raised is the one of the first failing
+    block in index order.  A worker that dies fails the run with a
+    :class:`DWLabError`.
 
     When a block raises, its rows are rerun one at a time, so the error is
     the one the first failing replicate raises on its own, as with B = 1.
@@ -205,6 +235,7 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     if threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
     size = max(1, _BLOCK_VALUES // (cfg.n + 1))
+    starts = range(0, cfg.replicates, size)
 
     def block(start: int) -> list:
         seeds = [derive_seed(cfg.base_seed, i) for i in range(start, min(start + size, cfg.replicates))]
@@ -216,8 +247,30 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
                 statistic(x[row : row + 1])
             raise
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(chain.from_iterable(pool.map(block, range(0, cfg.replicates, size))))
+    workers = min(threads, len(starts), _usable_cpus())
+    if workers >= 2 and hasattr(os, "fork"):
+        return _forked_map(block, starts, workers)
+    return list(chain.from_iterable(map(block, starts)))
+
+
+def _forked_map(block: Callable[[int], list], starts: range, workers: int) -> list:
+    """The blocks at ``starts`` run in contiguous shares on forked workers, results in index order."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    share = -(-len(starts) // workers)
+    shares = [starts[i : i + share] for i in range(0, len(starts), share)]
+    fork = multiprocessing.get_context("fork")
+    # with fork the executor starts every worker before its own thread, and passes initargs unpickled
+    with ProcessPoolExecutor(len(shares), mp_context=fork, initializer=_start_worker, initargs=(block,)) as pool:
+        futures = [pool.submit(_run_share, s) for s in shares]
+        try:
+            # the shares are in index order and each stops at its own first failure,
+            # so the first share to fail holds the first failing block
+            return list(chain.from_iterable(f.result() for f in futures))
+        except BrokenProcessPool as exc:
+            raise DWLabError("a Monte Carlo worker process died before finishing its share") from exc
 
 
 def _fit_rows(x: np.ndarray) -> list:

@@ -594,7 +594,7 @@ class TestDeferredScipyImport:
             "assert 'scipy.signal' not in sys.modules, 'loaded by a reading command'\n"
             f"assert dwlab.cli.main(['simulate', *{path!r}, '--n', '50',"
             f" '--output', {str(tmp_path / 'p.csv')!r}]) == 0\n"
-            # 13 replicates to a block at n = 5000, so the pool simulates three blocks
+            # 13 replicates to a block at n = 5000, so two forked workers simulate three blocks
             f"assert dwlab.cli.main(['verify', '--experiment', 'clt', *{path!r}, '--n', '5000', '--reps', '30',"
             " '--threads', '2']) == 0\n"
             "assert 'scipy.signal' not in sys.modules, 'loaded by simulating a path'\n"
@@ -642,21 +642,34 @@ class TestDeferredScipyImport:
         assert proc.stderr == ""
 
 
+def _runs_agree_across_workers(tmp_path, *args: str) -> dict:
+    """Run ``python *args`` at 1, 2 and 3 workers; the JSON and the --csv dumps must match. Returns the JSON."""
+    runs = [run_fresh(*args, "--threads", t, "--csv", str(tmp_path / f"{t}.csv")) for t in "123"]
+    assert all(r.returncode == 0 for r in runs), "".join(r.stderr for r in runs)
+    reports = [json.dumps(strip_manifest(r.stdout)) for r in runs]
+    assert reports == reports[:1] * 3
+    dumps = [(tmp_path / f"{t}.csv").read_bytes() for t in "123"]
+    assert dumps == dumps[:1] * 3
+    return json.loads(reports[0])
+
+
 class TestBlockedTrajectoriesUnderThreads:
+    # at n = 40000 every path is a block of its own and runs through several blocks of running_estimates
+    LONG = ["-m", "dwlab", "verify", "--theta", "0.5", "--rho", "0.3", "--n", "40000", "--reps", "4", "--seed", "5"]
+
     def test_qsl_reports_are_thread_count_invariant(self, tmp_path):
-        # at n = 40000 every path runs through several blocks of running_estimates
-        args = ["-m", "dwlab", "verify", "--experiment", "qsl", "--which", "dw", "--theta", "0.5", "--rho", "0.3",
-                "--n", "40000", "--reps", "4", "--seed", "5"]
-        runs = [run_fresh(*args, "--threads", t, "--csv", str(tmp_path / f"{t}.csv")) for t in ("1", "2")]
-        assert all(r.returncode == 0 for r in runs), runs[0].stderr + runs[1].stderr
-        one, two = (strip_manifest(r.stdout) for r in runs)
-        assert json.dumps(one) == json.dumps(two)
+        one = _runs_agree_across_workers(tmp_path, *self.LONG, "--experiment", "qsl", "--which", "dw")
         assert len(one["report"]["qsl"]["values"]) == 4
-        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+    def test_lil_reports_are_thread_count_invariant(self, tmp_path):
+        one = _runs_agree_across_workers(
+            tmp_path, *self.LONG, "--experiment", "lil", "--which", "rho", "--checkpoints", "100,5000,40000"
+        )
+        assert len(one["report"]["lil"]["deviations"]) == 4
 
 
 class TestReplicateBlocksUnderThreads:
-    # n = 5000 puts 13 replicates in a block, so 40 replicates make four blocks for the pool
+    # n = 5000 puts 13 replicates in a block, so 40 replicates make four blocks for the workers
     BLOCKED = ["-m", "dwlab", "verify", "--theta", "0.5", "--rho", "0.3", "--n", "5000", "--reps", "40", "--seed", "8"]
 
     @pytest.mark.parametrize(
@@ -669,12 +682,12 @@ class TestReplicateBlocksUnderThreads:
         ids=["power_rho0_rademacher", "size_zero", "critical"],
     )
     def test_reports_are_thread_count_invariant(self, tmp_path, extra):
-        runs = [run_fresh(*self.BLOCKED, *extra, "--threads", t, "--csv", str(tmp_path / f"{t}.csv")) for t in "12"]
-        assert all(r.returncode == 0 for r in runs), runs[0].stderr + runs[1].stderr
-        one, two = (strip_manifest(r.stdout) for r in runs)
-        assert json.dumps(one) == json.dumps(two)
+        one = _runs_agree_across_workers(tmp_path, *self.BLOCKED, *extra)
         assert len(one["report"]["test_statistics"]) == 40
-        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+    def test_clt_reports_are_thread_count_invariant(self, tmp_path):
+        one = _runs_agree_across_workers(tmp_path, *self.BLOCKED, "--experiment", "clt")
+        assert len(one["report"]["estimates"]["dw"]) == 40
 
     @pytest.mark.parametrize(
         "args, message",
@@ -713,7 +726,7 @@ def _without_timestamp(stdout: str) -> str:
 
 
 class TestWarmBlockMemory:
-    """verify pins glibc's malloc thresholds, so a pool worker reuses its heap from block to block."""
+    """verify pins glibc's malloc thresholds, so a worker reuses its heap from block to block."""
 
     VERIFY = ["verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3", "--n", "500", "--reps", "300",
               "--seed", "2", "--threads", "2"]

@@ -9,10 +9,15 @@ import; ``dwlab.model`` loads the one compiled filter it needs by file path.
 No module imports ``sysconfig`` either: a thread that reads its config cache
 while another fills it gets None, so a first simulation from several threads
 at once could fail.  Only ``dwlab.cli`` imports ``ctypes``, inside the
-function that sets the allocator up for ``verify``.
+function that sets the allocator up for ``verify``.  Only ``dwlab.montecarlo``
+imports ``concurrent.futures`` and ``multiprocessing``, inside the function
+that forks the Monte Carlo workers, so no other command pays for them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dwlab
@@ -138,9 +143,36 @@ def test_a_scipy_signal_import_is_caught():
     assert imports_of(source, "scipy.signal") == [2, 3, 4, 5, 8]
 
 
+def _imported_only_inside(module: str, function: str, package: str) -> None:
+    found = _importers(package)
+    assert list(found) == [module], found
+    tree = ast.parse(_sources()[module])
+    top_level = [node.lineno for node in tree.body if node.lineno in found[module]]
+    assert not top_level, top_level
+    (owner,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    outside = [line for line in found[module] if not owner.lineno <= line <= owner.end_lineno]
+    assert not outside, (outside, function)
+
+
 def test_only_the_cli_imports_ctypes_and_only_inside_a_function():
     # the allocator setup of `verify` is the one user; numpy loads ctypes for itself
-    found = _importers("ctypes")
-    assert list(found) == ["dwlab.cli"], found
-    top_level = [node.lineno for node in ast.parse(_sources()["dwlab.cli"]).body if node.lineno in found["dwlab.cli"]]
-    assert not top_level, top_level
+    _imported_only_inside("dwlab.cli", "_keep_freed_memory", "ctypes")
+
+
+def test_worker_processes_are_imported_only_where_they_are_forked():
+    for package in ("concurrent.futures", "multiprocessing"):
+        _imported_only_inside("dwlab.montecarlo", "_forked_map", package)
+
+
+def test_no_command_but_a_parallel_verify_loads_worker_processes():
+    script = (
+        "import sys, dwlab.cli\n"
+        "loaded = lambda: sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)\n"
+        "assert not loaded(), ('loaded by import', loaded())\n"
+        "assert dwlab.cli.main(['limits', '--theta', '0.5', '--rho', '0.3']) == 0\n"
+        "assert not loaded(), ('loaded by limits', loaded())\n"
+    )
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,11 @@
+import concurrent.futures
 import json
 import math
-import threading
+import os
+import subprocess
+import sys
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,19 @@ from dwlab.montecarlo import (
     qsl_check,
     run_replications,
 )
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+
+
+def _pids(x):
+    return [os.getpid()] * len(x)
+
+
+def _first_values(x):
+    return x[:, 1].tolist()
 
 
 def config(theta, rho, n, reps, seed, alpha=0.05, kind="gaussian", sigma2=1.0):
@@ -330,19 +348,73 @@ class TestReplicateBlocks:
         run_replications(config(0.5, 0.3, n=5000, reps=3, seed=1))
         assert sizes == [1, 1, 1]
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_every_block_is_simulated_in_the_pool(self, monkeypatch, threads):
-        callers = []
-        real = montecarlo.simulate_paths
+    def test_one_worker_runs_every_block_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        pids = montecarlo._map_paths(_pids, config(0.5, 0.3, n=5000, reps=30, seed=1), 1)
+        assert pids == [os.getpid()] * 30
 
-        def recording(*args):
-            callers.append(threading.get_ident())
-            return real(*args)
+    @needs_fork
+    def test_two_workers_are_forked_processes(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        pids = montecarlo._map_paths(_pids, config(0.5, 0.3, n=5000, reps=30, seed=1), 2)
+        assert len(pids) == 30  # blocks of 13, 13 and 4: shares of two blocks and one
+        assert os.getpid() not in pids
+        assert len(set(pids)) == 2
+        assert pids[:26] == [pids[0]] * 26 and pids[26:] == [pids[26]] * 4
 
-        monkeypatch.setattr(montecarlo, "simulate_paths", recording)
-        run_replications(config(0.5, 0.3, n=5000, reps=30, seed=1), threads=threads)
-        assert len(callers) == 3  # blocks of 13, 13 and 4
-        assert threading.get_ident() not in callers
+    @needs_fork
+    @pytest.mark.parametrize(
+        "reps, cpus, workers", [(30, 2, [2]), (90, 3, [3]), (90, 64, [7]), (65, 4, [3]), (13, 64, [])]
+    )
+    def test_worker_count_is_capped_by_blocks_and_cpus(self, monkeypatch, reps, cpus, workers):
+        # 13 replicates to a block, so 30 make 3 blocks, 90 make 7, 65 make 5 and 13 one (run
+        # here); at W = 4 the 5 blocks go in shares of 2, so 3 workers suffice
+        started = []
+
+        class Inline:
+            """Records the worker count and runs each share here; starts no process."""
+
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        cfg = config(0.5, 0.3, n=5000, reps=reps, seed=1)
+        expected = montecarlo._map_paths(_first_values, cfg, 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "_worker_block", None)
+        assert montecarlo._map_paths(_first_values, cfg, 10_000) == expected
+        assert started == workers
+
+    @needs_fork
+    def test_a_dying_worker_fails_the_run_instead_of_hanging(self):
+        script = (
+            "import os\n"
+            "from dwlab import montecarlo\n"
+            "from dwlab.errors import DWLabError\n"
+            "from dwlab.model import ModelParams, NoiseSpec\n"
+            "montecarlo._usable_cpus = lambda: 2\n"
+            "cfg = montecarlo.McConfig(ModelParams(0.5, 0.3), NoiseSpec(), 5000, 30, 1)\n"
+            "try:\n"
+            "    montecarlo._map_paths(lambda x: os._exit(3), cfg, 2)\n"
+            "except DWLabError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "DWLabError a Monte Carlo worker process died before finishing its share\n"
 
     @pytest.mark.parametrize("size", [1, 2, 7, 100, 103])
     @pytest.mark.parametrize("threads", [1, 2])
