@@ -286,23 +286,42 @@ def _reference_verify_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+_SHARED_KEYS = [
+    "experiment", "theta", "rho", "sigma2", "noise", "n", "replicates", "base_seed", "alpha", "targets", "tolerances",
+]
+_CLT_KEYS = ["estimates", "standardized", "ks", "sample_cov", "notes"]
+_TEST_KEYS = ["rejection_rate", "test_kind", "test_statistics", "rejections", "notes"]
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize(
-        "experiment",
+        "experiment, keys",
         [
-            ["clt", "--theta", "0.5", "--rho", "0.3", "--n", "500", "--reps", "30"],
-            ["power", "--theta", "0.5", "--rho", "0.08", "--n", "1000", "--reps", "40"],
-            ["qsl", "--theta", "0.5", "--rho", "0.3", "--n", "10000", "--reps", "3", "--which", "dw"],
-            ["lil", "--theta", "0.5", "--rho", "0.3", "--n", "10000", "--reps", "4", "--which", "rho",
-             "--checkpoints", "1000,10000,5000"],
+            (["clt", "--theta", "0.5", "--rho", "0.3", "--n", "500", "--reps", "30"], _CLT_KEYS),
+            (["clt", "--theta", "0.5", "--rho", "0.3", "--n", "500", "--reps", "1"],
+             ["estimates", "standardized", "ks", "notes"]),
+            (["joint", "--theta", "0.4", "--rho", "-0.2", "--n", "500", "--reps", "20"], _CLT_KEYS),
+            (["size", "--theta", "0.5", "--rho", "0", "--n", "1000", "--reps", "60"], _TEST_KEYS),
+            (["power", "--theta", "0.5", "--rho", "0.08", "--n", "1000", "--reps", "40"], _TEST_KEYS),
+            (["power", "--test-kind", "rho0", "--rho0", "0.3", "--theta", "0.5", "--rho", "0.1", "--n", "1000",
+              "--reps", "40"],
+             ["rejection_rate", "test_kind", "rho0", "test_statistics", "rejections", "notes"]),
+            (["critical", "--theta", "0.5", "--rho", "-0.5", "--n", "1000", "--reps", "60"], _TEST_KEYS),
+            (["qsl", "--theta", "0.5", "--rho", "0.3", "--n", "10000", "--reps", "3", "--which", "dw"],
+             ["qsl", "notes"]),
+            (["lil", "--theta", "0.5", "--rho", "0.3", "--n", "10000", "--reps", "4", "--which", "rho",
+              "--checkpoints", "1000,10000,5000"],
+             ["lil", "notes"]),
         ],
-        ids=["clt", "power", "qsl", "lil"],
+        ids=["clt", "clt-one-rep", "joint", "size", "power", "power-rho0", "critical", "qsl", "lil"],
     )
-    def test_csv_dump_matches_csv_writer_bytes(self, capsys, tmp_path, experiment):
+    def test_csv_dump_matches_csv_writer_bytes(self, capsys, tmp_path, experiment, keys):
         dump = tmp_path / "rows.csv"
         code, out, _ = run_cli(capsys, "verify", "--experiment", *experiment, "--seed", "8", "--csv", str(dump))
         assert code == 0
         report = json.loads(out)["report"]
+        assert list(report) == _SHARED_KEYS + keys
+        assert report["experiment"] == experiment[0]
         if "rejections" in report:
             assert set(report["rejections"]) == {False, True}  # both 0 and 1 in the reject column
         assert dump.read_bytes() == _reference_verify_csv(report).encode()
