@@ -262,10 +262,9 @@ def _cmd_verify(args):
     else:  # lil
         checkpoints = _checkpoints(args.checkpoints) if args.checkpoints is not None else [cfg.n]
         report = lil_envelope_check(cfg, args.which, checkpoints, threads=threads)
-    report.experiment = experiment
     if args.csv:
         write_table(args.csv, *report.table())
-    return {"report": report.to_dict()}
+    return {"report": {"experiment": experiment, **report.to_dict()}}
 
 
 # ---------------------------------------------------------------------------

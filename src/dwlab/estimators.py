@@ -67,6 +67,12 @@ class RunningEstimates:
 TRAJECTORIES = ("theta", "rho", "dw")  # the trajectory fields of RunningEstimates, in walk order
 
 
+def check_which(which: str) -> None:
+    """A ``which`` that names no trajectory raises DomainError."""
+    if which not in TRAJECTORIES:
+        raise DomainError(f"which must be one of {TRAJECTORIES}")
+
+
 def _as_block(path: ArrayLike) -> np.ndarray:
     """The series, or a (B, n+1) block holding one series per row."""
     if isinstance(path, Series):
@@ -275,8 +281,7 @@ def squared_deviation_sum(path: ArrayLike, which: str, limit: float, k0: int = D
     :func:`running_estimates` applies, and a squared deviation or a sum that
     overflows raises the same DomainError, without numpy warnings.
     """
-    if which not in TRAJECTORIES:
-        raise DomainError(f"which must be one of {TRAJECTORIES}")
+    check_which(which)
     with _overflow_guard():
         track = _walk(path, k0, residual_sums=which != "theta")[TRAJECTORIES.index(which)]
         np.subtract(track, limit, out=track)

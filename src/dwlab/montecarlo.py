@@ -12,13 +12,18 @@ simulated and fitted in blocks of consecutive indices, one path per row of a
 bit-identical whatever the block size or the number of workers.  With more
 than one worker the blocks run in processes forked from the caller, each
 taking one contiguous share of them; otherwise they run in the caller.
+
+Each experiment returns one :class:`McReport`, built in one place: its JSON
+body (the fields every experiment shares, then the experiment's own
+results, then notes) and the per-replicate rows its workers returned,
+which ``verify --csv`` writes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
@@ -29,8 +34,10 @@ from .dist import ks_statistic, normal_cdf
 from .errors import DomainError, DWLabError
 from .estimators import (
     DEFAULT_BURN_IN,
+    TRAJECTORIES,
     EstimateSet,
     check_burn_in,
+    check_which,
     estimate_all,
     estimate_rho,
     estimate_theta,
@@ -38,7 +45,7 @@ from .estimators import (
     residuals,
     squared_deviation_sum,
 )
-from .model import _MASK64, ModelParams, NoiseSpec, check_seed, float_cells, simulate_paths
+from .model import _MASK64, ModelParams, NoiseSpec, check_seed, simulate_paths
 from .testing import check_alpha, check_rho0, critical_outcome, rho_outcome, zero_outcome
 
 # Unused here; the benchmark's span tracer wraps these names on this module.
@@ -70,14 +77,17 @@ LIL_NOTE = (
     "law of iterated logarithm is not observable at finite n"
 )
 
-# Each checked statistic: its EstimateSet field, then the target keys of its
-# almost-sure limit and of its asymptotic variance.
-_STATISTICS = {
-    "theta": ("theta_hat", "theta_star", "var_theta"),
-    "rho": ("rho_hat", "rho_star", "var_rho"),
-    "dw": ("dw", "d_star", "var_d"),
-}
-STATS = tuple(_STATISTICS)
+# The checked statistics are the running trajectories.
+STATS = TRAJECTORIES
+
+# Each checked statistic, in STATS order: its EstimateSet field, then the
+# target keys of its almost-sure limit and of its asymptotic variance.
+_STATISTICS = dict(
+    zip(
+        STATS,
+        (("theta_hat", "theta_star", "var_theta"), ("rho_hat", "rho_star", "var_rho"), ("dw", "d_star", "var_d")),
+    )
+)
 
 # The fitted statistics of each replicate, in EstimateSet and report order.
 _ESTIMATES = ("theta_hat", "rho_hat", "sigma2_hat", "dw", "theta_sq_hat")
@@ -126,66 +136,34 @@ class McConfig:
         check_alpha(self.alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class McReport:
-    """Everything one experiment produced, in JSON-ready plain types."""
+    """One experiment's report, in JSON-ready plain types.
 
-    experiment: str
-    theta: float
-    rho: float
-    sigma2: float
-    noise: str
-    n: int
-    replicates: int
-    base_seed: int
-    alpha: float
-    targets: dict
-    tolerances: dict
-    estimates: Optional[dict] = None
-    standardized: Optional[dict] = None
-    ks: Optional[dict] = None
-    sample_cov: Optional[list] = None
-    rejection_rate: Optional[float] = None
-    test_kind: Optional[str] = None
-    rho0: Optional[float] = None
-    test_statistics: Optional[list] = None
-    rejections: Optional[list] = None
-    qsl: Optional[dict] = None
-    lil: Optional[dict] = None
-    notes: list = field(default_factory=list)
+    ``body`` is the JSON body: the fields every experiment shares (model
+    point, noise, n, replicates, base seed, alpha, targets and tolerances),
+    then the experiment's own results, then ``notes``.  ``rows`` are the
+    per-replicate rows the workers returned, in replicate order, and
+    ``columns`` names their fields.
+    """
+
+    body: dict
+    columns: tuple
+    rows: list
 
     def to_dict(self) -> dict:
-        return {name: value for name, value in vars(self).items() if value is not None}
+        return self.body
 
     def table(self) -> tuple[list, list]:
-        """Header and columns of the per-replicate CSV dump, one row per replicate."""
-        index = range(self.replicates)
-        if self.estimates is not None:
-            names = list(self.estimates)
-            return ["replicate"] + names, [index] + [float_cells(self.estimates[name]) for name in names]
-        if self.test_statistics is not None:
-            columns = [index, float_cells(self.test_statistics), map(int, self.rejections)]
-            return ["replicate", "statistic", "reject"], columns
-        if self.qsl is not None:
-            return ["replicate", "qsl_value"], [index, float_cells(self.qsl["values"])]
-        header = ["replicate"] + [f"deviation_{m}" for m in self.lil["checkpoints"]]
-        return header, [index] + [float_cells(col) for col in np.transpose(self.lil["deviations"])]
+        """Header and columns of the per-replicate CSV dump: the replicate index, then the rows' fields."""
+        return ["replicate", *self.columns], [range(len(self.rows)), *zip(*self.rows)]
 
 
-def _base_report(experiment: str, cfg: McConfig, targets: dict, tolerances: dict) -> McReport:
-    return McReport(
-        experiment=experiment,
-        theta=cfg.params.theta,
-        rho=cfg.params.rho,
-        sigma2=cfg.params.sigma2,
-        noise=cfg.noise.kind,
-        n=cfg.n,
-        replicates=cfg.replicates,
-        base_seed=cfg.base_seed,
-        alpha=cfg.alpha,
-        targets=targets,
-        tolerances=tolerances,
-    )
+def _shared_fields(cfg: McConfig, targets: dict, tolerances: dict) -> dict:
+    """The fields that open every report body."""
+    p = cfg.params
+    return dict(theta=p.theta, rho=p.rho, sigma2=p.sigma2, noise=cfg.noise.kind, n=cfg.n, replicates=cfg.replicates,
+                base_seed=cfg.base_seed, alpha=cfg.alpha, targets=targets, tolerances=tolerances)
 
 
 def _usable_cpus() -> int:
@@ -273,11 +251,15 @@ def _forked_map(block: Callable[[int], list], starts: range, workers: int) -> li
             raise DWLabError("a Monte Carlo worker process died before finishing its share") from exc
 
 
+def _estimate_rows(est: EstimateSet) -> list:
+    """The fitted statistics of each row of a block fit, as a tuple of floats in ``_ESTIMATES`` order."""
+    return list(zip(*(getattr(est, name).tolist() for name in _ESTIMATES)))
+
+
 def _fit_rows(x: np.ndarray) -> list:
     """One ``estimate_all`` over a block; each row's fit as an EstimateSet of floats."""
     est = estimate_all(x)
-    rows = zip(*(getattr(est, name).tolist() for name in _ESTIMATES), est.residuals)
-    return [EstimateSet(*values, residuals=res, n=est.n) for *values, res in rows]
+    return [EstimateSet(*values, residuals=res, n=est.n) for values, res in zip(_estimate_rows(est), est.residuals)]
 
 
 def _asymptotic_targets(cfg: McConfig) -> dict:
@@ -287,8 +269,7 @@ def _asymptotic_targets(cfg: McConfig) -> dict:
 
 def _limit_and_variance(cfg: McConfig, which: str) -> tuple[dict, float, float]:
     """The targets, and the almost-sure limit and asymptotic variance of statistic ``which``."""
-    if which not in STATS:
-        raise DomainError(f"which must be one of {STATS}")
+    check_which(which)
     targets = _asymptotic_targets(cfg)
     _, limit_key, var_key = _STATISTICS[which]
     return targets, targets[limit_key], targets[var_key]
@@ -302,39 +283,29 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
     KS distances against the standard normal CDF, and the sample covariance
     of sqrt(n)*(theta_hat - theta_star, rho_hat - rho_star).
     """
-
-    def fit(x: np.ndarray) -> list:
-        est = estimate_all(x)
-        return list(zip(*(getattr(est, name).tolist() for name in _ESTIMATES)))
-
     targets = _asymptotic_targets(cfg)
-    rows = _map_paths(fit, cfg, threads)
-    report = _base_report(
-        "replications",
-        cfg,
-        targets,
-        {"ks": KS_TOLERANCE, "cov_rel": COV_REL_TOLERANCE, "cov_abs": COV_ABS_TOLERANCE},
-    )
-    report.estimates = {name: list(column) for name, column in zip(_ESTIMATES, zip(*rows))}
+    rows = _map_paths(lambda x: _estimate_rows(estimate_all(x)), cfg, threads)
+    estimates = {name: list(column) for name, column in zip(_ESTIMATES, zip(*rows))}
 
     root_n = math.sqrt(cfg.n)
-    centered = {}
-    report.standardized = {}
-    report.ks = {}
+    centered, standardized, ks, notes = {}, {}, {}, []
     for name, (column, limit_key, var_key) in _STATISTICS.items():
-        centered[name] = root_n * (np.array(report.estimates[column]) - targets[limit_key])
+        centered[name] = root_n * (np.array(estimates[column]) - targets[limit_key])
         sd = math.sqrt(targets[var_key])
         if sd > 0.0:
             std = centered[name] / sd
-            report.standardized[name] = std.tolist()
-            ks = ks_statistic(std, normal_cdf)
-            report.ks[name] = {"statistic": ks.statistic, "n": ks.n}
+            standardized[name] = std.tolist()
+            result = ks_statistic(std, normal_cdf)
+            ks[name] = {"statistic": result.statistic, "n": result.n}
         else:
-            report.notes.append(f"{name}: asymptotic sd is zero at this parameter point, KS skipped")
+            notes.append(f"{name}: asymptotic sd is zero at this parameter point, KS skipped")
 
+    tolerances = {"ks": KS_TOLERANCE, "cov_rel": COV_REL_TOLERANCE, "cov_abs": COV_ABS_TOLERANCE}
+    body = {**_shared_fields(cfg, targets, tolerances), "estimates": estimates, "standardized": standardized, "ks": ks}
     if cfg.replicates >= 2:
-        report.sample_cov = np.cov(np.vstack([centered["theta"], centered["rho"]]), ddof=1).tolist()
-    return report
+        body["sample_cov"] = np.cov(np.vstack([centered["theta"], centered["rho"]]), ddof=1).tolist()
+    body["notes"] = notes
+    return McReport(body, _ESTIMATES, rows)
 
 
 TEST_KINDS = ("zero", "rho0", "critical")
@@ -360,27 +331,21 @@ def empirical_size_power(
         return rho_outcome(est, rho0, cfg.alpha)[0]
 
     def test(x: np.ndarray) -> list:
-        return [(o.statistic, o.reject) for o in map(outcome, _fit_rows(x))]
+        return [(o.statistic, int(o.reject)) for o in map(outcome, _fit_rows(x))]
 
     targets = _asymptotic_targets(cfg)
     rows = _map_paths(test, cfg, threads)
-    stats = [r[0] for r in rows]
-    rejects = [bool(r[1]) for r in rows]
-    rate = sum(rejects) / len(rejects)
-
     band = SIZE_BAND_SIGMAS * math.sqrt(cfg.alpha * (1.0 - cfg.alpha) / cfg.replicates)
-    report = _base_report(
-        "size_power",
-        cfg,
-        targets,
-        {"size_band_sigmas": SIZE_BAND_SIGMAS, "size_band_halfwidth": band},
-    )
-    report.test_kind = test_kind
-    report.rho0 = rho0 if test_kind == "rho0" else None  # the other kinds never read it
-    report.rejection_rate = rate
-    report.test_statistics = stats
-    report.rejections = rejects
-    return report
+    tolerances = {"size_band_sigmas": SIZE_BAND_SIGMAS, "size_band_halfwidth": band}
+    body = {
+        **_shared_fields(cfg, targets, tolerances),
+        "rejection_rate": sum(reject for _, reject in rows) / len(rows),
+        "test_kind": test_kind,
+    }
+    if test_kind == "rho0":  # the other kinds never read rho0
+        body["rho0"] = rho0
+    body.update(test_statistics=[statistic for statistic, _ in rows], rejections=[bool(r) for _, r in rows], notes=[])
+    return McReport(body, ("statistic", "reject"), rows)
 
 
 def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int = 1) -> McReport:
@@ -400,20 +365,13 @@ def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int
     targets, limit, target_var = _limit_and_variance(cfg, which)
     check_burn_in(cfg.n, k0)
     log_n = math.log(cfg.n)
-
-    def log_average(x: np.ndarray) -> float:
-        return squared_deviation_sum(x, which, limit, k0) / log_n
-
-    values = _map_paths(lambda x: list(map(log_average, x)), cfg, threads)
-    report = _base_report("qsl", cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE})
-    report.qsl = {
-        "which": which,
-        "k0": k0,
-        "values": values,
-        "mean": sum(values) / len(values),
-        "target": target_var,
+    values = _map_paths(lambda x: [squared_deviation_sum(path, which, limit, k0) / log_n for path in x], cfg, threads)
+    body = {
+        **_shared_fields(cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE}),
+        "qsl": {"which": which, "k0": k0, "values": values, "mean": sum(values) / len(values), "target": target_var},
+        "notes": [],
     }
-    return report
+    return McReport(body, ("qsl_value",), [(value,) for value in values])
 
 
 def lil_deviation(estimate, limit: float, m: int):
@@ -468,24 +426,19 @@ def lil_envelope_check(
         return np.column_stack(columns).tolist()
 
     rows = _map_paths(deviations, cfg, threads)
-    devs = np.array(rows)  # shape (replicates, checkpoints)
-    exceed = devs > envelope
-    per_checkpoint = {
-        str(m): float(np.mean(exceed[:, j])) for j, m in enumerate(checkpoints)
+    exceed = np.array(rows) > envelope  # shape (replicates, checkpoints)
+    per_checkpoint = {str(m): float(np.mean(exceed[:, j])) for j, m in enumerate(checkpoints)}
+    body = {
+        **_shared_fields(cfg, targets, {"sd_multiple": LIL_SD_MULTIPLE, "max_fraction": LIL_MAX_FRACTION}),
+        "lil": {
+            "which": which,
+            "checkpoints": checkpoints,
+            "envelope": envelope,
+            "deviations": rows,
+            "exceedance_fraction": float(np.mean(exceed)),
+            "per_checkpoint_fraction": per_checkpoint,
+            "note": LIL_NOTE,
+        },
+        "notes": [],
     }
-    report = _base_report(
-        "lil",
-        cfg,
-        targets,
-        {"sd_multiple": LIL_SD_MULTIPLE, "max_fraction": LIL_MAX_FRACTION},
-    )
-    report.lil = {
-        "which": which,
-        "checkpoints": checkpoints,
-        "envelope": envelope,
-        "deviations": devs.tolist(),
-        "exceedance_fraction": float(np.mean(exceed)),
-        "per_checkpoint_fraction": per_checkpoint,
-        "note": LIL_NOTE,
-    }
-    return report
+    return McReport(body, tuple(f"deviation_{m}" for m in checkpoints), rows)

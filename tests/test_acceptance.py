@@ -127,11 +127,11 @@ def test_criterion_3_central_limit_behavior():
     )
     rep = run_replications(cfg, threads=THREADS)
     elapsed = time.perf_counter() - start
-    ks = {name: rep.ks[name]["statistic"] for name in ("theta", "rho", "dw")}
+    ks = {name: rep.body["ks"][name]["statistic"] for name in ("theta", "rho", "dw")}
     for name, value in ks.items():
         assert value <= 0.05, (name, ks)
-    gamma = np.array(rep.targets["gamma"])
-    cov = np.array(rep.sample_cov)
+    gamma = np.array(rep.body["targets"]["gamma"])
+    cov = np.array(rep.body["sample_cov"])
     tol = np.maximum(0.10 * np.abs(gamma), 0.05)
     assert np.all(np.abs(cov - gamma) <= tol), (cov, gamma)
     assert elapsed < 60.0
@@ -150,20 +150,20 @@ def test_criterion_4_test_size():
         McConfig(params=ModelParams(theta=0.5, rho=0.0), noise=NoiseSpec(),
                  n=5000, replicates=2000, base_seed=101),
         threads=THREADS,
-    ).rejection_rate
+    ).body["rejection_rate"]
     critical = empirical_size_power(
         "critical",
         McConfig(params=ModelParams(theta=0.4, rho=-0.4), noise=NoiseSpec(),
                  n=5000, replicates=2000, base_seed=102),
         threads=THREADS,
-    ).rejection_rate
+    ).body["rejection_rate"]
     general = empirical_size_power(
         "rho0",
         McConfig(params=ModelParams(theta=0.5, rho=0.3), noise=NoiseSpec(),
                  n=5000, replicates=2000, base_seed=103),
         rho0=0.3,
         threads=THREADS,
-    ).rejection_rate
+    ).body["rejection_rate"]
     elapsed = time.perf_counter() - start
     assert 0.035 <= zero <= 0.065
     assert 0.03 <= critical <= 0.07
@@ -184,14 +184,14 @@ def test_criterion_5_test_power():
         McConfig(params=ModelParams(theta=0.5, rho=0.3), noise=NoiseSpec(),
                  n=5000, replicates=2000, base_seed=104),
         threads=THREADS,
-    ).rejection_rate
+    ).body["rejection_rate"]
     rho0_power = empirical_size_power(
         "rho0",
         McConfig(params=ModelParams(theta=0.5, rho=0.0), noise=NoiseSpec(),
                  n=5000, replicates=2000, base_seed=105),
         rho0=0.3,
         threads=THREADS,
-    ).rejection_rate
+    ).body["rejection_rate"]
     elapsed = time.perf_counter() - start
     assert zero_power >= 0.99
     assert rho0_power >= 0.99
@@ -214,7 +214,7 @@ def test_criterion_6_quadratic_strong_law():
     ratios = {}
     for which in ("theta", "rho", "dw"):
         rep = qsl_check(cfg, which, threads=THREADS)
-        ratios[which] = rep.qsl["mean"] / rep.qsl["target"]
+        ratios[which] = rep.body["qsl"]["mean"] / rep.body["qsl"]["target"]
     elapsed = time.perf_counter() - start
     for which, ratio in ratios.items():
         assert 0.70 <= ratio <= 1.30, (which, ratio)
@@ -239,7 +239,7 @@ def test_criterion_7_lil_envelope():
     fractions = {}
     for which in ("theta", "rho", "dw"):
         rep = lil_envelope_check(cfg, which, [10**4, 10**5, 10**6], threads=THREADS)
-        fractions[which] = rep.lil["exceedance_fraction"]
+        fractions[which] = rep.body["lil"]["exceedance_fraction"]
     elapsed = time.perf_counter() - start
     for which, frac in fractions.items():
         assert frac <= 0.05, (which, frac)

@@ -98,11 +98,11 @@ class TestRunReplications:
         report = run_replications(cfg)
         series = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(77, 0))
         est = estimate_all(series.x)
-        assert report.estimates["theta_hat"] == [est.theta_hat]
-        assert report.estimates["rho_hat"] == [est.rho_hat]
-        assert report.estimates["sigma2_hat"] == [est.sigma2_hat]
-        assert report.estimates["dw"] == [est.dw]
-        assert report.sample_cov is None  # needs two replicates
+        assert report.body["estimates"]["theta_hat"] == [est.theta_hat]
+        assert report.body["estimates"]["rho_hat"] == [est.rho_hat]
+        assert report.body["estimates"]["sigma2_hat"] == [est.sigma2_hat]
+        assert report.body["estimates"]["dw"] == [est.dw]
+        assert "sample_cov" not in report.body  # needs two replicates
 
     def test_thread_count_does_not_change_the_report(self):
         cfg = config(0.4, -0.2, n=400, reps=64, seed=123)
@@ -122,16 +122,15 @@ class TestRunReplications:
         # normal; rho and dw have degenerate limits there and are skipped
         cfg = config(0.0, 0.0, n=5000, reps=2000, seed=31415)
         report = run_replications(cfg, threads=4)
-        assert report.ks["theta"]["statistic"] <= 0.05
-        assert "rho" not in report.ks
-        assert "dw" not in report.ks
-        assert any("rho" in note for note in report.notes)
+        assert report.body["ks"]["theta"]["statistic"] <= 0.05
+        assert "rho" not in report.body["ks"]
+        assert "dw" not in report.body["ks"]
+        assert any("rho" in note for note in report.body["notes"])
 
     def test_report_metadata(self):
         cfg = config(0.5, 0.3, n=200, reps=8, seed=5)
         report = run_replications(cfg)
         d = report.to_dict()
-        assert d["experiment"] == "replications"
         assert d["tolerances"]["ks"] == 0.05
         assert d["targets"]["theta_star"] == pytest.approx(16 / 23, abs=1e-14)
         assert len(d["standardized"]["theta"]) == 8
@@ -141,10 +140,10 @@ class TestSizePower:
     def test_zero_test_size_smoke(self):
         cfg = config(0.5, 0.0, n=1000, reps=400, seed=2718)
         report = empirical_size_power("zero", cfg)
-        assert report.test_kind == "zero"
-        assert 0.01 <= report.rejection_rate <= 0.12
-        assert len(report.test_statistics) == 400
-        assert len(report.rejections) == 400
+        assert report.body["test_kind"] == "zero"
+        assert 0.01 <= report.body["rejection_rate"] <= 0.12
+        assert len(report.body["test_statistics"]) == 400
+        assert len(report.body["rejections"]) == 400
 
     def test_rho0_requires_value(self):
         cfg = config(0.5, 0.3, n=1000, reps=10, seed=1)
@@ -173,7 +172,7 @@ class TestSizePower:
     def test_power_smoke(self):
         cfg = config(0.5, 0.3, n=2000, reps=200, seed=999)
         report = empirical_size_power("zero", cfg)
-        assert report.rejection_rate >= 0.95
+        assert report.body["rejection_rate"] >= 0.95
 
     def test_threads_deterministic(self):
         cfg = config(0.4, -0.4, n=500, reps=60, seed=4)
@@ -211,17 +210,17 @@ class TestQsl:
         # at n = 10^4 the log average should already sit near the target
         cfg = config(0.5, 0.3, n=10_000, reps=8, seed=606)
         report = qsl_check(cfg, "theta")
-        assert report.qsl["which"] == "theta"
-        assert len(report.qsl["values"]) == 8
-        ratio = report.qsl["mean"] / report.qsl["target"]
+        assert report.body["qsl"]["which"] == "theta"
+        assert len(report.body["qsl"]["values"]) == 8
+        ratio = report.body["qsl"]["mean"] / report.body["qsl"]["target"]
         assert 0.2 <= ratio <= 3.0
 
     def test_rho_trajectory_with_uncorrelated_noise(self):
         # rho = 0 with theta = 0.5: the target variance reduces to theta^2
         cfg = config(0.5, 0.0, n=10**6, reps=10, seed=31)
         report = qsl_check(cfg, "rho", threads=8)
-        assert report.qsl["target"] == pytest.approx(0.25, abs=1e-15)
-        assert abs(report.qsl["mean"] - 0.25) <= 0.30 * 0.25
+        assert report.body["qsl"]["target"] == pytest.approx(0.25, abs=1e-15)
+        assert abs(report.body["qsl"]["mean"] - 0.25) <= 0.30 * 0.25
 
 
 class TestLil:
@@ -246,7 +245,7 @@ class TestLil:
     def test_envelope_smoke(self):
         cfg = config(0.5, 0.3, n=10_000, reps=30, seed=808)
         report = lil_envelope_check(cfg, "theta", [1000, 10_000])
-        lil = report.lil
+        lil = report.body["lil"]
         assert lil["checkpoints"] == [1000, 10_000]
         assert len(lil["deviations"]) == 30
         assert 0.0 <= lil["exceedance_fraction"] <= 0.2

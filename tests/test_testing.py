@@ -305,7 +305,7 @@ class TestPower:
                 base_seed=1234,
                 alpha=0.05,
             )
-            rates.append(empirical_size_power("zero", cfg).rejection_rate)
+            rates.append(empirical_size_power("zero", cfg).body["rejection_rate"])
         # allow one inversion within two binomial standard deviations
         sigma = np.sqrt(0.25 / 1000)
         violations = sum(1 for a, b in zip(rates, rates[1:]) if b < a - 2 * sigma)
