@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -345,13 +346,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
+    """Run one command and return its exit code.
+
+    Called with no ``argv``, as ``python -m dwlab`` and the ``dwlab`` script
+    do, ``main`` reads ``sys.argv`` and is the whole life of its process.
+    It then freezes the heap that start-up built (``gc.freeze``) before it
+    runs the command, so the collector never scans the objects that numpy
+    and dwlab create at import again: not in the collections at interpreter
+    exit, which otherwise take tens of milliseconds per process, and not in
+    a forked ``verify`` worker.  What the command itself creates is still
+    collected.  A caller that passes ``argv`` runs ``main`` inside a longer
+    life of its own (tests, the in-process benchmark), so its collector is
+    left as it is.
+    """
+    own_process = argv is None
+    if own_process:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if own_process:
+        gc.freeze()
     try:
         payload = args.func(args)
         if payload is not None:

@@ -33,7 +33,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice, repeat
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
@@ -257,6 +257,9 @@ def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series
 CSV_HEADER = ("k", "x", "eps", "v")
 
 _ROWS_PER_WRITE = 4096  # rows formatted and written per call; the time was flat from 10^3 to 10^5
+# characters of whole lines that read_csv parses per step: the read time was flat from 4 to
+# 64 KiB, and a larger chunk's line and float objects leave more memory mapped after the read
+_READ_CHUNK = 1 << 13
 
 
 def float_cells(values) -> Iterator[str]:
@@ -301,6 +304,46 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _csv_rows(lines: Iterable[str]) -> Iterator[list]:
+    """The csv module's rows of ``lines``, without the blank ones (every field empty or whitespace)."""
+    return (row for row in csv.reader(lines) if "".join(row).strip())
+
+
+def _floats(rows: Iterable[Sequence[str]], col: int) -> Iterator[float]:
+    return map(float, map(itemgetter(col), rows))
+
+
+def _column_chunks(fh: IO[str], x_col: int) -> Iterator[Iterable[float]]:
+    """The values of column ``x_col`` in the rest of ``fh``: a list per plain chunk of lines, then the csv module's.
+
+    A plain chunk (see :func:`read_csv`) must also come as lines that each
+    end at their one newline, which a source opened with ``newline="\\r"``
+    does not give.  Then a line's fields are its comma-separated parts, and
+    a line that is only a newline is the csv module's blank row.
+    """
+    split = methodcaller("split", ",", x_col + 1)
+    limit = csv.field_size_limit()
+    while lines := fh.readlines(_READ_CHUNK):
+        text = "".join(lines)
+        plain = (
+            '"' not in text
+            and "\r" not in text
+            and "\0" not in text
+            and text.count("\n") == len(lines) - (not text.endswith("\n"))
+            and (len(text) <= limit or max(map(len, lines)) <= limit)
+        )
+        if not plain:
+            break
+        try:
+            values = list(_floats(map(split, filter("\n".__ne__, lines)), x_col))
+        except (ValueError, IndexError):
+            break
+        yield values
+    else:
+        return
+    yield _floats(_csv_rows(chain(lines, fh)), x_col)
+
+
 def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -> Series:
     """Read a series from CSV.
 
@@ -313,12 +356,25 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
     as UTF-8 text.  Latent sequences are never attached to
     ingested data.  Rows are parsed as they are read, so only the x values
     are held in memory.
+
+    The first non-blank row goes through the csv module.  The rest is read
+    in chunks of whole lines, about ``_READ_CHUNK`` characters each.  A
+    chunk takes the split path when it holds no quote, carriage return or
+    NUL and no line longer than the csv module's field limit, as every file
+    :func:`write_csv` writes: each line's field is ``float`` of its part
+    between commas, the value the csv module gives, with fewer strings
+    built per row.  From the first chunk that does not qualify, or in which
+    a field does not parse, the csv module reads the rest of the source,
+    starting at that chunk's first line.  A quoted field may run over line
+    breaks into the next chunk, and the csv module alone knows quoting, the
+    blank-row rule and the error messages, so every input reads as it did
+    before the split path, with one exception: undecodable bytes less than
+    a chunk after a row that does not parse may be the error reported.
     """
     own = isinstance(source, (str, Path))
     fh = open(source, "r", newline="", encoding="utf-8") if own else source
     try:
-        rows = (row for row in csv.reader(fh) if "".join(row).strip())
-        first = next(rows, None)
+        first = next(_csv_rows(fh), None)
         if first is None:
             raise InvalidLength("empty CSV input")
 
@@ -334,11 +390,11 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
                 x_col = names.index("x")
         elif len(first) > 1:
             raise DomainError("multi-column CSV requires a header naming the 'x' column")
-        else:
-            rows = chain([first], rows)
 
+        head = [] if has_header else [first]
         try:
-            x = np.fromiter(map(float, map(itemgetter(x_col), rows)), dtype=np.float64)
+            chunks = chain([_floats(head, x_col)], _column_chunks(fh, x_col))
+            x = np.fromiter(chain.from_iterable(chunks), dtype=np.float64)
         except UnicodeDecodeError:
             raise  # undecodable bytes are not a non-numeric value; reported below
         except (ValueError, IndexError) as exc:

@@ -1,6 +1,7 @@
 import ast
 import csv
 import ctypes
+import gc
 import io
 import json
 import os
@@ -521,6 +522,35 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["limits"]["d_star"] == 2.0
+
+
+class TestFrozenStartupHeap:
+    """main freezes the heap built at start-up only when it reads sys.argv, that is when it is the whole process."""
+
+    LIMITS = ["limits", "--theta", "0.5", "--rho", "0.3"]
+
+    def test_a_fresh_process_exits_with_its_startup_heap_frozen(self):
+        # python -m dwlab, with a hook that reads the freeze count after main has returned
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}'))\n"
+            "runpy.run_module('dwlab', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = run_fresh("-c", script, *self.LIMITS)
+        assert proc.returncode == 0, proc.stderr
+        assert "limits" in json.loads(proc.stdout)
+        assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > 0
+
+    def test_main_given_argv_leaves_the_collector_alone(self, capsys, monkeypatch):
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, *self.LIMITS)[0] == 0
+        assert gc.get_freeze_count() == before
+        monkeypatch.setattr(sys, "argv", ["dwlab", *self.LIMITS])
+        try:
+            assert main() == 0
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
 
 
 class TestOverflow:

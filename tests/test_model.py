@@ -2,6 +2,10 @@ import csv
 import io
 import math
 import tracemalloc
+from itertools import chain
+from operator import itemgetter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,3 +415,133 @@ class TestCsv:
             tracemalloc.stop()
         assert dest.read_bytes() == self._reference_csv(series).encode()
         assert peak <= 3 * series.x.nbytes
+
+
+def _reference_is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_read_csv(source, header=None) -> Series:
+    """read_csv as it was before its split path: every row through the csv module."""
+    own = isinstance(source, (str, Path))
+    fh = open(source, "r", newline="", encoding="utf-8") if own else source
+    try:
+        rows = (row for row in csv.reader(fh) if "".join(row).strip())
+        first = next(rows, None)
+        if first is None:
+            raise InvalidLength("empty CSV input")
+
+        has_header = header
+        if has_header is None:
+            has_header = not _reference_is_number(first[0].strip())
+        x_col = 0
+        if has_header:
+            names = [tok.strip().lower() for tok in first]
+            if len(names) > 1:
+                if "x" not in names:
+                    raise DomainError(f"multi-column CSV without an 'x' column: {names}")
+                x_col = names.index("x")
+        elif len(first) > 1:
+            raise DomainError("multi-column CSV requires a header naming the 'x' column")
+        else:
+            rows = chain([first], rows)
+
+        try:
+            x = np.fromiter(map(float, map(itemgetter(x_col), rows)), dtype=np.float64)
+        except UnicodeDecodeError:
+            raise  # undecodable bytes are not a non-numeric value; reported below
+        except (ValueError, IndexError) as exc:
+            raise DomainError(f"non-numeric value in CSV column {x_col}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # raised by whichever read decodes the bad bytes: the first row or any later one
+        bad_bytes = exc.object[exc.start : exc.end].hex()
+        raise DomainError(f"CSV input is not valid {exc.encoding} text ({exc.reason}: 0x{bad_bytes})") from exc
+    except csv.Error as exc:
+        raise DomainError(f"malformed CSV input: {exc}") from exc
+    finally:
+        if own:
+            fh.close()
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"non-finite value {x[bad[0]]} in CSV column {x_col}, data row {bad[0]}")
+    return Series(x=x)
+
+
+_NUMBER_CELLS = ["0.5", "-3", "1_000", " 2.5 ", "-0.0", "1e308", "2e-310", "17"]
+_ODD_CELLS = ["nan", "inf", "abc", "", "  ", "\x1c", "1\x00", '"1.5"', '"3,5"', '"4\n5"', '"6\r"', '"7\r\n"']
+_ODD_LINES = ["", "   ", ",", ",,,", "\t,  ", "1" * 200_000]
+_HEADERS = [None, "x", "k,x,eps,v", " k , X ", "eps,x", "a,b"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text that is mostly plain numeric rows, with every kind of row the csv module treats differently."""
+    width = draw(st.sampled_from([1, 2, 4]))
+    cell = st.sampled_from(_NUMBER_CELLS * 4 + _ODD_CELLS)
+    row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+    short_row = st.lists(cell, min_size=1, max_size=max(width - 1, 1)).map(",".join)
+    line = st.one_of(row, row, row, row, short_row, st.sampled_from(_ODD_LINES))
+    lines = draw(st.lists(line, max_size=40))
+    head = draw(st.sampled_from(_HEADERS))
+    if head is not None:
+        lines.insert(0, head)
+    endings = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(map("".join, zip(lines, endings)))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line ending after the last row
+    return text
+
+
+def _outcome(read, source, header):
+    """The bits of the x values read, or the class and message of what the read raised."""
+    try:
+        return read(source, header=header).x.tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("split_path") / "series.csv"
+
+
+class TestReadCsvSplitPath:
+    """read_csv gives the bits, or the error, of the reader that parsed every row with the csv module."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    @settings(max_examples=150, deadline=None)
+    @given(text=csv_texts(), header=st.sampled_from([None, True, False]))
+    def test_same_values_or_error_as_the_csv_module(self, csv_path, chunk, text, header):
+        csv_path.write_bytes(text.encode("utf-8"))
+        sources = {
+            "path": lambda: csv_path,
+            "StringIO": lambda: io.StringIO(text),
+            "stdin": lambda: io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline=""),
+            # lines that end at a carriage return only: a newline is then part of a line
+            "CR lines": lambda: io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="\r"),
+        }
+        chunk_size = model._READ_CHUNK if chunk is None else chunk
+        for name, source in sources.items():
+            expected = _outcome(_reference_read_csv, source(), header)
+            with mock.patch.object(model, "_READ_CHUNK", chunk_size):
+                assert _outcome(read_csv, source(), header) == expected, name
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_a_quoted_field_over_a_line_break(self, column):
+        # the csv module joins the two lines into one row, in the x column or next to it
+        s = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 4)
+        buf = io.StringIO()
+        write_csv(s, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        cells = lines[200].split(",")
+        cells[column] = f'"{cells[column]}\n"'
+        lines[200] = ",".join(cells)
+        text = "".join(lines)
+        assert _reference_read_csv(io.StringIO(text)).x.tobytes() == s.x.tobytes()
+        for chunk in (7, 64, 4096, model._READ_CHUNK):
+            with mock.patch.object(model, "_READ_CHUNK", chunk):
+                assert read_csv(io.StringIO(text)).x.tobytes() == s.x.tobytes()
