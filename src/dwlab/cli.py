@@ -44,6 +44,8 @@ from .montecarlo import (
     STATS,
     TEST_KINDS,
     McConfig,
+    _libc_function,
+    _usable_cpus,
     empirical_size_power,
     lil_envelope_check,
     qsl_check,
@@ -110,7 +112,7 @@ def _threads(args) -> int:
         return args.threads
     env = os.environ.get(THREADS_ENV)
     if not env:
-        return 1
+        return _usable_cpus()
     try:
         threads = int(env)
     except ValueError as exc:
@@ -221,22 +223,13 @@ def _keep_freed_memory() -> None:
     Under glibc's dynamic thresholds the heap is trimmed after a block, and
     at n = 10^6 the next block page-faults about 10 MB back in.  Fixed
     thresholds keep arrays of up to 32 MiB in the heap and let up to
-    128 MiB of free memory stay there; forked workers inherit them.
-    ``ctypes`` is imported only here.  Where the C library has no
-    ``mallopt`` this does nothing.
+    128 MiB of free memory stay there; forked workers inherit them.  Where
+    the C library has no ``mallopt`` this does nothing.
     """
-    if os.name != "posix":  # CDLL(None) is dlopen(NULL), the running program's symbols
-        return
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    mallopt = _libc_function("mallopt", 2)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
 def _cmd_verify(args):
@@ -338,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", help="comma-separated sample sizes for the lil experiment")
     p.add_argument("--csv", help="dump per-replicate rows to this CSV file")
     p.add_argument(
-        "--threads", type=int, help=f"worker processes, at most one per usable CPU (fallback: ${THREADS_ENV}, then 1)"
+        "--threads",
+        type=int,
+        help=f"worker processes, at most one per usable CPU (fallback: ${THREADS_ENV}, then the usable CPU count)",
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -10,8 +10,10 @@ Replicate i always uses seed ``derive_seed(base_seed, i)``.  Replicates are
 simulated and fitted in blocks of consecutive indices, one path per row of a
 (B, n+1) array; each row is the path its seed alone gives, so reports are
 bit-identical whatever the block size or the number of workers.  With more
-than one worker the blocks run in processes forked from the caller, each
-taking one contiguous share of them; otherwise they run in the caller.
+than one worker the blocks run in child processes forked from the caller,
+each taking one contiguous share of them and sending its results back
+through its own pipe; otherwise they run in the caller.  A child dies with
+its parent (on Linux), and the first failing share stops the run at once.
 
 Each experiment returns one :class:`McReport`, built in one place: its JSON
 body (the fields every experiment shares, then the experiment's own
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Sequence
@@ -54,6 +58,8 @@ from .model import simulate  # noqa: F401
 from .testing import critical_case_test, rho_test, rho_zero_test  # noqa: F401
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+_PR_SET_PDEATHSIG = 1  # Linux's prctl option number, from linux/prctl.h
 
 # Path values per replicate block, so B = max(1, _BLOCK_VALUES // (n + 1))
 # paths: 13 at n = 5000, one from n = 2^15 on.  Swept at n = 5000 (clt and
@@ -173,18 +179,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# In a forked worker: the block function of the _map_paths call that forked it.
-_worker_block: Optional[Callable[[int], list]] = None
+def _libc_function(name: str, nargs: int):
+    """The C library's function ``name`` taking ``nargs`` ints and returning an int, or None.
 
+    None off POSIX (``CDLL(None)`` is dlopen(NULL), the running program's
+    symbols) and where the library has no such function.  ``ctypes`` is
+    imported only here.
+    """
+    if os.name != "posix":
+        return None
+    import ctypes
 
-def _start_worker(block: Callable[[int], list]) -> None:
-    global _worker_block
-    _worker_block = block
-
-
-def _run_share(starts: Sequence[int]) -> list:
-    """The results of the blocks at ``starts``, in order; the first failing block stops the share."""
-    return list(chain.from_iterable(map(_worker_block, starts)))
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except (OSError, AttributeError):
+        return None
+    function.argtypes = (ctypes.c_int,) * nargs
+    function.restype = ctypes.c_int
+    return function
 
 
 def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: int) -> list:
@@ -199,13 +211,14 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
 
     The blocks run on W = min(threads, blocks, usable CPUs) workers.  With
     W >= 2, and where the platform can fork, the blocks are cut into
-    contiguous shares of ceil(blocks / W), and one worker process forked
-    from this one runs each share.  The workers reach ``statistic`` through
-    the fork, so nothing but each share's results is pickled.  Otherwise
-    the blocks run here, one after another.  A worker stops at its first
-    failing block, and the error raised is the one of the first failing
-    block in index order.  A worker that dies fails the run with a
-    :class:`DWLabError`.
+    contiguous shares of ceil(blocks / W), and one child process forked
+    from this one runs each share (:func:`_forked_map`).  The children reach
+    ``statistic`` through the fork, so nothing but each share's results is
+    pickled.  Otherwise the blocks run here, one after another.  A worker
+    stops at its first failing block, and the error raised is the one of
+    the first failing block in index order; the later shares are killed
+    then, without waiting for them.  A worker that dies fails the run with
+    a :class:`DWLabError`.
 
     When a block raises, its rows are rerun one at a time, so the error is
     the one the first failing replicate raises on its own, as with B = 1.
@@ -232,23 +245,55 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
 
 
 def _forked_map(block: Callable[[int], list], starts: range, workers: int) -> list:
-    """The blocks at ``starts`` run in contiguous shares on forked workers, results in index order."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    """The blocks at ``starts`` run in contiguous shares on forked children, results in index order.
+
+    Each child pickles ``(ok, results or first error)`` into its own pipe and
+    leaves through ``os._exit``, never flushing the stdio it inherited.  The
+    pipes are read in share order, so the first failed share holds the first
+    failing block, and the later shares are killed without waiting for them.
+    """
+    import signal  # 0.7 ms to import, so only where a run forks
 
     share = -(-len(starts) // workers)
-    shares = [starts[i : i + share] for i in range(0, len(starts), share)]
-    fork = multiprocessing.get_context("fork")
-    # with fork the executor starts every worker before its own thread, and passes initargs unpickled
-    with ProcessPoolExecutor(len(shares), mp_context=fork, initializer=_start_worker, initargs=(block,)) as pool:
-        futures = [pool.submit(_run_share, s) for s in shares]
-        try:
-            # the shares are in index order and each stops at its own first failure,
-            # so the first share to fail holds the first failing block
-            return list(chain.from_iterable(f.result() for f in futures))
-        except BrokenProcessPool as exc:
-            raise DWLabError("a Monte Carlo worker process died before finishing its share") from exc
+    prctl = _libc_function("prctl", 2) if sys.platform.startswith("linux") else None
+    parent = os.getpid()
+    children = []  # (pid, read end of its pipe), in share order
+    try:
+        for first in range(0, len(starts), share):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(read)  # with the parent alone reading, its death breaks the pipe
+                    for _, pipe in children:
+                        pipe.close()
+                    if prctl is not None:
+                        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                    if os.getppid() == parent:  # else the parent died before the prctl
+                        try:
+                            payload = True, list(chain.from_iterable(map(block, starts[first : first + share])))
+                        except Exception as exc:
+                            payload = False, exc
+                        with open(write, "wb") as out:
+                            pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = []
+        for _, pipe in children:
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise DWLabError("a Monte Carlo worker process died before finishing its share") from exc
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, pipe in children:  # a child that has sent its share is exiting anyway
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _estimate_rows(est: EstimateSet) -> list:

@@ -8,10 +8,11 @@ No module imports the ``scipy.signal`` package, which takes over a second to
 import; ``dwlab.model`` loads the one compiled filter it needs by file path.
 No module imports ``sysconfig`` either: a thread that reads its config cache
 while another fills it gets None, so a first simulation from several threads
-at once could fail.  Only ``dwlab.cli`` imports ``ctypes``, inside the
-function that sets the allocator up for ``verify``.  Only ``dwlab.montecarlo``
-imports ``concurrent.futures`` and ``multiprocessing``, inside the function
-that forks the Monte Carlo workers, so no other command pays for them.
+at once could fail.  Only ``dwlab.montecarlo`` imports ``ctypes``, inside the
+one function that looks a C library function up: ``mallopt`` for the
+allocator setup of ``verify``, ``prctl`` for its forked workers.  No module
+imports ``multiprocessing`` or ``concurrent.futures``: the Monte Carlo
+workers are forked children with one pipe each, not a process pool.
 """
 
 import ast
@@ -154,23 +155,39 @@ def _imported_only_inside(module: str, function: str, package: str) -> None:
     assert not outside, (outside, function)
 
 
-def test_only_the_cli_imports_ctypes_and_only_inside_a_function():
-    # the allocator setup of `verify` is the one user; numpy loads ctypes for itself
-    _imported_only_inside("dwlab.cli", "_keep_freed_memory", "ctypes")
+def test_only_the_libc_lookup_imports_ctypes():
+    # verify's allocator setup and its workers' parent-death signal are the users; numpy loads ctypes for itself
+    _imported_only_inside("dwlab.montecarlo", "_libc_function", "ctypes")
 
 
-def test_worker_processes_are_imported_only_where_they_are_forked():
+def test_no_module_imports_a_process_pool():
     for package in ("concurrent.futures", "multiprocessing"):
-        _imported_only_inside("dwlab.montecarlo", "_forked_map", package)
+        found = _importers(package)
+        assert not found, (package, found)
 
 
-def test_no_command_but_a_parallel_verify_loads_worker_processes():
+def test_a_process_pool_import_is_caught():
+    source = (
+        "import multiprocessing.pool\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "def f():\n"
+        "    import concurrent.futures\n"
+    )
+    assert imports_of(source, "concurrent.futures") == [2, 4]
+    assert imports_of(source, "multiprocessing") == [1]
+
+
+def test_no_command_loads_a_process_pool():
+    # 13 replicates to a block at n = 5000, so the parallel verify forks two workers for its three blocks
     script = (
         "import sys, dwlab.cli\n"
         "loaded = lambda: sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)\n"
         "assert not loaded(), ('loaded by import', loaded())\n"
         "assert dwlab.cli.main(['limits', '--theta', '0.5', '--rho', '0.3']) == 0\n"
         "assert not loaded(), ('loaded by limits', loaded())\n"
+        "assert dwlab.cli.main(['verify', '--experiment', 'clt', '--theta', '0.5', '--rho', '0.3', '--n', '5000',"
+        " '--reps', '30', '--seed', '1', '--threads', '2']) == 0\n"
+        "assert not loaded(), ('loaded by a parallel verify', loaded())\n"
     )
     src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,10 +1,11 @@
-import concurrent.futures
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,20 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
 
+# Linux alone kills a worker with its parent (prctl); /proc lists the processes
+needs_linux = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers die with their parent on Linux")
+
+
+def _fresh_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
 
 def _pids(x):
     return [os.getpid()] * len(x)
+
+
+def _pids_and_values(x):
+    return [(os.getpid(), value) for value in x[:, 1].tolist()]
 
 
 def _first_values(x):
@@ -362,39 +374,17 @@ class TestReplicateBlocks:
         assert pids[:26] == [pids[0]] * 26 and pids[26:] == [pids[26]] * 4
 
     @needs_fork
-    @pytest.mark.parametrize(
-        "reps, cpus, workers", [(30, 2, [2]), (90, 3, [3]), (90, 64, [7]), (65, 4, [3]), (13, 64, [])]
-    )
+    @pytest.mark.parametrize("reps, cpus, workers", [(30, 2, 2), (90, 3, 3), (90, 64, 7), (65, 4, 3), (13, 64, 0)])
     def test_worker_count_is_capped_by_blocks_and_cpus(self, monkeypatch, reps, cpus, workers):
         # 13 replicates to a block, so 30 make 3 blocks, 90 make 7, 65 make 5 and 13 one (run
         # here); at W = 4 the 5 blocks go in shares of 2, so 3 workers suffice
-        started = []
-
-        class Inline:
-            """Records the worker count and runs each share here; starts no process."""
-
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
         cfg = config(0.5, 0.3, n=5000, reps=reps, seed=1)
         expected = montecarlo._map_paths(_first_values, cfg, 1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(montecarlo, "_worker_block", None)
-        assert montecarlo._map_paths(_first_values, cfg, 10_000) == expected
-        assert started == workers
+        pids, values = zip(*montecarlo._map_paths(_pids_and_values, cfg, 10_000))
+        assert list(values) == expected
+        assert len(set(pids) - {os.getpid()}) == workers
+        assert (os.getpid() in pids) == (workers == 0)
 
     @needs_fork
     def test_a_dying_worker_fails_the_run_instead_of_hanging(self):
@@ -414,6 +404,40 @@ class TestReplicateBlocks:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "DWLabError a Monte Carlo worker process died before finishing its share\n"
+
+    @needs_fork
+    def test_a_failing_first_share_does_not_wait_for_the_others(self):
+        # one path to a block at n = 10^6: replicate 0 fails in share 0's first block, while
+        # share 1 has 20 paths to draw; the run is timed against those 20 drawn here
+        script = (
+            "import time\n"
+            "from dwlab import montecarlo\n"
+            "from dwlab.errors import DomainError\n"
+            "from dwlab.model import ModelParams, NoiseSpec\n"
+            "montecarlo._usable_cpus = lambda: 2\n"
+            "params, noise = ModelParams(0.5, 0.3), NoiseSpec()\n"
+            "config = lambda reps: montecarlo.McConfig(params, noise, 10**6, reps, 1)\n"
+            "first = montecarlo.simulate_paths(params, noise, 10**6, [montecarlo.derive_seed(1, 0)])[0][0, 1]\n"
+            "def statistic(x):\n"
+            "    if x[0, 1] == first:\n"
+            "        raise DomainError('replicate 0')\n"
+            "    return [0.0]\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    montecarlo._map_paths(statistic, config(40), 2)\n"
+            "except DomainError as exc:\n"
+            "    print(exc)\n"
+            "failed = time.perf_counter() - start\n"
+            "start = time.perf_counter()\n"
+            "montecarlo._map_paths(lambda x: [0.0], config(20), 1)\n"
+            "print(failed, time.perf_counter() - start)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_fresh_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        message, times = proc.stdout.splitlines()
+        assert message == "replicate 0"
+        failed, share = map(float, times.split())
+        assert failed < share / 3, (failed, share)
 
     @pytest.mark.parametrize("size", [1, 2, 7, 100, 103])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -444,6 +468,78 @@ class TestReplicateBlocks:
             with pytest.raises(DomainError) as blocked:
                 montecarlo._map_paths(statistic, cfg, threads)
             assert str(blocked.value) == str(first.value)
+
+
+def _stat(pid: int):
+    """Parent pid and state letter of process ``pid`` from /proc, or None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    state, ppid = text.rpartition(")")[2].split()[:2]
+    return int(ppid), state
+
+
+def _children(pid: int) -> list:
+    return [int(p.name) for p in Path("/proc").iterdir() if p.name.isdigit() and (_stat(p.name) or (0,))[0] == pid]
+
+
+def _alive(pids) -> list:
+    """The processes of ``pids`` still running: neither gone nor exited and waiting to be reaped."""
+    return [pid for pid in pids if (stat := _stat(pid)) is not None and stat[1] != "Z"]
+
+
+# one path to a block at n = 10^6, so each of the two workers has 100 blocks to run
+_LONG_VERIFY = ["-m", "dwlab", "verify", "--experiment", "qsl", "--theta", "0.5", "--rho", "0.3",
+                "--n", "1000000", "--reps", "200", "--seed", "1", "--threads", "2"]
+
+
+@contextmanager
+def _running_workers(*args: str):
+    """Start ``python *args`` in a session of its own and wait for its two forked workers.
+
+    Yields the process and the workers' pids.  On leaving, the whole process
+    group is killed, so a failing test leaves no worker running.
+    """
+    proc = subprocess.Popen([sys.executable, *args], env=_fresh_env(), start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers := _children(proc.pid)) < 2:
+            assert proc.poll() is None, proc.returncode
+            assert time.monotonic() < deadline, "the workers never started"
+            time.sleep(0.01)
+        yield proc, workers
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+
+
+def _wait_until_gone(pids, seconds: float) -> list:
+    deadline = time.monotonic() + seconds
+    while _alive(pids) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _alive(pids)
+
+
+@needs_fork
+@needs_linux
+class TestWorkerLifetime:
+    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM])
+    def test_workers_die_with_a_killed_parent(self, signum):
+        with _running_workers(*_LONG_VERIFY) as (proc, workers):
+            os.kill(proc.pid, signum)
+            assert proc.wait(timeout=10) == -signum
+            assert _wait_until_gone(workers, 2.0) == []
+
+    def test_an_interrupt_ends_the_run_at_once_and_leaves_no_process(self):
+        with _running_workers(*_LONG_VERIFY) as (proc, workers):
+            os.killpg(proc.pid, signal.SIGINT)
+            start = time.monotonic()
+            proc.wait(timeout=10)
+            assert time.monotonic() - start < 1.0
+            assert _alive(workers) == []
 
 
 # |theta| < 1, so the path could be drawn, but outside the limits' region |theta| < 1 - 1e-9
