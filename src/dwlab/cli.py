@@ -3,7 +3,8 @@
 Subcommands: simulate, estimate, test, recover, limits, verify.  All JSON
 output goes to stdout and embeds a run manifest (command line, seed, RNG
 algorithm, version, timestamp); diagnostics go to stderr.  Exit codes:
-0 success, 1 usage error, 2 data or domain error.
+0 success, 1 usage error, 2 data or domain error, 141 stdout closed by
+its reader (as ``dwlab ... | head`` does).
 
 Each ``_cmd_*`` function returns its payload dict (``simulate`` writes CSV
 and returns None); ``main`` alone wraps the payload with the manifest and
@@ -55,6 +56,7 @@ from .recovery import recover_params, recover_sigma2
 from .testing import auto_test, critical_case_test, rho_test, rho_zero_test
 
 THREADS_ENV = "DW_LAB_THREADS"
+EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process that SIGPIPE ended
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers, from malloc.h
 
@@ -85,12 +87,34 @@ def _json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+class _Stdout:
+    """The current ``sys.stdout`` for writing, each write whole or raising, as a buffered stdout does.
+
+    Under ``python -u`` or ``PYTHONUNBUFFERED`` the text layer hands each
+    write to the file in one ``write(2)`` and drops what it did not take: a
+    pipe whose reader has gone, or a full disk, then cuts the output short
+    without an error.  Here the bytes are written to the file descriptor
+    until all of them are taken or the OS refuses.
+    """
+
+    def write(self, text: str) -> None:
+        out = sys.stdout
+        raw = getattr(out, "buffer", None)
+        if not isinstance(raw, io.RawIOBase):
+            out.write(text)
+            return
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[os.write(raw.fileno(), data) :]
+
+
 def _emit(payload: dict) -> None:
     try:
         text = json.dumps(payload, indent=2, allow_nan=False, default=_json_default)
     except ValueError as exc:
         raise DomainError(f"result is not finite, refusing to write invalid JSON: {exc}") from exc
-    sys.stdout.write(text + "\n")
+    _Stdout().write(text + "\n")
 
 
 def _read_series(args) -> Series:
@@ -140,12 +164,15 @@ def _checkpoints(text: str) -> list[int]:
 def _cmd_simulate(args):
     params = ModelParams(theta=args.theta, rho=args.rho, sigma2=args.sigma2, x0=args.x0, eps0=args.eps0)
     series = simulate(params, NoiseSpec(kind=args.noise), args.n, args.seed)
-    write_csv(series, args.output or sys.stdout)
+    write_csv(series, args.output or _Stdout())
 
 
 def _cmd_estimate(args):
+    """The five statistics and n; the residuals and trajectories go only to the CSV files asked for."""
     series = _read_series(args)
     est = estimate_all(series.x)
+    if args.residuals:
+        write_table(args.residuals, ("k", "eps_hat"), (range(est.residuals.size), float_cells(est.residuals)))
     if args.trajectories:
         traj = running_estimates(series.x, k0=args.k0)
         write_table(
@@ -161,7 +188,6 @@ def _cmd_estimate(args):
             "dw": est.dw,
             "theta_sq_hat": est.theta_sq_hat,
             "n": est.n,
-            "residuals": est.residuals.tolist(),
         },
     }
 
@@ -286,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate all statistics of a series")
     p.add_argument("--input", default="-", help="CSV file or '-' for stdin")
     p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+    p.add_argument("--residuals", help="also write the least-squares residuals eps_hat_0..eps_hat_n to this CSV file")
     p.add_argument("--trajectories", help="also write running estimates to this CSV file")
     p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in index for trajectories")
     p.set_defaults(func=_cmd_estimate)
@@ -353,6 +380,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     collected.  A caller that passes ``argv`` runs ``main`` inside a longer
     life of its own (tests, the in-process benchmark), so its collector is
     left as it is.
+
+    A reader that closes stdout early (``| head``) ends the command with
+    ``EXIT_BROKEN_PIPE`` and nothing on stderr, not as a data error.  In
+    its own process ``main`` then points fd 1 at the null device, so the
+    interpreter's flush at exit has nowhere to fail.
     """
     own_process = argv is None
     if own_process:
@@ -369,6 +401,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if payload is not None:
             seed = args.seed if args.command == "verify" else None
             _emit({"manifest": _manifest(argv, seed), **payload})
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if own_process:
+            # the reader is gone: send what is still buffered nowhere, so the flush at exit raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (DWLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

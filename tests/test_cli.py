@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -94,7 +95,7 @@ class TestSimulateEstimate:
         assert code == 0
         est = json.loads(out)["estimates"]
         assert est["n"] == 1000
-        assert len(est["residuals"]) == 1001
+        assert list(est) == ["theta_hat", "rho_hat", "sigma2_hat", "dw", "theta_sq_hat", "n"]
         assert 0.5 < est["theta_hat"] < 0.9
 
     def test_csv_round_trip_matches_memory(self, capsys, tmp_path):
@@ -143,6 +144,41 @@ class TestSimulateEstimate:
             w.writerow([int(k), repr(float(th)), repr(float(rh)), repr(float(dw))])
         assert traj_file.read_bytes() == buf.getvalue().encode()
 
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_residuals_match_csv_writer_bytes(self, capsys, monkeypatch, tmp_path, via_stdin):
+        src = tmp_path / "p.csv"
+        res_file = tmp_path / "res.csv"
+        run_cli(capsys, "simulate", "--theta", "-0.6", "--rho", "0.7", "--n", "3000",
+                "--seed", "19", "--output", str(src))
+        if via_stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(src.read_bytes())))
+            argv = ["estimate", "--residuals", str(res_file)]
+        else:
+            argv = ["estimate", "--input", str(src), "--residuals", str(res_file)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "residuals" not in json.loads(out)["estimates"]
+        # the row-by-row csv.writer dump that the residuals file must reproduce byte for byte
+        res = estimate_all(read_csv(src).x).residuals
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["k", "eps_hat"])
+        for k, e in enumerate(res):
+            w.writerow([k, repr(float(e))])
+        assert res_file.read_bytes() == buf.getvalue().encode()
+        rows = list(csv.reader(res_file.read_text().splitlines()[1:]))
+        assert [int(k) for k, _ in rows] == list(range(3001))
+        back = np.array([float(e) for _, e in rows])
+        assert np.array_equal(back.view(np.uint64), res.view(np.uint64))
+
+    def test_residuals_in_a_missing_directory_are_a_data_error(self, capsys, tmp_path):
+        src = tmp_path / "p.csv"
+        write_csv(simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 100, 1), src)
+        code, out, err = run_cli(capsys, "estimate", "--input", str(src), "--residuals", str(tmp_path / "no" / "res.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--input", "/nonexistent/file.csv")
         assert code == 2
@@ -167,6 +203,36 @@ class TestSimulateEstimate:
         assert code == 2
         assert out == ""
         assert "not finite" in err
+
+
+class TestEstimateOutputSize:
+    """estimate prints the statistics only: its JSON and its memory do not grow with n beyond the series itself."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def series_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("long") / "s.csv"
+        series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), self.N, 1)
+        write_csv(series, path)
+        return path, series.x.nbytes
+
+    def test_stdout_stays_under_a_kibibyte(self, capsys, series_csv):
+        code, out, _ = run_cli(capsys, "estimate", "--input", str(series_csv[0]))
+        assert code == 0
+        assert len(out.encode()) < 1024  # 2,663,228 bytes with the residuals in the JSON
+
+    def test_peak_traced_memory_is_a_few_copies_of_the_series(self, capsys, series_csv):
+        path, nbytes = series_csv
+        tracemalloc.start()
+        try:
+            code = main(["estimate", "--input", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # measured 4.1-4.3x; 17.8-18.1x with the residuals in the JSON
+        assert peak < 6 * nbytes
 
 
 class TestTestCommand:
@@ -522,6 +588,46 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["limits"]["d_star"] == 2.0
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command as SIGPIPE would (141), with nothing on stderr."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--theta", "0.5", "--rho", "0.3", "--n", "200000", "--seed", "1"],
+        # more than 64 KiB of JSON, a pipe's capacity
+        "verify": ["verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3", "--n", "300",
+                   "--reps", "2000", "--seed", "1", "--threads", "1"],
+    }
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_closing_the_pipe_after_the_first_line_exits_141(self, name):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        for run in range(10):
+            # python -u writes to the pipe unbuffered: each write must still be whole or raise
+            env["PYTHONUNBUFFERED"] = "1" if run % 2 else ""
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "dwlab", *self.COMMANDS[name]],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            try:
+                assert proc.stdout.readline()
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+                proc.wait()
+            assert (proc.returncode, err) == (141, b""), f"run {run}"
+
+    def test_in_process_main_returns_141_and_leaves_fd_1_alone(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        fd_1 = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["limits", "--theta", "0.5", "--rho", "0.3"]) == 141
+        assert os.path.samestat(os.fstat(1), fd_1)  # only a process of its own points fd 1 elsewhere
 
 
 class TestFrozenStartupHeap:
@@ -914,7 +1020,9 @@ MANIFEST_KEYS = ["command_line", "seed", "rng_algorithm", "artifact_version", "t
 _VERIFY = ["--theta", "0.4", "--rho", "-0.3", "--n", "300", "--reps", "2", "--seed", "3"]
 # every command that prints JSON; {general} and {critical} name series on which auto takes each branch
 JSON_COMMANDS = {
-    "estimate": ["estimate", "--input", "{general}", "--trajectories", "{tmp}/traj.csv"],
+    "estimate": [
+        "estimate", "--input", "{general}", "--trajectories", "{tmp}/traj.csv", "--residuals", "{tmp}/res.csv",
+    ],
     "test-critical": ["test", "--input", "{general}", "--kind", "critical", "--alpha", "0.05"],
     "test-zero": ["test", "--input", "{general}", "--kind", "zero", "--alpha", "0.05"],
     "test-rho0": ["test", "--input", "{general}", "--kind", "rho0", "--rho0", "0.3", "--alpha", "0.05"],
