@@ -198,7 +198,11 @@ def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray
     """Extend the running sums S, P and, if ``sums`` has a third row, Q over steps a..b-1 (a >= 2) in place.
 
     Column 0 of ``sums`` holds the sums at step a-1; the returned view
-    ``sums[:, :b-a+1]`` holds them at steps a-1..b-1, one row per sum.
+    ``sums[:, :b-a+1]`` holds them at steps a-1..b-1, one row per sum.  Two
+    rows are the real and imaginary parts of a complex buffer (see
+    :func:`_walk`), which one cumsum accumulates: a complex sum adds the real
+    parts and the imaginary parts apart, so each row takes the additions of
+    its own cumsum.
     """
     block = sums[:, : b - a + 1]
     xb = x[a:b]
@@ -206,7 +210,10 @@ def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray
     np.multiply(xb, x[a - 1 : b - 1], out=block[1, 1:])
     if len(sums) == 3:
         np.multiply(xb, x[a - 2 : b - 2], out=block[2, 1:])
-    np.cumsum(block, axis=1, out=block)
+        np.cumsum(block, axis=1, out=block)
+    else:
+        pairs = block.T.view(np.complex128)
+        np.cumsum(pairs, axis=0, out=pairs)
     return block
 
 
@@ -302,7 +309,10 @@ def _walk(path: ArrayLike, k0: int, residual_sums: bool) -> tuple:
         i = int(np.argmin(np.isfinite(x)))
         raise DomainError(f"non-finite value {x[i]} at index {i} of the series")
 
-    sums = np.empty((3 if residual_sums else 2, _BLOCK + 1))
+    if residual_sums:
+        sums = np.empty((3, _BLOCK + 1))
+    else:  # S and P as the real and imaginary parts of one complex row, which one cumsum walks
+        sums = np.empty(_BLOCK + 1, np.complex128).view(np.float64).reshape(-1, 2).T
     # S_1, P_1, Q_1 as a cumsum over the whole path forms them (its 0.0 + turns -0.0 into 0.0)
     sums[:, 0] = (x[0] * x[0] + x[1] * x[1], 0.0 + x[1] * x[0], 0.0)[: len(sums)]
     for a in range(2, k0, _BLOCK):

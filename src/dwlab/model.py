@@ -11,16 +11,19 @@ and a finite fourth moment.  Simulation is exact: the recurrences above hold
 bit for bit on the generated arrays.
 
 :func:`simulate_paths` draws a block of paths stacked along a leading
-axis, one Philox stream per row; :func:`simulate` is its one-path case.  It
-is the only user of scipy.  Its two one-pole recursions run in the compiled
-loop behind ``scipy.signal.lfilter`` (``_linear_filter`` in scipy's
-``_sigtools`` extension), which :func:`_linear_filter` loads from its file
-on the first call without importing the ``scipy.signal`` package: that
-import takes over a second and pulls in scipy.stats, scipy.interpolate and
-scipy.optimize.  Commands that only read a series never load the extension.
-Each recursion runs from zero state over rows that start with the initial
-value, eps_0 or X_0, so a block holds three path-sized arrays (the draws,
-eps and X) and copies none of them.
+axis, one Philox stream per row, and returns X alone; :func:`simulate`
+draws one path and keeps eps and V as well.  They are the only users of
+scipy.  Both recursions run in the compiled loop behind
+``scipy.signal.sosfilt`` (``_sosfilt`` in scipy's ``signal/_sosfilt``
+extension), one first-order section per recursion, which :func:`_sosfilt`
+loads from its file on the first call.  That load runs scipy's package
+init (13-21 ms and 0.9 MiB on a 2-core box), which the extension
+imports, but never imports the ``scipy.signal`` package: that import
+takes over a second and pulls in scipy.stats, scipy.interpolate and
+scipy.optimize.  Commands that only read a series never load the
+extension.  A block's V_1..V_n are drawn straight into X_1..X_n of each
+row, and one pass of two sections turns them into eps and then X in
+place, so the block is its only path-sized array.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ import csv
 import importlib.machinery
 import importlib.util
 import math
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -95,7 +99,8 @@ class NoiseSpec:
         sd = math.sqrt(sigma2)
         if self.kind == "gaussian":
             rng.standard_normal(out=out)
-            out *= sd
+            if sd != 1.0:  # x * 1.0 is x, bit for bit
+                out *= sd
         elif self.kind == "uniform":
             half = math.sqrt(3.0 * sigma2)
             rng.random(out=out)
@@ -104,7 +109,8 @@ class NoiseSpec:
         else:  # rademacher
             np.multiply(rng.integers(0, 2, size=out.size), 2.0, out=out)
             out -= 1.0
-            out *= sd
+            if sd != 1.0:
+                out *= sd
 
 
 @dataclass(frozen=True)
@@ -182,72 +188,101 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_paths(params: ModelParams, noise: NoiseSpec, n: int, seeds: Sequence[int]) -> tuple:
-    """Draw a block of paths, row i from the stream ``make_rng(seeds[i])``.
+def simulate_paths(params: ModelParams, noise: NoiseSpec, n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Draw a block of paths X_0..X_n, row i from the stream ``make_rng(seeds[i])``.
 
-    Returns ``(x, eps, v)`` of shapes (B, n+1), (B, n+1) and (B, n) for
-    B = len(seeds): X_0..X_n, eps_0..eps_n and V_1..V_n of every path.  Each
-    row is a deterministic function of (params, noise, n, seeds[i]) alone,
-    bit for bit the path that a block of one draws from the same seed, and
-    the defining recurrences hold exactly on it: recomputing
-    theta*X_{k-1} + eps_k in float64 reproduces X_k bit for bit.  ``v`` is a
-    view from column 1 of a (B, n+1) buffer: each row is contiguous, the
-    block is not.
+    Returns the (B, n+1) array of X for B = len(seeds).  Each row is a
+    deterministic function of (params, noise, n, seeds[i]) alone, bit for
+    bit the ``x`` of :func:`simulate` for the same seed, so the defining
+    recurrences hold exactly on it with that path's eps and V: recomputing
+    theta*X_{k-1} + eps_k in float64 reproduces X_k bit for bit.  A row's
+    V_1..V_n are drawn into X_1..X_n, and one in-place pass of scipy's
+    second-order-section loop runs the rho section and then the theta
+    section over them (:func:`_recursions`), so the block is the only
+    path-sized array.
     """
+    _check_path(params, n)
+    x = np.empty((len(seeds), n + 1))
+    x[:, 0] = params.x0
+    both = _recursions((params.rho, params.eps0), (params.theta, params.x0))
+    for row, seed in zip(x, seeds):
+        noise._draw_into(row[1:], make_rng(seed), params.sigma2)
+        both(row[1:])
+    return x
+
+
+def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series:
+    """Draw X_0..X_n with the latent sequences attached.
+
+    V comes from :meth:`NoiseSpec.sample`, and eps and X from one-section
+    passes of the loop that :func:`simulate_paths` runs, so ``x`` is bit for
+    bit the row that :func:`simulate_paths` draws from the same seed.
+    """
+    _check_path(params, n)
+    v = noise.sample(n, make_rng(seed), params.sigma2)
+    eps = np.concatenate(([params.eps0], v))
+    _recursions((params.rho, params.eps0))(eps[1:])
+    x = np.concatenate(([params.x0], eps[1:]))
+    _recursions((params.theta, params.x0))(x[1:])
+    return Series(x=x, eps=eps, v=v)
+
+
+def _check_path(params: ModelParams, n: int) -> None:
     validate_params(params)
     if n < 2:
         raise InvalidLength(f"need n >= 2 steps, got {n}")
     if n > MAX_LENGTH:
         raise InvalidLength(f"n exceeds the supported maximum {MAX_LENGTH}")
-    # u holds eps_0 then V_1..V_n in each row
-    u = np.empty((len(seeds), n + 1))
-    u[:, 0] = params.eps0
-    for row, seed in zip(u, seeds):
-        noise._draw_into(row[1:], make_rng(seed), params.sigma2)
 
-    # lfilter's C loop runs the one-pole recursion y_k = a*y_{k-1} + u_k
-    # along each row, with the same two roundings per step as a naive loop,
-    # hence bit-exact recurrences.  From zero state its first step is
-    # y_0 = 0.0 + 1.0*u_0 = u_0, and it carries a*u_0 on, just as zi = a*u_0
-    # would: a row led by its initial value filters to the path, with no
-    # copy.  eps's column 0 carries X_0 into the second filter and is then
-    # restored; x's is written back, as a -0.0 start comes out as +0.0.
-    # With a[0] = 1 lfilter would pass b, a and u to the loop unchanged, so
-    # the paths are the ones lfilter draws.
-    one_pole = _linear_filter()
-    b = np.array([1.0])
-    eps = one_pole(b, np.array([1.0, -params.rho]), u, -1)
-    eps[:, 0] = params.x0
-    x = one_pole(b, np.array([1.0, -params.theta]), eps, -1)
-    eps[:, 0] = params.eps0
-    x[:, 0] = params.x0
-    return x, eps, u[:, 1:]
+
+def _recursions(*poles: tuple) -> Callable[[np.ndarray], None]:
+    """The in-place pass that runs y_k = a*y_{k-1} + u_k, k = 1..n, for each pole (a, y_0) in turn.
+
+    The returned function takes a contiguous row u_1..u_n and leaves y_1..y_n
+    of the last pole in it; each pole's input is the output of the one
+    before.  Each pole is one section (b0, b1, b2, a0, a1, a2) =
+    (1, 0, 0, 1, -a, 0) of the loop behind ``scipy.signal.sosfilt``, whose
+    states start at (a*y_0, 0).  Per step a section forms y = 1*u + z0,
+    then z0 = (0*u - (-a)*y) + z1 and z1 = 0*u - 0*y: the products by 1
+    and -1 are exact and the second state only ever adds a zero, so every
+    y_k is fl(a*y_{k-1} + u_k), the rounding of a naive loop and of
+    ``lfilter``, up to the sign of a y_k that is zero.
+    """
+    sos = np.array([(1.0, 0.0, 0.0, 1.0, -a, 0.0) for a, _ in poles])
+    zi = np.array([[(a * y0, 0.0) for a, y0 in poles]])
+    run = _sosfilt()
+    return lambda u: run(sos, u[np.newaxis], zi.copy())
+
+
+_LOADING = threading.Lock()
+
+
+def _sosfilt():
+    """``_sosfilt(sos, x, zi)`` from scipy's ``signal/_sosfilt`` extension; it filters x and zi in place.
+
+    The extension is loaded from its file, found without running any scipy
+    ``__init__``, so the ``scipy.signal`` package is never imported; the
+    extension itself imports the ``scipy`` package.  The module is
+    registered under its own name, so a later ``import scipy.signal`` by
+    other code reuses it.  The file suffix comes from
+    ``EXTENSION_SUFFIXES``, which is complete from interpreter start.  A
+    second load of a Cython extension gets the module of the first, which
+    stays empty until the first load ends, so the load is made under a lock
+    and the first call may come from any thread.
+    """
+    with _LOADING:
+        return _load_sosfilt()
 
 
 @cache
-def _linear_filter():
-    """``_linear_filter(b, a, u, axis, zi)`` from scipy's ``signal/_sigtools`` extension.
-
-    The extension is loaded from its file, found without running any scipy
-    ``__init__``, so the ``scipy.signal`` package is never imported.  The
-    module is registered under its own name, so a later ``import
-    scipy.signal`` by other code reuses it.  The file suffix comes from
-    ``EXTENSION_SUFFIXES``, which is complete from interpreter start, so the
-    first call may come from any thread.
-    """
-    name = "scipy.signal._sigtools"
+def _load_sosfilt():
+    name = "scipy.signal._sosfilt"
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = str(Path(scipy_dir, "signal", "_sigtools" + importlib.machinery.EXTENSION_SUFFIXES[0]))
+    path = str(Path(scipy_dir, "signal", "_sosfilt" + importlib.machinery.EXTENSION_SUFFIXES[0]))
     loader = importlib.machinery.ExtensionFileLoader(name, path)
     module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
     loader.exec_module(module)
-    return module._linear_filter
-
-
-def simulate(params: ModelParams, noise: NoiseSpec, n: int, seed: int) -> Series:
-    """Draw X_0..X_n with the latent sequences attached: :func:`simulate_paths` for one seed."""
-    x, eps, v = simulate_paths(params, noise, n, [seed])
-    return Series(x=x[0], eps=eps[0], v=v[0])
+    return module._sosfilt
 
 
 # ---------------------------------------------------------------------------

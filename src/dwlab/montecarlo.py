@@ -230,7 +230,7 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
 
     def block(start: int) -> list:
         seeds = [derive_seed(cfg.base_seed, i) for i in range(start, min(start + size, cfg.replicates))]
-        x = simulate_paths(cfg.params, cfg.noise, cfg.n, seeds)[0]
+        x = simulate_paths(cfg.params, cfg.noise, cfg.n, seeds)
         try:
             return statistic(x)
         except DWLabError:

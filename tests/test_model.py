@@ -50,20 +50,16 @@ def _reference_path(p, noise, n, seed):
 
 
 def _reference_block(p, noise, n, seeds):
-    """A block as simulate_paths drew it with five path-sized arrays: V, two filter outputs, eps and x."""
-    one_pole = model._linear_filter()
-    b = np.array([1.0])
-    v = np.empty((len(seeds), n))
-    for row, seed in zip(v, seeds):
-        noise._draw_into(row, make_rng(seed), p.sigma2)
+    """A block with lfilter along its rows: V, then eps and X each from its initial value, as five arrays."""
+    from scipy.signal import lfilter
+
+    v = np.array([noise.sample(n, make_rng(seed), p.sigma2) for seed in seeds])
     eps = np.empty((len(seeds), n + 1))
     eps[:, 0] = p.eps0
-    zi = np.full((len(seeds), 1), p.rho * p.eps0)
-    eps[:, 1:] = one_pole(b, np.array([1.0, -p.rho]), v, -1, zi)[0]
+    eps[:, 1:] = lfilter([1.0], [1.0, -p.rho], v, zi=np.full((len(seeds), 1), p.rho * p.eps0))[0]
     x = np.empty((len(seeds), n + 1))
     x[:, 0] = p.x0
-    zi = np.full((len(seeds), 1), p.theta * p.x0)
-    x[:, 1:] = one_pole(b, np.array([1.0, -p.theta]), eps[:, 1:], -1, zi)[0]
+    x[:, 1:] = lfilter([1.0], [1.0, -p.theta], eps[:, 1:], zi=np.full((len(seeds), 1), p.theta * p.x0))[0]
     return x, eps, v
 
 
@@ -191,41 +187,65 @@ class TestSimulate:
     @settings(max_examples=40, deadline=None)
     def test_block_rows_are_the_single_paths(self, p, kind, seeds, n):
         noise = NoiseSpec(kind=kind)
-        x, eps, v = simulate_paths(p, noise, n, seeds)
-        assert x.shape == eps.shape == (len(seeds), n + 1) and v.shape == (len(seeds), n)
+        x = simulate_paths(p, noise, n, seeds)
+        assert x.shape == (len(seeds), n + 1)
         for i, seed in enumerate(seeds):
             ref = _reference_path(p, noise, n, seed)
             one = simulate(p, noise, n, seed)
-            for got, single, want in zip((x[i], eps[i], v[i]), (one.x, one.eps, one.v), ref):
-                assert got.tobytes() == single.tobytes() == want.tobytes()
-        assert np.array_equal(x[:, 1:], p.theta * x[:, :-1] + eps[:, 1:])
-        assert np.array_equal(eps[:, 1:], p.rho * eps[:, :-1] + v)
+            assert x[i].tobytes() == one.x.tobytes() == ref[0].tobytes()
+            assert one.eps.tobytes() == ref[1].tobytes() and one.v.tobytes() == ref[2].tobytes()
+            assert np.array_equal(x[i, 1:], p.theta * x[i, :-1] + one.eps[1:])
+            assert np.array_equal(one.eps[1:], p.rho * one.eps[:-1] + one.v)
+
+    @given(
+        st.floats(min_value=-0.99, max_value=0.99),
+        st.floats(min_value=-0.99, max_value=0.99),
+        st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=9.0).filter(lambda s: s != 1.0)),
+        st.sampled_from([(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.7, -0.2), (1e10, -3.0)]),
+        kind_st,
+        st.lists(seed_st, min_size=1, max_size=5),
+        st.sampled_from([2, 3, 127, 1001, 2**15 + 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_paths_and_latents_are_the_lfilter_block(self, theta, rho, sigma2, initial, kind, seeds, n):
+        # the bit-identity oracle: scipy's public lfilter, run along the rows of a five-array block
+        p = ModelParams(theta=theta, rho=rho, sigma2=sigma2, x0=initial[0], eps0=initial[1])
+        x, eps, v = _reference_block(p, NoiseSpec(kind), n, seeds)
+        got = simulate_paths(p, NoiseSpec(kind), n, seeds)
+        assert got.shape == x.shape and got.tobytes() == x.tobytes()
+        for i, seed in enumerate(seeds):
+            one = simulate(p, NoiseSpec(kind), n, seed)
+            for a, want in ((one.x, x[i]), (one.eps, eps[i]), (one.v, v[i])):
+                assert a.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("x0, eps0", [(0.0, 0.0), (-0.0, -0.0), (0.7, -0.2), (1e10, -3.0)])
-    def test_zero_state_filter_is_the_five_array_block(self, kind, rows, x0, eps0):
-        # filtering rows led by their initial values, from zero state, draws the same bytes
+    def test_zero_and_unit_poles_are_the_lfilter_block(self, kind, rows, x0, eps0):
+        # poles at 0 and near +-1, where a section's states carry signed zeros or large values
         seeds = [41, 2**64 - 1, 0][:rows]
         for theta, rho in [(0.0, 0.0), (0.99, -0.99), (-0.99, 0.99), (0.5, 0.0), (0.0, -0.3), (-0.99, -0.99)]:
             p = ModelParams(theta=theta, rho=rho, sigma2=1.7, x0=x0, eps0=eps0)
+            x, eps, v = _reference_block(p, NoiseSpec(kind), 301, seeds)
             got = simulate_paths(p, NoiseSpec(kind), 301, seeds)
-            for a, want in zip(got, _reference_block(p, NoiseSpec(kind), 301, seeds)):
-                assert a.shape == want.shape and a.tobytes() == want.tobytes(), (theta, rho)
+            assert got.shape == x.shape and got.tobytes() == x.tobytes(), (theta, rho)
+            one = simulate(p, NoiseSpec(kind), 301, seeds[-1])
+            assert (one.x.tobytes(), one.eps.tobytes(), one.v.tobytes()) == (
+                x[-1].tobytes(), eps[-1].tobytes(), v[-1].tobytes()), (theta, rho)
 
-    def test_block_holds_three_path_sized_arrays(self):
-        # u (eps_0 and V), eps and x; the five-array block peaked near 4 x.nbytes
-        simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 2, [7])  # imports numpy.random on first use
+    def test_block_holds_only_x(self):
+        # V is drawn into x and both recursions run over it in place; V, eps and X as three arrays peaked near 3x
+        simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 2, [7])  # loads numpy.random and the loop
         for seeds in ([7], [7, 8, 9]):
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                x, eps, v = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, seeds)
+                x = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, seeds)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak <= 3.2 * x.nbytes
+            assert peak <= 1.2 * x.nbytes
 
     def test_block_is_validated_like_one_path(self):
         with pytest.raises(InvalidLength):
@@ -266,7 +286,7 @@ class TestNoiseKinds:
         assert set(np.unique(s.v)) == {-2.0, 2.0}
 
     @pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
-    @pytest.mark.parametrize("sigma2", [2.0, 0.37, 1e-3])
+    @pytest.mark.parametrize("sigma2", [2.0, 1.0, 0.37, 1e-3])
     def test_draws_are_the_allocating_formulas(self, kind, sigma2):
         # the rows of a block are drawn in place; these are the formulas that allocate each draw
         n, seeds = 5000, [3, 2**64 - 1]
@@ -276,10 +296,10 @@ class TestNoiseKinds:
             "uniform": lambda rng: rng.uniform(-half, half, n),
             "rademacher": lambda rng: (2.0 * rng.integers(0, 2, size=n) - 1.0) * sd,
         }
-        v = simulate_paths(ModelParams(theta=0.5, rho=0.3, sigma2=sigma2), NoiseSpec(kind), n, seeds)[2]
-        for row, seed in zip(v, seeds):
+        p = ModelParams(theta=0.5, rho=0.3, sigma2=sigma2)
+        for seed in seeds:
             expected = formulas[kind](make_rng(seed)).tobytes()
-            assert row.tobytes() == expected
+            assert simulate(p, NoiseSpec(kind), n, seed).v.tobytes() == expected
             assert NoiseSpec(kind).sample(n, make_rng(seed), sigma2).tobytes() == expected
 
 

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -218,6 +219,22 @@ class TestQsl:
             qsl_check(config(0.5, 0.3, n=n, reps=2, seed=1), "theta", k0=k0)
         assert str(exc.value) == message
 
+    def test_a_theta_block_holds_x_its_trajectory_and_one_block_of_sums(self):
+        # at n = 10^5 a block is one path; besides x and theta_hat_k for k = k0..n the walk holds S and P
+        # for 2^14 steps, a third of a path here.  Drawing V, eps and X as three arrays peaked at 3.0 paths.
+        n = 10**5
+        cfg = config(0.5, 0.3, n=n, reps=1, seed=7)
+        qsl_check(cfg, "theta")  # loads numpy.random and the recursion loop
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            qsl_check(cfg, "theta")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * 8 * (n + 1)
+
     def test_order_of_magnitude_at_moderate_n(self):
         # at n = 10^4 the log average should already sit near the target
         cfg = config(0.5, 0.3, n=10_000, reps=8, seed=606)
@@ -417,7 +434,7 @@ class TestReplicateBlocks:
             "montecarlo._usable_cpus = lambda: 2\n"
             "params, noise = ModelParams(0.5, 0.3), NoiseSpec()\n"
             "config = lambda reps: montecarlo.McConfig(params, noise, 10**6, reps, 1)\n"
-            "first = montecarlo.simulate_paths(params, noise, 10**6, [montecarlo.derive_seed(1, 0)])[0][0, 1]\n"
+            "first = montecarlo.simulate_paths(params, noise, 10**6, [montecarlo.derive_seed(1, 0)])[0, 1]\n"
             "def statistic(x):\n"
             "    if x[0, 1] == first:\n"
             "        raise DomainError('replicate 0')\n"
