@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -110,6 +110,13 @@ def _lagged(coef) -> np.ndarray:
     return np.asarray(coef)[..., None]
 
 
+def _denominator(denom, degenerate: str):
+    """``denom``, unless one of its values is zero or negative: then DegenerateDenominator(degenerate)."""
+    if np.any(denom <= 0.0):
+        raise DegenerateDenominator(degenerate)
+    return denom
+
+
 def _slope(y: ArrayLike, lag: int, degenerate: str):
     """Least squares slope of Y_k on Y_{k-lag}: sum(Y_k Y_{k-lag}) / sum(Y_{k-lag}^2).
 
@@ -118,9 +125,7 @@ def _slope(y: ArrayLike, lag: int, degenerate: str):
     y = _as_block(y)
     _check_steps(y)
     head, tail = y[..., :-lag], y[..., lag:]
-    denom = _total(head * head)
-    if np.any(denom <= 0.0):
-        raise DegenerateDenominator(degenerate)
+    denom = _denominator(_total(head * head), degenerate)
     return _total(tail * head) / denom
 
 
@@ -158,9 +163,7 @@ def dw_statistic(res: ArrayLike) -> float:
     """Durbin-Watson ratio sum (eps_hat_k - eps_hat_{k-1})^2 / sum eps_hat_k^2."""
     e = _as_block(res)
     _check_steps(e)
-    denom = _total(e * e)
-    if np.any(denom <= 0.0):
-        raise DegenerateDenominator("sum of squared residuals is zero")
+    denom = _denominator(_total(e * e), "sum of squared residuals is zero")
     d = np.diff(e)
     return _total(d * d) / denom
 
@@ -192,6 +195,82 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
         if not np.all(np.isfinite(value)):
             raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
     return EstimateSet(residuals=res, n=x.shape[-1] - 1, **fitted)
+
+
+def prefix_estimates(path: ArrayLike, which: str, checkpoints: Sequence[int]) -> list:
+    """Statistic ``which`` of every prefix X_0..X_m, one entry per checkpoint m.
+
+    Each entry is bit for bit what :func:`estimate_theta` gives on the prefix
+    alone, or :func:`estimate_rho` or :func:`dw_statistic` of its
+    :func:`residuals`: a float for one series, one value per row for a
+    (B, n+1) block.  The checkpoints must ascend strictly within [3, n].  A
+    zero denominator raises the DegenerateDenominator those functions raise,
+    at the first checkpoint where one vanishes.
+
+    Besides the series the refit holds one scratch row of (last checkpoint
+    + 1) values per path.  The products of each sum over X go into that row
+    once, and each checkpoint sums a prefix of it.  The residual sums depend
+    on the checkpoint's theta_hat, so each checkpoint writes their products
+    again, in two passes over residuals formed ``_BLOCK`` steps at a time:
+    no residual, difference or product array of the path's length is made.
+    Every sum is ``np.sum`` over a contiguous row prefix of the same products
+    the one-shot functions form, so the bits do not move.
+    """
+    check_which(which)
+    x = _as_block(path)
+    n = x.shape[-1] - 1
+    bounds = [MIN_STEPS - 1, *checkpoints, n + 1]  # strictly ascending exactly when the checkpoints are valid
+    if len(bounds) < 3 or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise DomainError(f"checkpoints must ascend strictly within [{MIN_STEPS}, {n}]")
+    last = checkpoints[-1]
+    row = np.empty(x.shape[:-1] + (last + 1,))
+    head = x[..., :last]
+
+    np.multiply(head, head, out=row[..., :last])
+    denoms = [_denominator(_total(row[..., :m]), "sum of squared lagged values is zero") for m in checkpoints]
+    np.multiply(x[..., 1 : last + 1], head, out=row[..., :last])
+    thetas = [_total(row[..., :m]) / denom for m, denom in zip(checkpoints, denoms)]
+    if which == "theta":
+        return thetas
+
+    values = []
+    for m, th in zip(checkpoints, thetas):
+        if which == "rho":  # sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m
+            squares, degenerate = m, "sum of squared lagged residuals is zero"
+        else:  # sum (eps_k - eps_{k-1})^2 / sum eps_k^2 over k = 0..m
+            squares, degenerate = m + 1, "sum of squared residuals is zero"
+        row[..., 0] = x[..., 0] * x[..., 0]
+        for a, b, eps in _residual_chunks(x, th, squares):
+            np.multiply(eps[..., 1:], eps[..., 1:], out=row[..., a:b])
+        denom = _denominator(_total(row[..., :squares]), degenerate)
+        for a, b, eps in _residual_chunks(x, th, m + 1):  # the lag-k term goes to slot k-1
+            out = row[..., a - 1 : b - 1]
+            if which == "rho":
+                np.multiply(eps[..., 1:], eps[..., :-1], out=out)
+            else:
+                np.subtract(eps[..., 1:], eps[..., :-1], out=out)
+                np.multiply(out, out, out=out)
+        values.append(_total(row[..., :m]) / denom)
+    return values
+
+
+def _residual_chunks(x: np.ndarray, theta_hat, stop: int):
+    """Residuals eps_k = X_k - theta_hat*X_{k-1} for k = 1..stop-1, ``_BLOCK`` steps at a time.
+
+    Yields (a, b, eps) for consecutive chunks of steps a..b-1: ``eps[..., 1:]``
+    holds eps_a..eps_{b-1} and ``eps[..., 0]`` holds eps_{a-1} (X_0 at a = 1),
+    rounded as :func:`residuals` rounds them.  The buffer is reused, so each
+    chunk is valid only until the next is asked for.
+    """
+    buf = np.empty(x.shape[:-1] + (_BLOCK + 1,))
+    buf[..., 0] = x[..., 0]
+    for a in range(1, stop, _BLOCK):
+        b = min(a + _BLOCK, stop)
+        eps = buf[..., : b - a + 1]
+        np.multiply(_lagged(theta_hat), x[..., a - 1 : b - 1], out=eps[..., 1:])
+        np.subtract(x[..., a:b], eps[..., 1:], out=eps[..., 1:])
+        yield a, b, eps
+        buf[..., 0] = eps[..., -1]
 
 
 def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray:
@@ -273,7 +352,7 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     within 3e-14.  The tests pin 1e-6 on dw at (0.99, 0.99).
     """
     with _overflow_guard():
-        theta, rho, dw = _walk(path, k0, residual_sums=True)
+        theta, rho, dw = _walk(path, k0, TRAJECTORIES)
     return RunningEstimates(k=np.arange(k0, k0 + theta.size), theta=theta, rho=rho, dw=dw)
 
 
@@ -281,27 +360,33 @@ def squared_deviation_sum(path: ArrayLike, which: str, limit: float, k0: int = D
     """sum_{k=k0..n} (estimate_k - limit)^2 along the running trajectory ``which``.
 
     ``which`` names a trajectory of :func:`running_estimates` (theta, rho or
-    dw), and the sum is bit for bit the one over that trajectory.  For theta
-    the walk forms only S and P and the one trajectory it needs, and no
-    residual sum; the check that J_{k-1} does not vanish guards the rho and
-    dw divisions, so it applies to rho and dw alone.  Every other check of
+    dw), and the sum is bit for bit the one over that trajectory.  Only that
+    trajectory is held at full length, so besides the series a call holds
+    one path-sized array and a few block buffers.  For theta the walk forms
+    only S and P, and no residual sum; the check that J_{k-1} does not
+    vanish guards the rho and dw divisions, so it applies to rho and dw
+    alone.  Every other check of
     :func:`running_estimates` applies, and a squared deviation or a sum that
     overflows raises the same DomainError, without numpy warnings.
     """
     check_which(which)
     with _overflow_guard():
-        track = _walk(path, k0, residual_sums=which != "theta")[TRAJECTORIES.index(which)]
+        (track,) = _walk(path, k0, (which,))
         np.subtract(track, limit, out=track)
         np.square(track, out=track)
         return float(np.sum(track))
 
 
-def _walk(path: ArrayLike, k0: int, residual_sums: bool) -> tuple:
-    """The blocked walk of the running sums: (theta,), or (theta, rho, dw) with the residual sums.
+def _walk(path: ArrayLike, k0: int, keep: tuple) -> tuple:
+    """The blocked walk of the running sums: the trajectories named in ``keep``, in walk order.
 
     Validates the series and the burn-in, then carries S and P (and Q when
-    ``residual_sums``) from block to block; run it under :func:`_overflow_guard`.
+    ``keep`` names rho or dw, whose residual sums need it) from block to
+    block; run it under :func:`_overflow_guard`.  Only the kept trajectories
+    are held at full length: a trajectory the walk needs but does not keep
+    (theta_hat_k for rho and dw, dw_k's slot for rho) lives in a block buffer.
     """
+    residual_sums = keep != ("theta",)
     x = _as_x(path)
     n = x.size - 1
     check_burn_in(n, k0)
@@ -321,18 +406,19 @@ def _walk(path: ArrayLike, k0: int, residual_sums: bool) -> tuple:
     if sums[0, 0] <= 0.0:
         raise DegenerateDenominator("series is identically zero up to the burn-in")
 
-    theta = np.empty(n + 1 - k0)
+    kept = [name in keep for name in TRAJECTORIES[: 3 if residual_sums else 1]]
+    tracks = [np.empty(n + 1 - k0 if full else _BLOCK) for full in kept]
     if residual_sums:
-        rho, dw, scratch = np.empty(theta.size), np.empty(theta.size), np.empty((3, _BLOCK))
+        scratch = np.empty((3, _BLOCK))
     for a in range(k0, n + 1, _BLOCK):
         b = min(a + _BLOCK, n + 1)
         block = _advance_sums(x, a, b, sums)
-        out = slice(a - k0, b - k0)
-        np.divide(block[1, 1:], block[0, :-1], out=theta[out])
+        th, *residual = [track[a - k0 : b - k0] if full else track[: b - a] for track, full in zip(tracks, kept)]
+        np.divide(block[1, 1:], block[0, :-1], out=th)
         if residual_sums:
-            _residual_block(x, a, b, block, theta[out], rho[out], dw[out], scratch[:, : b - a])
+            _residual_block(x, a, b, block, th, *residual, scratch[:, : b - a])
         sums[:, 0] = block[:, -1]
-    return (theta, rho, dw) if residual_sums else (theta,)
+    return tuple(track for track, full in zip(tracks, kept) if full)
 
 
 def _residual_block(

@@ -24,6 +24,7 @@ which ``verify --csv`` writes.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import sys
@@ -43,17 +44,14 @@ from .estimators import (
     check_burn_in,
     check_which,
     estimate_all,
-    estimate_rho,
-    estimate_theta,
-    dw_statistic,
-    residuals,
+    prefix_estimates,
     squared_deviation_sum,
 )
 from .model import _MASK64, ModelParams, NoiseSpec, check_seed, simulate_paths
 from .testing import check_alpha, check_rho0, critical_outcome, rho_outcome, zero_outcome
 
 # Unused here; the benchmark's span tracer wraps these names on this module.
-from .estimators import running_estimates  # noqa: F401
+from .estimators import dw_statistic, estimate_rho, estimate_theta, residuals, running_estimates  # noqa: F401
 from .model import simulate  # noqa: F401
 from .testing import critical_case_test, rho_test, rho_zero_test  # noqa: F401
 
@@ -400,9 +398,11 @@ def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int
     replicate; the strong law predicts the asymptotic variance of the chosen
     statistic.  Needs n >= 10^4 so the log average carries enough scales,
     and checks the burn-in before any path is drawn.  Each path takes one
-    walk of :func:`squared_deviation_sum`: for theta it forms only the
-    running sums S and P and one trajectory; rho and dw need the residual
-    sums and all three trajectories.
+    walk of :func:`squared_deviation_sum`, which keeps only the summed
+    trajectory at full length: for theta it forms only the running sums S
+    and P; rho and dw also need the residual sums, and hold the other two
+    trajectories a block at a time.  So a worker holds its path, one
+    trajectory and about 1 MB of block buffers.
     """
     if cfg.n < 10_000:
         raise DomainError("quadratic strong law check needs n >= 10^4")
@@ -429,14 +429,12 @@ def lil_deviation(estimate, limit: float, m: int):
     return math.sqrt(m / (2.0 * math.log(math.log(m)))) * abs(estimate - limit)
 
 
-def _prefix_estimate(x: np.ndarray, m: int, which: str) -> np.ndarray:
-    """Statistic ``which`` of X_0..X_m, fitted on every row of a (B, n+1) block."""
-    prefix = x[:, : m + 1]
-    theta_hat = estimate_theta(prefix)
-    if which == "theta":
-        return theta_hat
-    res = residuals(prefix, theta_hat)
-    return estimate_rho(res) if which == "rho" else dw_statistic(res)
+def _checkpoint(m) -> int:
+    """A checkpoint as an int; anything but an integer (1000.7, "1e3", None) raises DomainError naming it."""
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise DomainError(f"checkpoints must be integers, got {m!r}") from None
 
 
 def lil_envelope_check(
@@ -451,8 +449,14 @@ def lil_envelope_check(
     sqrt(m/(2 log log m)) * |estimate_m - limit| is compared to three times
     the asymptotic sd; the report carries the exceedance fractions.  This is
     a sanity envelope at fixed sample sizes, not a limsup estimate.
+
+    The checkpoints must be distinct integers from 16 to n, in any order; a
+    value that is not an integer raises DomainError naming it.  Each path's
+    estimates come from one :func:`prefix_estimates` refit over all the
+    checkpoints, so a worker holds its path and one scratch row as long as
+    the last checkpoint.
     """
-    checkpoints = sorted(int(m) for m in checkpoints)
+    checkpoints = sorted(map(_checkpoint, checkpoints))
     if not checkpoints:
         raise DomainError("need at least one checkpoint")
     if checkpoints[0] < 16:
@@ -467,7 +471,8 @@ def lil_envelope_check(
     envelope = LIL_SD_MULTIPLE * math.sqrt(variance)
 
     def deviations(x: np.ndarray) -> list:
-        columns = [lil_deviation(_prefix_estimate(x, m, which), limit, m) for m in checkpoints]
+        estimates = prefix_estimates(x, which, checkpoints)
+        columns = [lil_deviation(value, limit, m) for m, value in zip(checkpoints, estimates)]
         return np.column_stack(columns).tolist()
 
     rows = _map_paths(deviations, cfg, threads)

@@ -3,7 +3,9 @@
 Closed-form values are recomputed in exact rational arithmetic (Fraction),
 sums are recomputed with compensated summation (math.fsum), so every check
 compares the float64 implementation against an arithmetic path it does not
-share.
+share.  The one exception, :func:`prefix_estimate`, is the whole-prefix lil
+refit through the one-shot estimators, which the chunked
+``estimators.prefix_estimates`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from dwlab.estimators import dw_statistic, estimate_rho, estimate_theta, residuals
 
 
 def rel_close(a: float, b: float, tol: float) -> bool:
@@ -116,3 +120,16 @@ def rho_hat_fsum(res) -> float:
 def dw_fsum(res) -> float:
     diffs = [float(res[k]) - float(res[k - 1]) for k in range(1, len(res))]
     return math.fsum(d * d for d in diffs) / dot_fsum(res, res)
+
+
+# --- the lil prefix refit as whole-prefix one-shot fits ---------------------
+
+
+def prefix_estimate(x: np.ndarray, m: int, which: str) -> np.ndarray:
+    """Statistic ``which`` of X_0..X_m, fitted on every row of a (B, n+1) block."""
+    prefix = x[:, : m + 1]
+    theta_hat = estimate_theta(prefix)
+    if which == "theta":
+        return theta_hat
+    res = residuals(prefix, theta_hat)
+    return estimate_rho(res) if which == "rho" else dw_statistic(res)

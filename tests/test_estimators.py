@@ -17,13 +17,14 @@ from dwlab.estimators import (
     estimate_sigma2,
     estimate_theta,
     estimate_theta_sq,
+    prefix_estimates,
     residuals,
     running_estimates,
     squared_deviation_sum,
 )
-from dwlab.model import NOISE_KINDS, ModelParams, NoiseSpec, simulate
+from dwlab.model import NOISE_KINDS, ModelParams, NoiseSpec, simulate, simulate_paths
 
-from oracles import dot_fsum, dw_fsum, rel_close, rho_hat_fsum, sum_fsum, theta_hat_fsum
+from oracles import dot_fsum, dw_fsum, prefix_estimate, rel_close, rho_hat_fsum, sum_fsum, theta_hat_fsum
 
 params_st = st.builds(
     ModelParams,
@@ -446,7 +447,7 @@ BLOCKS = (1, 7, 1000, 2**14)
 
 def _theta_walk(x, k0):
     with estimators._overflow_guard():
-        return estimators._walk(x, k0, residual_sums=False)
+        return estimators._walk(x, k0, ("theta",))
 
 
 def _reference_theta(x, k0):
@@ -587,6 +588,61 @@ class TestBlockedRunningEstimates:
             assert squared_deviation_sum(x, which, 0.3, k0=7) == expected
         with pytest.raises(DomainError):
             squared_deviation_sum(x, "sigma2", 0.3)
+
+
+# (estimators._BLOCK, n, checkpoints): the residual chunks start at steps 1, 1+B, 1+2B, ..., and a
+# checkpoint m ends its passes at step m or m+1, so jB-1, jB and jB+1 end them just before, on and
+# just after a chunk edge
+_PREFIX_CASES = [
+    (1, 300, [16, 17, 18, 300]),
+    (7, 2000, [16, 20, 21, 22, 2000]),
+    (2**14, 40_000, [16, 2**14 - 1, 2**14, 2**14 + 1, 40_000]),
+]
+
+
+def _refit_outcome(fit):
+    """The values ``fit()`` returns, as bytes, or the class and message of the exception it raises."""
+    try:
+        return [np.asarray(value).tobytes() for value in fit()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestPrefixEstimates:
+    """The chunked lil refit against the whole-prefix one-shot fits, for any chunk size."""
+
+    @pytest.mark.parametrize("block, n, checkpoints", _PREFIX_CASES)
+    def test_bytes_match_the_whole_prefix_refit(self, monkeypatch, block, n, checkpoints):
+        x = simulate_paths(ModelParams(theta=-0.6, rho=0.7), NoiseSpec("rademacher"), n, [3, 4, 5])
+        monkeypatch.setattr(estimators, "_BLOCK", block)
+        for which in TRAJECTORIES:
+            expected = [prefix_estimate(x, m, which) for m in checkpoints]
+            got = prefix_estimates(x, which, checkpoints)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected], which
+            # a series on its own gets its row's values, as floats
+            assert prefix_estimates(x[1], which, checkpoints) == [float(a[1]) for a in got], which
+
+    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    def test_a_zero_row_raises_as_the_whole_prefix_refit_does(self, monkeypatch, block):
+        path = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, [6, 7])
+        monkeypatch.setattr(estimators, "_BLOCK", block)
+        for zero in (slice(None), slice(0, 20)):  # zero throughout, or only up to past the first checkpoint
+            x = path.copy()
+            x[1, zero] = 0.0
+            for which in TRAJECTORIES:
+                expected = _refit_outcome(lambda: [prefix_estimate(x, m, which) for m in (16, 300)])
+                assert expected == (DegenerateDenominator, "sum of squared lagged values is zero")
+                assert _refit_outcome(lambda: prefix_estimates(x, which, [16, 300])) == expected
+                assert _refit_outcome(lambda: prefix_estimates(x[1], which, [16, 300])) == expected
+
+    def test_checkpoints_must_ascend_within_the_path(self):
+        x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 6).x
+        for checkpoints in ([], [2], [301], [100, 100], [200, 100]):
+            with pytest.raises(DomainError, match=r"^checkpoints must ascend strictly within \[3, 300\]$"):
+                prefix_estimates(x, "rho", checkpoints)
+        with pytest.raises(DomainError):
+            prefix_estimates(x, "sigma2", [100])
+        assert prefix_estimates(x, "dw", [3, 300])[0] == dw_statistic(residuals(x[:4], estimate_theta(x[:4])))
 
 
 class TestConsistency:

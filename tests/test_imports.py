@@ -29,6 +29,10 @@ PACKAGE = Path(dwlab.__file__).resolve().parent
 # them there; binding the spans where the names are used would let them go.
 TRACER_ONLY = [
     "dwlab.montecarlo.critical_case_test",
+    "dwlab.montecarlo.dw_statistic",
+    "dwlab.montecarlo.estimate_rho",
+    "dwlab.montecarlo.estimate_theta",
+    "dwlab.montecarlo.residuals",
     "dwlab.montecarlo.rho_test",
     "dwlab.montecarlo.rho_zero_test",
     "dwlab.montecarlo.running_estimates",

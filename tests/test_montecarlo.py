@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwlab import montecarlo
+from dwlab import estimators, montecarlo
 from dwlab.errors import DegenerateStatistic, DomainError, OutOfRegion, TooShort
 from dwlab.estimators import (
     DEFAULT_BURN_IN,
+    TRAJECTORIES,
     dw_statistic,
     estimate_all,
     estimate_rho,
@@ -252,6 +253,46 @@ class TestQsl:
         assert abs(report.body["qsl"]["mean"] - 0.25) <= 0.30 * 0.25
 
 
+def _peak_paths(run, n: int) -> float:
+    """The tracemalloc peak of ``run()``, in arrays of n+1 float64 values."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * (n + 1))
+
+
+@pytest.fixture(scope="module")
+def warm_long_checks():
+    """One small qsl and lil check per statistic, which load numpy.random and the recursion loop."""
+    cfg = config(0.5, 0.3, n=10_000, reps=1, seed=7)
+    for which in TRAJECTORIES:
+        qsl_check(cfg, which)
+        lil_envelope_check(cfg, which, [10_000])
+
+
+class TestLongPathMemory:
+    """At n = 10^6 a block is one path; a worker holds it and at most one path-sized array more."""
+
+    @pytest.mark.parametrize("which", TRAJECTORIES)
+    @pytest.mark.parametrize("experiment", ["qsl", "lil"])
+    def test_a_block_peaks_near_two_paths(self, warm_long_checks, experiment, which):
+        # qsl keeps the summed trajectory and block buffers; lil's refit one scratch row and one
+        # chunk of residuals.  Fitting whole prefixes peaked at 3.0 (lil rho) and 4.0 paths (lil
+        # dw), and keeping all three trajectories at 4.1 (qsl rho and dw).
+        n = 10**6
+        cfg = config(0.5, 0.3, n=n, reps=1, seed=7)
+        if experiment == "qsl":
+            peak = _peak_paths(lambda: qsl_check(cfg, which), n)
+        else:
+            peak = _peak_paths(lambda: lil_envelope_check(cfg, which, [1000, 10**4, 10**5, n]), n)
+        assert peak <= 2.2
+
+
 class TestLil:
     def test_deviation_is_zero_at_the_limit_itself(self):
         assert lil_deviation(0.123, 0.123, 10_000) == 0.0
@@ -270,6 +311,29 @@ class TestLil:
             lil_envelope_check(cfg, "theta", [])
         with pytest.raises(DomainError, match="^checkpoints must be distinct, 100 is repeated$"):
             lil_envelope_check(cfg, "theta", [100, 5000, 100])
+
+    @pytest.mark.parametrize("checkpoints, shown", [([1000.7, 2000], "1000.7"), (["1e3"], "'1e3'"), ([None], "None")])
+    def test_a_checkpoint_that_is_not_an_integer_is_named(self, checkpoints, shown):
+        cfg = config(0.5, 0.3, n=10_000, reps=2, seed=1)
+        with pytest.raises(DomainError) as exc:
+            lil_envelope_check(cfg, "theta", checkpoints)
+        assert str(exc.value) == f"checkpoints must be integers, got {shown}"
+
+    @pytest.mark.parametrize("block, n, checkpoints", [
+        (1, 300, [16, 17, 18, 300]),
+        (7, 2000, [16, 20, 21, 22, 2000]),
+        (2**14, 40_000, [16, 2**14 - 1, 2**14, 2**14 + 1, 40_000]),
+    ])
+    def test_every_chunk_size_matches_the_per_replicate_loop(self, monkeypatch, block, n, checkpoints):
+        # checkpoints just before, on and just after an edge of the refit's residual chunks
+        # (see tests/test_estimators.py), all three paths in one replicate block
+        cfg = config(-0.6, 0.7, n=n, reps=3, seed=77, kind="rademacher")
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 3 * (n + 1))
+        for which in TRAJECTORIES:
+            rows = _reference_rows("lil", cfg, which=which, checkpoints=checkpoints)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimators, "_BLOCK", block)
+                assert lil_envelope_check(cfg, which, checkpoints).body["lil"]["deviations"] == rows, which
 
     def test_envelope_smoke(self):
         cfg = config(0.5, 0.3, n=10_000, reps=30, seed=808)
@@ -359,6 +423,17 @@ class TestReplicateBlocks:
             monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", size * (n + 1))
             for threads in (1, 2):
                 assert json.dumps(_run(kind, cfg, kwargs, threads).to_dict()) == reference, (size, threads)
+
+    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    @pytest.mark.parametrize("experiment", ["qsl", "qsl-rho"])
+    def test_every_walk_block_size_matches_the_per_replicate_loop(self, monkeypatch, experiment, block):
+        # the walk keeps only the summed trajectory, so its other trajectories cross block edges
+        # in block buffers; one replicate, as a block of one step walks 10^4 steps in 0.5 s
+        kind, (theta, rho), noise, n, _, kwargs = _BLOCK_CASES[experiment]
+        cfg = config(theta, rho, n=n, reps=1, seed=2024, kind=noise)
+        rows = _reference_rows(kind, cfg, **kwargs)
+        monkeypatch.setattr(estimators, "_BLOCK", block)
+        assert qsl_check(cfg, kwargs["which"]).body["qsl"]["values"] == rows
 
     def test_block_size_follows_the_path_length(self, monkeypatch):
         sizes = []
