@@ -21,6 +21,7 @@ import json
 import os
 import shlex
 import sys
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -258,6 +259,24 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
+@contextmanager
+def _replaced_when_done(path: str):
+    """A new file beside ``path`` for the body to write: moved onto ``path`` if the body ends, else removed."""
+    partial = f"{path}.{os.getpid()}.partial"
+    if os.path.isdir(path):
+        raise DomainError(f"cannot write --csv {path}: Is a directory")
+    try:
+        os.close(os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:
+        raise DomainError(f"cannot write --csv {path}: {exc.strerror}") from None
+    try:
+        yield partial
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
 def _cmd_verify(args):
     _keep_freed_memory()
     params = ModelParams(theta=args.theta, rho=args.rho, sigma2=args.sigma2)
@@ -271,19 +290,20 @@ def _cmd_verify(args):
     )
     threads = _threads(args)
     experiment = args.experiment
-    if experiment in ("clt", "joint"):
-        report = run_replications(cfg, threads=threads)
-    elif experiment in ("size", "power"):
-        report = empirical_size_power(args.test_kind, cfg, rho0=args.rho0, threads=threads)
-    elif experiment == "critical":
-        report = empirical_size_power("critical", cfg, threads=threads)
-    elif experiment == "qsl":
-        report = qsl_check(cfg, args.which, k0=args.k0, threads=threads)
-    else:  # lil
-        checkpoints = _checkpoints(args.checkpoints) if args.checkpoints is not None else [cfg.n]
-        report = lil_envelope_check(cfg, args.which, checkpoints, threads=threads)
-    if args.csv:
-        write_table(args.csv, *report.table())
+    with _replaced_when_done(args.csv) if args.csv else nullcontext() as csv:
+        if experiment in ("clt", "joint"):
+            report = run_replications(cfg, threads=threads)
+        elif experiment in ("size", "power"):
+            report = empirical_size_power(args.test_kind, cfg, rho0=args.rho0, threads=threads)
+        elif experiment == "critical":
+            report = empirical_size_power("critical", cfg, threads=threads)
+        elif experiment == "qsl":
+            report = qsl_check(cfg, args.which, k0=args.k0, threads=threads)
+        else:  # lil
+            checkpoints = _checkpoints(args.checkpoints) if args.checkpoints is not None else [cfg.n]
+            report = lil_envelope_check(cfg, args.which, checkpoints, threads=threads)
+        if csv:
+            write_table(csv, *report.table())
     return {"report": {"experiment": experiment, **report.to_dict()}}
 
 
@@ -356,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=STATS, default="theta")
     p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in for the qsl experiment")
     p.add_argument("--checkpoints", help="comma-separated sample sizes for the lil experiment")
-    p.add_argument("--csv", help="dump per-replicate rows to this CSV file")
+    p.add_argument("--csv", help="write the per-replicate rows to this CSV file (the JSON holds only summaries)")
     p.add_argument(
         "--threads",
         type=int,

@@ -181,15 +181,27 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
     from values whose squares overflow float64 (magnitudes above about
     1e154), raises DomainError naming it, without numpy warnings, instead
     of being returned.  In a block, any row that trips a check raises.
+
+    One fused kernel gives bit for bit, with the same first error, what the
+    six one-statistic functions above give in turn; besides the series and
+    the residuals it holds the squares of X, then of the residuals, and one scratch buffer.
     """
     x = _as_block(path)
+    _check_steps(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        th = estimate_theta(x)
+        squares, scratch = x * x, np.multiply(x[..., 1:], x[..., :-1])
+        th = _total(scratch) / _denominator(_total(squares[..., :-1]), "sum of squared lagged values is zero")
+        lag2 = _total(np.multiply(x[..., 2:], x[..., :-2], out=scratch[..., :-1]))
+        lag2_denom = _total(squares[..., :-2])
         res = residuals(x, th)
-        rho = estimate_rho(res)
-        sigma2 = estimate_sigma2(res, rho)
-        dw = dw_statistic(res)
-        theta_sq = estimate_theta_sq(x)
+        np.multiply(res, res, out=squares)
+        np.multiply(res[..., 1:], res[..., :-1], out=scratch)
+        rho = _total(scratch) / _denominator(_total(squares[..., :-1]), "sum of squared lagged residuals is zero")
+        np.subtract(res[..., 1:], np.multiply(_lagged(rho), res[..., :-1], out=scratch), out=scratch)
+        sigma2 = _total(np.square(scratch, out=scratch)) / (x.shape[-1] - 1)
+        dw_denom = _denominator(_total(squares), "sum of squared residuals is zero")
+        dw = _total(np.square(np.subtract(res[..., 1:], res[..., :-1], out=scratch), out=scratch)) / dw_denom
+        theta_sq = lag2 / _denominator(lag2_denom, "sum of squared twice-lagged values is zero")  # last, as before
     fitted = {"theta_hat": th, "rho_hat": rho, "sigma2_hat": sigma2, "dw": dw, "theta_sq_hat": theta_sq}
     for name, value in fitted.items():
         if not np.all(np.isfinite(value)):

@@ -11,14 +11,14 @@ simulated and fitted in blocks of consecutive indices, one path per row of a
 (B, n+1) array; each row is the path its seed alone gives, so reports are
 bit-identical whatever the block size or the number of workers.  With more
 than one worker the blocks run in child processes forked from the caller,
-each taking one contiguous share of them and sending its results back
-through its own pipe; otherwise they run in the caller.  A child dies with
-its parent (on Linux), and the first failing share stops the run at once.
+which claim them one at a time and send their results back through a pipe
+each; otherwise they run in the caller.  A child dies with its parent (on
+Linux), and a failing block stops the claims at once.
 
 Each experiment returns one :class:`McReport`, built in one place: its JSON
-body (the fields every experiment shares, then the experiment's own
-results, then notes) and the per-replicate rows its workers returned,
-which ``verify --csv`` writes.
+body of summaries (the fields every experiment shares, then the
+experiment's own results, then notes) and the per-replicate rows its
+workers returned, which only ``verify --csv`` writes.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ import operator
 import os
 import pickle
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -146,9 +147,9 @@ class McReport:
 
     ``body`` is the JSON body: the fields every experiment shares (model
     point, noise, n, replicates, base seed, alpha, targets and tolerances),
-    then the experiment's own results, then ``notes``.  ``rows`` are the
-    per-replicate rows the workers returned, in replicate order, and
-    ``columns`` names their fields.
+    then the experiment's summaries, then ``notes``.  ``rows`` are the
+    per-replicate rows the workers returned, in replicate order, which only
+    ``verify --csv`` writes, and ``columns`` names their fields.
     """
 
     body: dict
@@ -208,15 +209,13 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     result depends neither on B nor on the number of workers.
 
     The blocks run on W = min(threads, blocks, usable CPUs) workers.  With
-    W >= 2, and where the platform can fork, the blocks are cut into
-    contiguous shares of ceil(blocks / W), and one child process forked
-    from this one runs each share (:func:`_forked_map`).  The children reach
-    ``statistic`` through the fork, so nothing but each share's results is
-    pickled.  Otherwise the blocks run here, one after another.  A worker
-    stops at its first failing block, and the error raised is the one of
-    the first failing block in index order; the later shares are killed
-    then, without waiting for them.  A worker that dies fails the run with
-    a :class:`DWLabError`.
+    W >= 2, and where the platform can fork, W child processes forked from
+    this one claim the blocks one at a time (:func:`_forked_map`).  The
+    children reach ``statistic`` through the fork, so nothing but their
+    results is pickled.  Otherwise the blocks run here, one after another.
+    A worker stops at its first failing block, and no block starts after it;
+    the error raised is that of the failing block with the lowest index, as
+    at one worker.  A worker that dies fails the run with a :class:`DWLabError`.
 
     When a block raises, its rows are rerun one at a time, so the error is
     the one the first failing replicate raises on its own, as with B = 1.
@@ -243,55 +242,73 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
 
 
 def _forked_map(block: Callable[[int], list], starts: range, workers: int) -> list:
-    """The blocks at ``starts`` run in contiguous shares on forked children, results in index order.
+    """The blocks at ``starts`` run on forked children that claim them one at a time, results in index order.
 
-    Each child pickles ``(ok, results or first error)`` into its own pipe and
-    leaves through ``os._exit``, never flushing the stdio it inherited.  The
-    pipes are read in share order, so the first failed share holds the first
-    failing block, and the later shares are killed without waiting for them.
+    A claim is one 4-byte read of a block index from the pipe all children
+    share.  A child pickles ``(True, [(index, results), ...])``, or at its
+    first failing block ``(False, (index, error))``, into its own pipe and
+    leaves through ``os._exit``, never flushing the stdio it inherited.
     """
     import signal  # 0.7 ms to import, so only where a run forks
 
-    share = -(-len(starts) // workers)
     prctl = _libc_function("prctl", 2) if sys.platform.startswith("linux") else None
     parent = os.getpid()
-    children = []  # (pid, read end of its pipe), in share order
+    claims, feed = (open(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+    children = []  # (pid, read end of its pipe)
     try:
-        for first in range(0, len(starts), share):
+        for _ in range(workers):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
                     os.close(read)  # with the parent alone reading, its death breaks the pipe
-                    for _, pipe in children:
+                    for pipe in (feed, *(pipe for _, pipe in children)):
                         pipe.close()
                     if prctl is not None:
                         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
                     if os.getppid() == parent:  # else the parent died before the prctl
-                        try:
-                            payload = True, list(chain.from_iterable(map(block, starts[first : first + share])))
-                        except Exception as exc:
-                            payload = False, exc
+                        payload = _run_claims(block, starts, claims)
                         with open(write, "wb") as out:
                             pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = []
+        claims.close()  # so that, with every child gone, a write raises instead of blocking
+        with suppress(BrokenPipeError):  # every child died; reading their pipes says so
+            for first in range(0, len(starts), 128):  # 512 bytes, POSIX's least atomic pipe write
+                feed.write(np.arange(first, min(first + 128, len(starts)), dtype="<u4").tobytes())
+        feed.close()
+        done, failures = {}, []
         for _, pipe in children:
             try:
                 ok, value = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError) as exc:
                 raise DWLabError("a Monte Carlo worker process died before finishing its share") from exc
-            if not ok:
-                raise value
-            results += value
-        return results
+            done.update(value) if ok else failures.append(value)
+        if failures:  # the claims go in index order, so every block before a failing one has run
+            raise min(failures, key=operator.itemgetter(0))[1]
+        return list(chain.from_iterable(done[index] for index in range(len(starts))))
     finally:
-        for pid, pipe in children:  # a child that has sent its share is exiting anyway
+        claims.close()
+        feed.close()
+        for pid, pipe in children:  # a child that has sent its results is exiting anyway
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _run_claims(block: Callable[[int], list], starts: range, claims: IO[bytes]) -> tuple:
+    """A forked child's work: the blocks it claims, until the claims run out or one fails."""
+    done = []
+    while claim := claims.read(4):
+        index = int.from_bytes(claim, "little")
+        try:
+            done.append((index, block(starts[index])))
+        except Exception as exc:
+            while claims.read(512):  # so that no other child starts a block
+                pass
+            return False, (index, exc)
+    return True, done
 
 
 def _estimate_rows(est: EstimateSet) -> list:
@@ -321,30 +338,28 @@ def _limit_and_variance(cfg: McConfig, which: str) -> tuple[dict, float, float]:
 def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
     """Estimate every replicate and compare the standardized laws to normality.
 
-    The report carries per-replicate estimates, the standardized statistics
-    sqrt(n)*(estimate - limit)/sd where the asymptotic sd is positive, their
-    KS distances against the standard normal CDF, and the sample covariance
-    of sqrt(n)*(theta_hat - theta_star, rho_hat - rho_star).
+    The report carries the KS distances of the standardized statistics
+    sqrt(n)*(estimate - limit)/sd, where the asymptotic sd is positive, and
+    the sample covariance of sqrt(n)*(theta_hat - theta_star, rho_hat -
+    rho_star); the rows are each replicate's five estimates.
     """
     targets = _asymptotic_targets(cfg)
     rows = _map_paths(lambda x: _estimate_rows(estimate_all(x)), cfg, threads)
-    estimates = {name: list(column) for name, column in zip(_ESTIMATES, zip(*rows))}
+    estimates = dict(zip(_ESTIMATES, zip(*rows)))
 
     root_n = math.sqrt(cfg.n)
-    centered, standardized, ks, notes = {}, {}, {}, []
+    centered, ks, notes = {}, {}, []
     for name, (column, limit_key, var_key) in _STATISTICS.items():
         centered[name] = root_n * (np.array(estimates[column]) - targets[limit_key])
         sd = math.sqrt(targets[var_key])
         if sd > 0.0:
-            std = centered[name] / sd
-            standardized[name] = std.tolist()
-            result = ks_statistic(std, normal_cdf)
+            result = ks_statistic(centered[name] / sd, normal_cdf)
             ks[name] = {"statistic": result.statistic, "n": result.n}
         else:
             notes.append(f"{name}: asymptotic sd is zero at this parameter point, KS skipped")
 
     tolerances = {"ks": KS_TOLERANCE, "cov_rel": COV_REL_TOLERANCE, "cov_abs": COV_ABS_TOLERANCE}
-    body = {**_shared_fields(cfg, targets, tolerances), "estimates": estimates, "standardized": standardized, "ks": ks}
+    body = {**_shared_fields(cfg, targets, tolerances), "ks": ks}
     if cfg.replicates >= 2:
         body["sample_cov"] = np.cov(np.vstack([centered["theta"], centered["rho"]]), ddof=1).tolist()
     body["notes"] = notes
@@ -360,7 +375,7 @@ def empirical_size_power(
     rho0: Optional[float] = None,
     threads: int = 1,
 ) -> McReport:
-    """Fraction of replicates on which the chosen test rejects at cfg.alpha."""
+    """Fraction of replicates on which the chosen test rejects at cfg.alpha; the rows are (statistic, 0/1)."""
     if test_kind not in TEST_KINDS:
         raise DomainError(f"unknown test kind {test_kind!r}, expected one of {TEST_KINDS}")
     if test_kind == "rho0":
@@ -387,7 +402,7 @@ def empirical_size_power(
     }
     if test_kind == "rho0":  # the other kinds never read rho0
         body["rho0"] = rho0
-    body.update(test_statistics=[statistic for statistic, _ in rows], rejections=[bool(r) for _, r in rows], notes=[])
+    body["notes"] = []
     return McReport(body, ("statistic", "reject"), rows)
 
 
@@ -413,7 +428,7 @@ def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int
     values = _map_paths(lambda x: [squared_deviation_sum(path, which, limit, k0) / log_n for path in x], cfg, threads)
     body = {
         **_shared_fields(cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE}),
-        "qsl": {"which": which, "k0": k0, "values": values, "mean": sum(values) / len(values), "target": target_var},
+        "qsl": {"which": which, "k0": k0, "mean": sum(values) / len(values), "target": target_var},
         "notes": [],
     }
     return McReport(body, ("qsl_value",), [(value,) for value in values])
@@ -484,7 +499,6 @@ def lil_envelope_check(
             "which": which,
             "checkpoints": checkpoints,
             "envelope": envelope,
-            "deviations": rows,
             "exceedance_fraction": float(np.mean(exceed)),
             "per_checkpoint_fraction": per_checkpoint,
             "note": LIL_NOTE,

@@ -3,9 +3,13 @@
 Closed-form values are recomputed in exact rational arithmetic (Fraction),
 sums are recomputed with compensated summation (math.fsum), so every check
 compares the float64 implementation against an arithmetic path it does not
-share.  The one exception, :func:`prefix_estimate`, is the whole-prefix lil
-refit through the one-shot estimators, which the chunked
-``estimators.prefix_estimates`` must match bit for bit.
+share.  Two exceptions mirror the library's own code paths, which a faster
+kernel must match bit for bit: :func:`prefix_estimate`, the whole-prefix
+lil refit through the one-shot estimators, for the chunked
+``estimators.prefix_estimates``; and :func:`estimate_all_reference`, the
+one-statistic-at-a-time pipeline, for the fused ``estimators.estimate_all``.
+:func:`replicate_rows` is the Monte Carlo experiments' per-replicate loop
+through the one-path API, which the blocked, forked runs must match.
 """
 
 from __future__ import annotations
@@ -15,7 +19,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from dwlab.estimators import dw_statistic, estimate_rho, estimate_theta, residuals
+from dwlab import montecarlo
+from dwlab.errors import DomainError
+from dwlab.estimators import (
+    DEFAULT_BURN_IN,
+    EstimateSet,
+    _as_block,
+    dw_statistic,
+    estimate_rho,
+    estimate_sigma2,
+    estimate_theta,
+    estimate_theta_sq,
+    residuals,
+    running_estimates,
+)
+from dwlab.model import simulate
+from dwlab.testing import critical_case_test, rho_test, rho_zero_test
 
 
 def rel_close(a: float, b: float, tol: float) -> bool:
@@ -133,3 +152,64 @@ def prefix_estimate(x: np.ndarray, m: int, which: str) -> np.ndarray:
         return theta_hat
     res = residuals(prefix, theta_hat)
     return estimate_rho(res) if which == "rho" else dw_statistic(res)
+
+
+# --- estimate_all as the six one-statistic functions in turn ---------------
+
+
+def estimate_all_reference(path) -> EstimateSet:
+    """``estimators.estimate_all`` as it was before its fused kernel, verbatim."""
+    x = _as_block(path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        th = estimate_theta(x)
+        res = residuals(x, th)
+        rho = estimate_rho(res)
+        sigma2 = estimate_sigma2(res, rho)
+        dw = dw_statistic(res)
+        theta_sq = estimate_theta_sq(x)
+    fitted = {"theta_hat": th, "rho_hat": rho, "sigma2_hat": sigma2, "dw": dw, "theta_sq_hat": theta_sq}
+    for name, value in fitted.items():
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
+    return EstimateSet(residuals=res, n=x.shape[-1] - 1, **fitted)
+
+
+# --- the Monte Carlo experiments, one replicate at a time -------------------
+
+
+def replicate_rows(experiment, cfg, rho0=None, which="theta", checkpoints=()):
+    """The per-replicate loop: each path simulated and fitted on its own through the one-path API.
+
+    ``experiment`` is clt, a test kind (zero, rho0, critical), qsl or lil;
+    the rows are those of the experiment's report and ``--csv`` dump (qsl's
+    as bare floats).
+    """
+    targets = montecarlo._asymptotic_targets(cfg)
+    limit = targets[montecarlo._STATISTICS[which][1]]
+    rows = []
+    for i in range(cfg.replicates):
+        x = simulate(cfg.params, cfg.noise, cfg.n, montecarlo.derive_seed(cfg.base_seed, i)).x
+        if experiment == "clt":
+            est = estimate_all_reference(x)
+            rows.append((est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat))
+        elif experiment in ("zero", "critical", "rho0"):
+            if experiment == "zero":
+                outcome = rho_zero_test(x, cfg.alpha)
+            elif experiment == "critical":
+                outcome = critical_case_test(x, cfg.alpha)
+            else:
+                outcome, _ = rho_test(x, rho0, cfg.alpha)
+            rows.append((outcome.statistic, int(outcome.reject)))
+        elif experiment == "qsl":
+            track = getattr(running_estimates(x, k0=DEFAULT_BURN_IN), which)
+            rows.append(float(np.sum((track - limit) ** 2) / math.log(cfg.n)))
+        else:  # lil
+            devs = []
+            for m in checkpoints:
+                prefix = x[: m + 1]
+                th = estimate_theta(prefix)
+                res = residuals(prefix, th)
+                value = {"theta": th, "rho": estimate_rho(res), "dw": dw_statistic(res)}[which]
+                devs.append(montecarlo.lil_deviation(value, limit, m))
+            rows.append(devs)
+    return rows

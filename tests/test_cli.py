@@ -21,6 +21,9 @@ from dwlab.cli import _emit, _json_default, build_parser, main
 from dwlab.errors import DomainError
 from dwlab.estimators import estimate_all, running_estimates
 from dwlab.model import ModelParams, NoiseSpec, read_csv, simulate, write_csv
+from dwlab.montecarlo import McConfig
+
+from oracles import replicate_rows
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -328,36 +331,39 @@ class TestRecoverCommand:
         assert abs(rec["sigma2_rec"] - 1.0) < 0.1
 
 
-def _reference_verify_csv(report: dict) -> str:
-    # the row-by-row csv.writer dump, one branch per report shape, that verify --csv must reproduce
+def _reference_verify_csv(argv: list) -> str:
+    """The --csv dump of ``dwlab *argv``, from the per-replicate loop over the derived seeds, as csv.writer writes it."""
+    args = build_parser().parse_args(argv)
+    cfg = McConfig(ModelParams(args.theta, args.rho, args.sigma2), NoiseSpec(args.noise), args.n, args.reps, args.seed,
+                   args.alpha)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    if report.get("estimates") is not None:
-        names = list(report["estimates"])
-        w.writerow(["replicate"] + names)
-        for i in range(report["replicates"]):
-            w.writerow([i] + [repr(report["estimates"][n][i]) for n in names])
-    elif report.get("test_statistics") is not None:
+    if args.experiment in ("clt", "joint"):
+        w.writerow(["replicate", "theta_hat", "rho_hat", "sigma2_hat", "dw", "theta_sq_hat"])
+        rows = replicate_rows("clt", cfg)
+    elif args.experiment in ("size", "power", "critical"):
         w.writerow(["replicate", "statistic", "reject"])
-        for i, (s, r) in enumerate(zip(report["test_statistics"], report["rejections"])):
-            w.writerow([i, repr(s), int(r)])
-    elif report.get("qsl") is not None:
+        kind = "critical" if args.experiment == "critical" else args.test_kind
+        rows = replicate_rows(kind, cfg, rho0=args.rho0)
+    elif args.experiment == "qsl":
         w.writerow(["replicate", "qsl_value"])
-        for i, v in enumerate(report["qsl"]["values"]):
-            w.writerow([i, repr(v)])
-    elif report.get("lil") is not None:
-        cols = [f"deviation_{m}" for m in report["lil"]["checkpoints"]]
-        w.writerow(["replicate"] + cols)
-        for i, devs in enumerate(report["lil"]["deviations"]):
-            w.writerow([i] + [repr(v) for v in devs])
+        rows = [(value,) for value in replicate_rows("qsl", cfg, which=args.which)]
+    else:  # lil
+        checkpoints = sorted(map(int, args.checkpoints.split(",")))
+        w.writerow(["replicate"] + [f"deviation_{m}" for m in checkpoints])
+        rows = replicate_rows("lil", cfg, which=args.which, checkpoints=checkpoints)
+    for i, row in enumerate(rows):
+        w.writerow([i] + [repr(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 
 _SHARED_KEYS = [
     "experiment", "theta", "rho", "sigma2", "noise", "n", "replicates", "base_seed", "alpha", "targets", "tolerances",
 ]
-_CLT_KEYS = ["estimates", "standardized", "ks", "sample_cov", "notes"]
-_TEST_KEYS = ["rejection_rate", "test_kind", "test_statistics", "rejections", "notes"]
+_CLT_KEYS = ["ks", "sample_cov", "notes"]
+_TEST_KEYS = ["rejection_rate", "test_kind", "notes"]
+_QSL_KEYS = ["which", "k0", "mean", "target"]
+_LIL_KEYS = ["which", "checkpoints", "envelope", "exceedance_fraction", "per_checkpoint_fraction", "note"]
 
 
 class TestVerifyCommand:
@@ -366,13 +372,13 @@ class TestVerifyCommand:
         [
             (["clt", "--theta", "0.5", "--rho", "0.3", "--n", "500", "--reps", "30"], _CLT_KEYS),
             (["clt", "--theta", "0.5", "--rho", "0.3", "--n", "500", "--reps", "1"],
-             ["estimates", "standardized", "ks", "notes"]),
+             ["ks", "notes"]),
             (["joint", "--theta", "0.4", "--rho", "-0.2", "--n", "500", "--reps", "20"], _CLT_KEYS),
             (["size", "--theta", "0.5", "--rho", "0", "--n", "1000", "--reps", "60"], _TEST_KEYS),
             (["power", "--theta", "0.5", "--rho", "0.08", "--n", "1000", "--reps", "40"], _TEST_KEYS),
             (["power", "--test-kind", "rho0", "--rho0", "0.3", "--theta", "0.5", "--rho", "0.1", "--n", "1000",
               "--reps", "40"],
-             ["rejection_rate", "test_kind", "rho0", "test_statistics", "rejections", "notes"]),
+             ["rejection_rate", "test_kind", "rho0", "notes"]),
             (["critical", "--theta", "0.5", "--rho", "-0.5", "--n", "1000", "--reps", "60"], _TEST_KEYS),
             (["qsl", "--theta", "0.5", "--rho", "0.3", "--n", "10000", "--reps", "3", "--which", "dw"],
              ["qsl", "notes"]),
@@ -383,15 +389,23 @@ class TestVerifyCommand:
         ids=["clt", "clt-one-rep", "joint", "size", "power", "power-rho0", "critical", "qsl", "lil"],
     )
     def test_csv_dump_matches_csv_writer_bytes(self, capsys, tmp_path, experiment, keys):
+        # the JSON holds summaries only; the rows are in the dump, built here one replicate at a time
         dump = tmp_path / "rows.csv"
-        code, out, _ = run_cli(capsys, "verify", "--experiment", *experiment, "--seed", "8", "--csv", str(dump))
+        argv = ["verify", "--experiment", *experiment, "--seed", "8"]
+        code, out, _ = run_cli(capsys, *argv, "--csv", str(dump))
         assert code == 0
         report = json.loads(out)["report"]
         assert list(report) == _SHARED_KEYS + keys
         assert report["experiment"] == experiment[0]
-        if "rejections" in report:
-            assert set(report["rejections"]) == {False, True}  # both 0 and 1 in the reject column
-        assert dump.read_bytes() == _reference_verify_csv(report).encode()
+        for name, nested in (("qsl", _QSL_KEYS), ("lil", _LIL_KEYS)):
+            if name in report:
+                assert list(report[name]) == nested
+        rows = list(csv.DictReader(io.StringIO(dump.read_text())))
+        assert len(rows) == report["replicates"]
+        if "rejection_rate" in report:
+            assert {row["reject"] for row in rows} == {"0", "1"}  # both values in the reject column
+            assert report["rejection_rate"] == sum(int(row["reject"]) for row in rows) / len(rows)
+        assert dump.read_bytes() == _reference_verify_csv(argv).encode()
 
     def test_size_experiment(self, capsys):
         code, out, _ = run_cli(
@@ -416,6 +430,53 @@ class TestVerifyCommand:
         lines = dump.read_text().splitlines()
         assert lines[0].startswith("replicate,theta_hat")
         assert len(lines) == 51
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            ["clt", "--n", "100"],
+            ["joint", "--n", "100"],
+            ["size", "--rho", "0", "--n", "100"],
+            ["power", "--test-kind", "rho0", "--rho0", "0.0", "--noise", "rademacher", "--n", "100"],
+            ["critical", "--theta", "0.5", "--rho", "-0.5", "--n", "1000"],
+            ["qsl", "--which", "dw", "--n", "10000"],
+            ["lil", "--which", "rho", "--checkpoints", "16,50,100", "--n", "100"],
+        ],
+        ids=lambda experiment: experiment[0],
+    )
+    def test_report_stays_under_4_kib_at_3000_replicates(self, capsys, tmp_path, experiment):
+        # the clt report was 681 KB with its per-replicate arrays; the rows now go to --csv alone
+        dump = tmp_path / "rows.csv"
+        code, out, _ = run_cli(capsys, "verify", "--experiment", *experiment, "--theta", "0.5", "--rho", "0.3",
+                               "--reps", "3000", "--seed", "2", "--threads", "2", "--csv", str(dump))
+        assert code == 0
+        assert len(out.encode()) < 4096
+        assert len(dump.read_text().splitlines()) == 1 + 3000
+
+    def test_csv_destination_that_cannot_be_written_fails_before_any_path_is_drawn(self, capsys, monkeypatch, tmp_path):
+        def no_draw(*args):
+            raise AssertionError("simulate_paths was called")
+
+        monkeypatch.setattr(dwlab.montecarlo, "simulate_paths", no_draw)
+        for dest, reason in ((tmp_path / "missing" / "rows.csv", "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            code, out, err = run_cli(capsys, "verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3",
+                                     "--n", "500", "--reps", "30", "--seed", "1", "--csv", str(dest))
+            assert (code, out, err) == (2, "", f"error: cannot write --csv {dest}: {reason}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_run_that_fails_leaves_the_csv_destination_as_it_was(self, capsys, tmp_path, threads):
+        # replicate 61, in the second block of 32, is the first whose theta^2 plug-in is negative
+        dest = tmp_path / "rows.csv"
+        dest.write_text("kept\n")
+        code, out, err = run_cli(capsys, "verify", "--experiment", "critical", "--theta", "0.25", "--rho", "0",
+                                 "--n", "2000", "--reps", "100", "--seed", "4", "--threads", threads,
+                                 "--csv", str(dest))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta^2 plug-in -0.0159358 outside (0, 1)")
+        assert dest.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [dest]
 
     def test_qsl_experiment(self, capsys):
         code, out, _ = run_cli(
@@ -595,9 +656,10 @@ class TestClosedStdout:
 
     COMMANDS = {
         "simulate": ["simulate", "--theta", "0.5", "--rho", "0.3", "--n", "200000", "--seed", "1"],
-        # more than 64 KiB of JSON, a pipe's capacity
-        "verify": ["verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3", "--n", "300",
-                   "--reps", "2000", "--seed", "1", "--threads", "1"],
+        # more than 64 KiB of JSON, a pipe's capacity: a report holds summaries only, but one per checkpoint
+        "verify": ["verify", "--experiment", "lil", "--which", "theta", "--theta", "0.5", "--rho", "0.3",
+                   "--n", "3000", "--checkpoints", ",".join(map(str, range(16, 3001))), "--reps", "2",
+                   "--seed", "1", "--threads", "1"],
     }
 
     @pytest.mark.parametrize("name", COMMANDS)
@@ -797,15 +859,15 @@ class TestDeferredScipyImport:
         assert proc.stderr == ""
 
 
-def _runs_agree_across_workers(tmp_path, *args: str) -> dict:
-    """Run ``python *args`` at 1, 2 and 3 workers; the JSON and the --csv dumps must match. Returns the JSON."""
+def _runs_agree_across_workers(tmp_path, *args: str) -> list:
+    """Run ``python *args`` at 1, 2 and 3 workers; the JSON and the --csv dumps must match. Returns the dump's lines."""
     runs = [run_fresh(*args, "--threads", t, "--csv", str(tmp_path / f"{t}.csv")) for t in "123"]
     assert all(r.returncode == 0 for r in runs), "".join(r.stderr for r in runs)
     reports = [json.dumps(strip_manifest(r.stdout)) for r in runs]
     assert reports == reports[:1] * 3
     dumps = [(tmp_path / f"{t}.csv").read_bytes() for t in "123"]
     assert dumps == dumps[:1] * 3
-    return json.loads(reports[0])
+    return dumps[0].decode().splitlines()
 
 
 class TestBlockedTrajectoriesUnderThreads:
@@ -813,14 +875,14 @@ class TestBlockedTrajectoriesUnderThreads:
     LONG = ["-m", "dwlab", "verify", "--theta", "0.5", "--rho", "0.3", "--n", "40000", "--reps", "4", "--seed", "5"]
 
     def test_qsl_reports_are_thread_count_invariant(self, tmp_path):
-        one = _runs_agree_across_workers(tmp_path, *self.LONG, "--experiment", "qsl", "--which", "dw")
-        assert len(one["report"]["qsl"]["values"]) == 4
+        lines = _runs_agree_across_workers(tmp_path, *self.LONG, "--experiment", "qsl", "--which", "dw")
+        assert lines[0] == "replicate,qsl_value" and len(lines) == 1 + 4
 
     def test_lil_reports_are_thread_count_invariant(self, tmp_path):
-        one = _runs_agree_across_workers(
+        lines = _runs_agree_across_workers(
             tmp_path, *self.LONG, "--experiment", "lil", "--which", "rho", "--checkpoints", "100,5000,40000"
         )
-        assert len(one["report"]["lil"]["deviations"]) == 4
+        assert lines[0] == "replicate,deviation_100,deviation_5000,deviation_40000" and len(lines) == 1 + 4
 
 
 class TestReplicateBlocksUnderThreads:
@@ -837,12 +899,12 @@ class TestReplicateBlocksUnderThreads:
         ids=["power_rho0_rademacher", "size_zero", "critical"],
     )
     def test_reports_are_thread_count_invariant(self, tmp_path, extra):
-        one = _runs_agree_across_workers(tmp_path, *self.BLOCKED, *extra)
-        assert len(one["report"]["test_statistics"]) == 40
+        lines = _runs_agree_across_workers(tmp_path, *self.BLOCKED, *extra)
+        assert lines[0] == "replicate,statistic,reject" and len(lines) == 1 + 40
 
     def test_clt_reports_are_thread_count_invariant(self, tmp_path):
-        one = _runs_agree_across_workers(tmp_path, *self.BLOCKED, "--experiment", "clt")
-        assert len(one["report"]["estimates"]["dw"]) == 40
+        lines = _runs_agree_across_workers(tmp_path, *self.BLOCKED, "--experiment", "clt")
+        assert lines[0] == "replicate,theta_hat,rho_hat,sigma2_hat,dw,theta_sq_hat" and len(lines) == 1 + 40
 
     @pytest.mark.parametrize(
         "args, message",

@@ -24,7 +24,7 @@ from dwlab.estimators import (
 )
 from dwlab.model import NOISE_KINDS, ModelParams, NoiseSpec, simulate, simulate_paths
 
-from oracles import dot_fsum, dw_fsum, prefix_estimate, rel_close, rho_hat_fsum, sum_fsum, theta_hat_fsum
+from oracles import dot_fsum, dw_fsum, estimate_all_reference, prefix_estimate, rel_close, rho_hat_fsum, sum_fsum, theta_hat_fsum
 
 params_st = st.builds(
     ModelParams,
@@ -173,6 +173,86 @@ class TestBlocks:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="^theta_hat is not finite"):
                 estimate_all(np.stack([good, bad]))
+
+
+def _fit_outcome(fit, x):
+    """The bits and types of every field of ``fit(x)``, or the class and message of what it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            est = fit(x)
+        except Exception as exc:  # noqa: BLE001 - the class itself is compared
+            return type(exc), str(exc)
+    fields = [getattr(est, name) for name in _FITTED] + [est.residuals]
+    return [(type(value), np.asarray(value).tobytes()) for value in fields] + [est.n]
+
+
+# what a row of the block is turned into before the fit: every check of the pipeline trips on one of them
+_DAMAGE = ("none", "zero", "constant", "zero_head", "zero_but_last", "nan", "inf", "-inf", "huge", "tiny")
+
+
+class TestFusedKernel:
+    """estimate_all's fused kernel against the six one-statistic functions in turn (tests/oracles.py)."""
+
+    @given(
+        params_st,
+        kind_st,
+        st.lists(seed_st, min_size=1, max_size=4),
+        st.integers(min_value=3, max_value=300),
+        st.sampled_from(_DAMAGE),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=300),
+        st.sampled_from([1e150, 1e153, 1e154, 1.5e154, 1e155, 1e160]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_or_same_error(self, p, kind, seeds, n, damage, row, at, scale, one_dimensional):
+        x = simulate_paths(p, NoiseSpec(kind), n, seeds)
+        r, k = row % len(seeds), at % (n + 1)
+        if damage == "zero":
+            x[r] = 0.0
+        elif damage == "constant":
+            x[r] = x[r, k]
+        elif damage == "zero_head":  # sum X_{k-1}^2 vanishes, or from k = n-1 on only sum X_{k-2}^2
+            x[r, : n - (k % 2)] = 0.0
+        elif damage == "zero_but_last":  # the residuals but the last vanish
+            x[r, :-1] = 0.0
+        elif damage in ("nan", "inf", "-inf"):
+            x[r, k] = float(damage)
+        elif damage == "huge":
+            x[r] *= scale
+        elif damage == "tiny":  # squares near or below the smallest normal float
+            x[r] /= scale
+        if one_dimensional:
+            x = x[r]
+        assert _fit_outcome(estimate_all, x) == _fit_outcome(estimate_all_reference, x)
+
+    @pytest.mark.parametrize(
+        "path, raised",
+        [
+            ([0.0, 1e-170, 1e-150, 1e-130], "sum of squared lagged residuals is zero"),  # squares underflow
+            ([0.0, 0.0, 1e-170, 1e-150], "sum of squared lagged values is zero"),
+            ([1e200, 1.0, 1.0, 1.0, 1.0], "dw is not finite"),
+            ([1.0, 1e200, 1.0, 1.0, 1.0], "sigma2_hat is not finite"),
+            ([1.0, 2.0, 3.0, 1e180], "rho_hat is not finite"),
+            ([2.0**-k for k in range(20)], None),  # residuals 0 after eps_hat_0 = X_0
+        ],
+    )
+    def test_every_reachable_error_alone_and_in_a_block(self, path, raised):
+        x = np.array(path)
+        good = simulate(ModelParams(0.5, 0.3), NoiseSpec(), x.size - 1, 3).x
+        for data in (x, np.stack([good, x]), np.stack([x, good, x])):
+            outcome = _fit_outcome(estimate_all, data)
+            assert outcome == _fit_outcome(estimate_all_reference, data)
+            assert raised is None or outcome[1].startswith(raised)
+
+    @pytest.mark.parametrize("n", [3, 4, 127, 128, 129, 5000])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_simulated_blocks_and_rows(self, n, kind):
+        x = simulate_paths(ModelParams(-0.6, 0.7, sigma2=2.0), NoiseSpec(kind), n, list(range(13)))
+        assert _fit_outcome(estimate_all, x) == _fit_outcome(estimate_all_reference, x)
+        for row in x[[0, -1]]:
+            assert _fit_outcome(estimate_all, row) == _fit_outcome(estimate_all_reference, row)
 
 
 def _reference_residuals(x, theta_hat):

@@ -247,6 +247,26 @@ class TestSimulate:
                 tracemalloc.stop()
             assert peak <= 1.2 * x.nbytes
 
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_row_after_a_part_used_buffer_draws_its_own_stream(self, kind, n):
+        # the rows share one re-keyed generator; n draws leave Philox's four-word buffer (or its
+        # spare 32-bit half) part-used, and the next row must start as a fresh make_rng does
+        p, noise = ModelParams(theta=0.5, rho=0.3, sigma2=2.0), NoiseSpec(kind)
+        seeds = [5, 2**64 - 1, 5, np.uint64(77)]
+        first = make_rng(seeds[0])
+        noise.sample(n, first, p.sigma2)
+        state = first.bit_generator.state
+        assert state["buffer_pos"] < 4 or state["has_uint32"], state
+        x = simulate_paths(p, noise, n, seeds)
+        for row, seed in zip(x, seeds):
+            assert row.tobytes() == _reference_path(p, noise, n, seed)[0].tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", None])
+    def test_every_seed_of_a_block_is_checked(self, seed):
+        with pytest.raises(DomainError, match="^seed must"):
+            simulate_paths(ModelParams(theta=0.2, rho=0.1), NoiseSpec(), 10, [1, 2, seed])
+
     def test_block_is_validated_like_one_path(self):
         with pytest.raises(InvalidLength):
             simulate_paths(ModelParams(theta=0.2, rho=0.1), NoiseSpec(), 1, [1, 2])

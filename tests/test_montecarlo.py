@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import signal
 import subprocess
@@ -14,18 +13,8 @@ import pytest
 
 from dwlab import estimators, montecarlo
 from dwlab.errors import DegenerateStatistic, DomainError, OutOfRegion, TooShort
-from dwlab.estimators import (
-    DEFAULT_BURN_IN,
-    TRAJECTORIES,
-    dw_statistic,
-    estimate_all,
-    estimate_rho,
-    estimate_theta,
-    residuals,
-    running_estimates,
-)
+from dwlab.estimators import TRAJECTORIES, estimate_all
 from dwlab.model import ModelParams, NoiseSpec, simulate
-from dwlab.testing import critical_case_test, rho_test, rho_zero_test
 from dwlab.montecarlo import (
     McConfig,
     derive_seed,
@@ -35,6 +24,8 @@ from dwlab.montecarlo import (
     qsl_check,
     run_replications,
 )
+
+from oracles import replicate_rows
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -59,6 +50,11 @@ def _pids_and_values(x):
 
 def _first_values(x):
     return x[:, 1].tolist()
+
+
+def _dumped(report) -> str:
+    """The report's JSON body and its rows, as one string to compare."""
+    return json.dumps([report.to_dict(), report.rows], sort_keys=True)
 
 
 def config(theta, rho, n, reps, seed, alpha=0.05, kind="gaussian", sigma2=1.0):
@@ -112,19 +108,13 @@ class TestRunReplications:
         report = run_replications(cfg)
         series = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(77, 0))
         est = estimate_all(series.x)
-        assert report.body["estimates"]["theta_hat"] == [est.theta_hat]
-        assert report.body["estimates"]["rho_hat"] == [est.rho_hat]
-        assert report.body["estimates"]["sigma2_hat"] == [est.sigma2_hat]
-        assert report.body["estimates"]["dw"] == [est.dw]
+        assert report.rows == [(est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat)]
         assert "sample_cov" not in report.body  # needs two replicates
 
     def test_thread_count_does_not_change_the_report(self):
         cfg = config(0.4, -0.2, n=400, reps=64, seed=123)
-        a = run_replications(cfg, threads=1).to_dict()
-        b = run_replications(cfg, threads=4).to_dict()
-        c = run_replications(cfg, threads=8).to_dict()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-        assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
+        a, b, c = (_dumped(run_replications(cfg, threads=threads)) for threads in (1, 4, 8))
+        assert a == b == c
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):
@@ -147,7 +137,8 @@ class TestRunReplications:
         d = report.to_dict()
         assert d["tolerances"]["ks"] == 0.05
         assert d["targets"]["theta_star"] == pytest.approx(16 / 23, abs=1e-14)
-        assert len(d["standardized"]["theta"]) == 8
+        assert len(report.rows) == 8
+        assert d["ks"]["theta"]["n"] == 8
 
 
 class TestSizePower:
@@ -156,8 +147,9 @@ class TestSizePower:
         report = empirical_size_power("zero", cfg)
         assert report.body["test_kind"] == "zero"
         assert 0.01 <= report.body["rejection_rate"] <= 0.12
-        assert len(report.body["test_statistics"]) == 400
-        assert len(report.body["rejections"]) == 400
+        assert len(report.rows) == 400
+        assert {reject for _, reject in report.rows} == {0, 1}
+        assert report.body["rejection_rate"] == sum(reject for _, reject in report.rows) / 400
 
     def test_rho0_requires_value(self):
         cfg = config(0.5, 0.3, n=1000, reps=10, seed=1)
@@ -190,9 +182,8 @@ class TestSizePower:
 
     def test_threads_deterministic(self):
         cfg = config(0.4, -0.4, n=500, reps=60, seed=4)
-        a = empirical_size_power("critical", cfg, threads=1).to_dict()
-        b = empirical_size_power("critical", cfg, threads=8).to_dict()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        a = _dumped(empirical_size_power("critical", cfg, threads=1))
+        assert _dumped(empirical_size_power("critical", cfg, threads=8)) == a
 
 
 class TestQsl:
@@ -241,7 +232,7 @@ class TestQsl:
         cfg = config(0.5, 0.3, n=10_000, reps=8, seed=606)
         report = qsl_check(cfg, "theta")
         assert report.body["qsl"]["which"] == "theta"
-        assert len(report.body["qsl"]["values"]) == 8
+        assert len(report.rows) == 8
         ratio = report.body["qsl"]["mean"] / report.body["qsl"]["target"]
         assert 0.2 <= ratio <= 3.0
 
@@ -330,17 +321,17 @@ class TestLil:
         cfg = config(-0.6, 0.7, n=n, reps=3, seed=77, kind="rademacher")
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 3 * (n + 1))
         for which in TRAJECTORIES:
-            rows = _reference_rows("lil", cfg, which=which, checkpoints=checkpoints)
+            rows = replicate_rows("lil", cfg, which=which, checkpoints=checkpoints)
             with monkeypatch.context() as patch:
                 patch.setattr(estimators, "_BLOCK", block)
-                assert lil_envelope_check(cfg, which, checkpoints).body["lil"]["deviations"] == rows, which
+                assert lil_envelope_check(cfg, which, checkpoints).rows == rows, which
 
     def test_envelope_smoke(self):
         cfg = config(0.5, 0.3, n=10_000, reps=30, seed=808)
         report = lil_envelope_check(cfg, "theta", [1000, 10_000])
         lil = report.body["lil"]
         assert lil["checkpoints"] == [1000, 10_000]
-        assert len(lil["deviations"]) == 30
+        assert len(report.rows) == 30
         assert 0.0 <= lil["exceedance_fraction"] <= 0.2
         assert "envelope" in lil and lil["envelope"] > 0.0
         assert "limsup" in lil["note"]
@@ -349,39 +340,6 @@ class TestLil:
 # ---------------------------------------------------------------------------
 # Replicate blocks: every block size gives what one replicate at a time gives
 # ---------------------------------------------------------------------------
-
-
-def _reference_rows(experiment, cfg, rho0=None, which="theta", checkpoints=()):
-    """The per-replicate loop: each path simulated and fitted on its own through the one-path API."""
-    targets = montecarlo._asymptotic_targets(cfg)
-    limit = targets[montecarlo._STATISTICS[which][1]]
-    rows = []
-    for i in range(cfg.replicates):
-        x = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(cfg.base_seed, i)).x
-        if experiment == "clt":
-            est = estimate_all(x)
-            rows.append((est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat))
-        elif experiment in ("zero", "critical", "rho0"):
-            if experiment == "zero":
-                outcome = rho_zero_test(x, cfg.alpha)
-            elif experiment == "critical":
-                outcome = critical_case_test(x, cfg.alpha)
-            else:
-                outcome, _ = rho_test(x, rho0, cfg.alpha)
-            rows.append((outcome.statistic, outcome.reject))
-        elif experiment == "qsl":
-            track = getattr(running_estimates(x, k0=DEFAULT_BURN_IN), which)
-            rows.append(float(np.sum((track - limit) ** 2) / math.log(cfg.n)))
-        else:  # lil
-            devs = []
-            for m in checkpoints:
-                prefix = x[: m + 1]
-                th = estimate_theta(prefix)
-                res = residuals(prefix, th)
-                value = {"theta": th, "rho": estimate_rho(res), "dw": dw_statistic(res)}[which]
-                devs.append(lil_deviation(value, limit, m))
-            rows.append(devs)
-    return rows
 
 
 # experiment: (reference kind, model point, noise, n, replicates, keyword arguments)
@@ -414,15 +372,15 @@ class TestReplicateBlocks:
     def test_every_block_size_matches_the_per_replicate_loop(self, monkeypatch, experiment):
         kind, (theta, rho), noise, n, reps, kwargs = _BLOCK_CASES[experiment]
         cfg = config(theta, rho, n=n, reps=reps, seed=2024, kind=noise)
-        rows = _reference_rows(kind, cfg, **kwargs)
+        rows = replicate_rows(kind, cfg, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_map_paths", lambda statistic, cfg, threads: list(rows))
-            reference = json.dumps(_run(kind, cfg, kwargs, 1).to_dict())
+            reference = _dumped(_run(kind, cfg, kwargs, 1))
         # blocks of 1, 2, 7, all replicates and more than the replicates
         for size in (1, 2, 7, reps, reps + 3):
             monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", size * (n + 1))
             for threads in (1, 2):
-                assert json.dumps(_run(kind, cfg, kwargs, threads).to_dict()) == reference, (size, threads)
+                assert _dumped(_run(kind, cfg, kwargs, threads)) == reference, (size, threads)
 
     @pytest.mark.parametrize("block", [1, 7, 2**14])
     @pytest.mark.parametrize("experiment", ["qsl", "qsl-rho"])
@@ -431,9 +389,9 @@ class TestReplicateBlocks:
         # in block buffers; one replicate, as a block of one step walks 10^4 steps in 0.5 s
         kind, (theta, rho), noise, n, _, kwargs = _BLOCK_CASES[experiment]
         cfg = config(theta, rho, n=n, reps=1, seed=2024, kind=noise)
-        rows = _reference_rows(kind, cfg, **kwargs)
+        rows = replicate_rows(kind, cfg, **kwargs)
         monkeypatch.setattr(estimators, "_BLOCK", block)
-        assert qsl_check(cfg, kwargs["which"]).body["qsl"]["values"] == rows
+        assert qsl_check(cfg, kwargs["which"]).rows == [(value,) for value in rows]
 
     def test_block_size_follows_the_path_length(self, monkeypatch):
         sizes = []
@@ -458,35 +416,80 @@ class TestReplicateBlocks:
 
     @needs_fork
     def test_two_workers_are_forked_processes(self, monkeypatch):
+        # which worker claims which block is up to the scheduler: only the rows and the pids are pinned
+        cfg = config(0.5, 0.3, n=5000, reps=30, seed=1)  # blocks of 13, 13 and 4
+        expected = montecarlo._map_paths(_first_values, cfg, 1)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        pids = montecarlo._map_paths(_pids, config(0.5, 0.3, n=5000, reps=30, seed=1), 2)
-        assert len(pids) == 30  # blocks of 13, 13 and 4: shares of two blocks and one
+        pids, values = zip(*montecarlo._map_paths(_pids_and_values, cfg, 2))
+        assert list(values) == expected
         assert os.getpid() not in pids
-        assert len(set(pids)) == 2
-        assert pids[:26] == [pids[0]] * 26 and pids[26:] == [pids[26]] * 4
+        assert 1 <= len(set(pids)) <= 2
 
     @needs_fork
-    @pytest.mark.parametrize("reps, cpus, workers", [(30, 2, 2), (90, 3, 3), (90, 64, 7), (65, 4, 3), (13, 64, 0)])
+    @pytest.mark.parametrize("reps, cpus, workers", [(30, 2, 2), (90, 3, 3), (90, 64, 7), (65, 4, 4), (13, 64, 0)])
     def test_worker_count_is_capped_by_blocks_and_cpus(self, monkeypatch, reps, cpus, workers):
-        # 13 replicates to a block, so 30 make 3 blocks, 90 make 7, 65 make 5 and 13 one (run
-        # here); at W = 4 the 5 blocks go in shares of 2, so 3 workers suffice
+        # 13 replicates to a block, so 30 make 3 blocks, 90 make 7, 65 make 5 and 13 one (run here)
         cfg = config(0.5, 0.3, n=5000, reps=reps, seed=1)
         expected = montecarlo._map_paths(_first_values, cfg, 1)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", counting_fork)
         pids, values = zip(*montecarlo._map_paths(_pids_and_values, cfg, 10_000))
         assert list(values) == expected
-        assert len(set(pids) - {os.getpid()}) == workers
+        assert len(forks) == workers
+        assert len(set(pids)) <= max(workers, 1)
         assert (os.getpid() in pids) == (workers == 0)
 
     @needs_fork
-    def test_a_dying_worker_fails_the_run_instead_of_hanging(self):
+    def test_the_failing_block_with_the_lowest_index_is_raised(self, monkeypatch):
+        # one path to a block: block 2 fails at once, while block 0, claimed first, fails only later
+        cfg = config(0.5, 0.3, n=100, reps=6, seed=9)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
+        first = montecarlo._map_paths(_first_values, cfg, 1)
+
+        def statistic(x):
+            if x[0, 1] == first[0]:
+                time.sleep(0.5)
+                raise DomainError("block 0")
+            if x[0, 1] == first[2]:
+                raise DomainError("block 2")
+            return [0.0]
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        with pytest.raises(DomainError, match="^block 0$"):
+            montecarlo._map_paths(statistic, cfg, 2)
+
+    @needs_fork
+    def test_more_blocks_than_one_pipe_buffer_of_claims(self, monkeypatch):
+        # one path to a block, so 20,000 blocks: 80,000 bytes of claims against a 64 KiB pipe buffer
+        cfg = config(0.5, 0.3, n=100, reps=20_000, seed=3)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
+        expected = montecarlo._map_paths(_first_values, cfg, 1)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        assert montecarlo._map_paths(_first_values, cfg, 2) == expected
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "values, n, reps",
+        # three blocks; and 20,000 blocks of one path, whose claims overflow a 64 KiB pipe buffer
+        [(2**16, 5000, 30), (1, 100, 20_000)],
+        ids=["three_blocks", "claims_beyond_a_pipe_buffer"],
+    )
+    def test_a_dying_worker_fails_the_run_instead_of_hanging(self, values, n, reps):
         script = (
             "import os\n"
             "from dwlab import montecarlo\n"
             "from dwlab.errors import DWLabError\n"
             "from dwlab.model import ModelParams, NoiseSpec\n"
             "montecarlo._usable_cpus = lambda: 2\n"
-            "cfg = montecarlo.McConfig(ModelParams(0.5, 0.3), NoiseSpec(), 5000, 30, 1)\n"
+            f"montecarlo._BLOCK_VALUES = {values}\n"
+            f"cfg = montecarlo.McConfig(ModelParams(0.5, 0.3), NoiseSpec(), {n}, {reps}, 1)\n"
             "try:\n"
             "    montecarlo._map_paths(lambda x: os._exit(3), cfg, 2)\n"
             "except DWLabError as exc:\n"
