@@ -209,13 +209,13 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     result depends neither on B nor on the number of workers.
 
     The blocks run on W = min(threads, blocks, usable CPUs) workers.  With
-    W >= 2, and where the platform can fork, W child processes forked from
-    this one claim the blocks one at a time (:func:`_forked_map`).  The
-    children reach ``statistic`` through the fork, so nothing but their
-    results is pickled.  Otherwise the blocks run here, one after another.
-    A worker stops at its first failing block, and no block starts after it;
-    the error raised is that of the failing block with the lowest index, as
-    at one worker.  A worker that dies fails the run with a :class:`DWLabError`.
+    W >= 2, and where the platform can fork, W children forked from this one
+    claim the blocks one at a time (:func:`_forked_map`); they reach
+    ``statistic`` through the fork, so only their results are pickled.
+    Otherwise the blocks run here, one after another.  A worker stops at its
+    first failing block, and no block starts after it; the error raised is
+    that of the failing block with the lowest index, as at one worker.  A
+    worker that dies fails the run with a :class:`DWLabError`.
 
     When a block raises, its rows are rerun one at a time, so the error is
     the one the first failing replicate raises on its own, as with B = 1.
@@ -245,8 +245,8 @@ def _forked_map(block: Callable[[int], list], starts: range, workers: int) -> li
     """The blocks at ``starts`` run on forked children that claim them one at a time, results in index order.
 
     A claim is one 4-byte read of a block index from the pipe all children
-    share.  A child pickles ``(True, [(index, results), ...])``, or at its
-    first failing block ``(False, (index, error))``, into its own pipe and
+    share.  A child pickles ``([(index, results), ...], None)``, or at its
+    first failing block ``([], (index, error))``, into its own pipe and
     leaves through ``os._exit``, never flushing the stdio it inherited.
     """
     import signal  # 0.7 ms to import, so only where a run forks
@@ -274,19 +274,19 @@ def _forked_map(block: Callable[[int], list], starts: range, workers: int) -> li
             os.close(write)
             children.append((pid, open(read, "rb")))
         claims.close()  # so that, with every child gone, a write raises instead of blocking
-        with suppress(BrokenPipeError):  # every child died; reading their pipes says so
+        with feed, suppress(BrokenPipeError):  # closing it ends the claims; if every child died, their pipes say so
             for first in range(0, len(starts), 128):  # 512 bytes, POSIX's least atomic pipe write
                 feed.write(np.arange(first, min(first + 128, len(starts)), dtype="<u4").tobytes())
-        feed.close()
         done, failures = {}, []
         for _, pipe in children:
             try:
-                ok, value = pickle.load(pipe)
+                rows, failure = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError) as exc:
                 raise DWLabError("a Monte Carlo worker process died before finishing its share") from exc
-            done.update(value) if ok else failures.append(value)
-        if failures:  # the claims go in index order, so every block before a failing one has run
-            raise min(failures, key=operator.itemgetter(0))[1]
+            done.update(rows)
+            failures.append(failure)
+        if any(failures):  # the claims go in index order, so every block before a failing one has run
+            raise min(filter(None, failures), key=operator.itemgetter(0))[1]
         return list(chain.from_iterable(done[index] for index in range(len(starts))))
     finally:
         claims.close()
@@ -307,8 +307,8 @@ def _run_claims(block: Callable[[int], list], starts: range, claims: IO[bytes]) 
         except Exception as exc:
             while claims.read(512):  # so that no other child starts a block
                 pass
-            return False, (index, exc)
-    return True, done
+            return [], (index, exc)
+    return done, None
 
 
 def _estimate_rows(est: EstimateSet) -> list:

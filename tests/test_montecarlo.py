@@ -467,38 +467,22 @@ class TestReplicateBlocks:
 
     @needs_fork
     def test_more_blocks_than_one_pipe_buffer_of_claims(self, monkeypatch):
-        # one path to a block, so 20,000 blocks: 80,000 bytes of claims against a 64 KiB pipe buffer
+        # one path to a block, so 20,000 blocks: 80,000 bytes of claims against a 64 KiB pipe buffer,
+        # read by four workers (more than a two-core machine has cores); a lost or repeated claim changes the rows
         cfg = config(0.5, 0.3, n=100, reps=20_000, seed=3)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         expected = montecarlo._map_paths(_first_values, cfg, 1)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        assert montecarlo._map_paths(_first_values, cfg, 2) == expected
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        assert montecarlo._map_paths(_first_values, cfg, 4) == expected
 
     @needs_fork
-    @pytest.mark.parametrize(
-        "values, n, reps",
-        # three blocks; and 20,000 blocks of one path, whose claims overflow a 64 KiB pipe buffer
-        [(2**16, 5000, 30), (1, 100, 20_000)],
-        ids=["three_blocks", "claims_beyond_a_pipe_buffer"],
-    )
-    def test_a_dying_worker_fails_the_run_instead_of_hanging(self, values, n, reps):
-        script = (
-            "import os\n"
-            "from dwlab import montecarlo\n"
-            "from dwlab.errors import DWLabError\n"
-            "from dwlab.model import ModelParams, NoiseSpec\n"
-            "montecarlo._usable_cpus = lambda: 2\n"
-            f"montecarlo._BLOCK_VALUES = {values}\n"
-            f"cfg = montecarlo.McConfig(ModelParams(0.5, 0.3), NoiseSpec(), {n}, {reps}, 1)\n"
-            "try:\n"
-            "    montecarlo._map_paths(lambda x: os._exit(3), cfg, 2)\n"
-            "except DWLabError as exc:\n"
-            "    print(type(exc).__name__, exc)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "DWLabError a Monte Carlo worker process died before finishing its share\n"
+    def test_a_dying_worker_fails_the_run_instead_of_hanging(self):
+        _assert_dying_workers_fail_the_run(2**16, 5000, 30)  # three blocks
+
+    @needs_fork
+    def test_dying_workers_fail_the_run_with_claims_beyond_a_pipe_buffer(self):
+        # 20,000 blocks of one path: the parent's 80,000 bytes of claims overflow a 64 KiB pipe buffer
+        _assert_dying_workers_fail_the_run(1, 100, 20_000)
 
     @needs_fork
     def test_a_failing_first_share_does_not_wait_for_the_others(self):
@@ -563,6 +547,26 @@ class TestReplicateBlocks:
             with pytest.raises(DomainError) as blocked:
                 montecarlo._map_paths(statistic, cfg, threads)
             assert str(blocked.value) == str(first.value)
+
+
+def _assert_dying_workers_fail_the_run(values: int, n: int, reps: int) -> None:
+    """Two workers that die in their first block, with ``_BLOCK_VALUES = values``, fail the run with DWLabError."""
+    script = (
+        "import os\n"
+        "from dwlab import montecarlo\n"
+        "from dwlab.errors import DWLabError\n"
+        "from dwlab.model import ModelParams, NoiseSpec\n"
+        "montecarlo._usable_cpus = lambda: 2\n"
+        f"montecarlo._BLOCK_VALUES = {values}\n"
+        f"cfg = montecarlo.McConfig(ModelParams(0.5, 0.3), NoiseSpec(), {n}, {reps}, 1)\n"
+        "try:\n"
+        "    montecarlo._map_paths(lambda x: os._exit(3), cfg, 2)\n"
+        "except DWLabError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "DWLabError a Monte Carlo worker process died before finishing its share\n"
 
 
 def _stat(pid: int):
