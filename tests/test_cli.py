@@ -447,7 +447,7 @@ class TestVerifyCommand:
     def test_report_stays_under_4_kib_at_3000_replicates(self, capsys, tmp_path, experiment):
         # the clt report was 681 KB with its per-replicate arrays; the rows now go to --csv alone
         dump = tmp_path / "rows.csv"
-        code, out, _ = run_cli(capsys, "verify", "--experiment", *experiment, "--theta", "0.5", "--rho", "0.3",
+        code, out, _ = run_cli(capsys, "verify", "--theta", "0.5", "--rho", "0.3", "--experiment", *experiment,
                                "--reps", "3000", "--seed", "2", "--threads", "2", "--csv", str(dump))
         assert code == 0
         assert len(out.encode()) < 4096

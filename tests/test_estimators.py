@@ -181,7 +181,7 @@ def _fit_outcome(fit, x):
         warnings.simplefilter("error")
         try:
             est = fit(x)
-        except Exception as exc:  # noqa: BLE001 - the class itself is compared
+        except Exception as exc:  # any class: the class and message themselves are compared
             return type(exc), str(exc)
     fields = [getattr(est, name) for name in _FITTED] + [est.residuals]
     return [(type(value), np.asarray(value).tobytes()) for value in fields] + [est.n]
