@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, limits
 from .errors import DWLabError, DomainError
-from .estimators import DEFAULT_BURN_IN, estimate_all, running_estimates
+from .estimators import DEFAULT_BURN_IN, ESTIMATES, estimate_all, running_estimates
 from .model import (
     ModelParams,
     NoiseSpec,
@@ -181,16 +181,7 @@ def _cmd_estimate(args):
             ("k", "theta_hat", "rho_hat", "dw"),
             (traj.k.tolist(), float_cells(traj.theta), float_cells(traj.rho), float_cells(traj.dw)),
         )
-    return {
-        "estimates": {
-            "theta_hat": est.theta_hat,
-            "rho_hat": est.rho_hat,
-            "sigma2_hat": est.sigma2_hat,
-            "dw": est.dw,
-            "theta_sq_hat": est.theta_sq_hat,
-            "n": est.n,
-        },
-    }
+    return {"estimates": {**{name: getattr(est, name) for name in ESTIMATES}, "n": est.n}}
 
 
 def _cmd_test(args):
@@ -261,8 +252,9 @@ def _keep_freed_memory() -> None:
 
 @contextmanager
 def _replaced_when_done(path: str):
-    """A new file beside ``path`` for the body to write: moved onto ``path`` if the body ends, else removed."""
-    partial = f"{path}.{os.getpid()}.partial"
+    """A new file beside ``path``'s target for the body to write: moved onto it if the body ends, else removed."""
+    target = os.path.realpath(path)  # a symbolic link stays one, as with every other dwlab writer
+    partial = f"{target}.{os.getpid()}.partial"
     if os.path.isdir(path):
         raise DomainError(f"cannot write --csv {path}: Is a directory")
     try:
@@ -271,7 +263,7 @@ def _replaced_when_done(path: str):
         raise DomainError(f"cannot write --csv {path}: {exc.strerror}") from None
     try:
         yield partial
-        os.replace(partial, path)
+        os.replace(partial, target)
     except BaseException:
         os.unlink(partial)
         raise
@@ -404,7 +396,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     A reader that closes stdout early (``| head``) ends the command with
     ``EXIT_BROKEN_PIPE`` and nothing on stderr, not as a data error.  In
     its own process ``main`` then points fd 1 at the null device, so the
-    interpreter's flush at exit has nowhere to fail.
+    interpreter's flush at exit has nowhere to fail.  A ``verify`` run in its
+    own process unwinds on SIGTERM as on Ctrl-C, so that its partial
+    ``--csv`` file and its workers go, and then ends by the signal.
     """
     own_process = argv is None
     if own_process:
@@ -416,6 +410,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     if own_process:
         gc.freeze()
+        if args.command == "verify":
+            import signal  # 1.4 ms to import, so only where a run has something to clean up
+            signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         payload = args.func(args)
         if payload is not None:
@@ -429,6 +426,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except SystemExit:  # raised by that handler alone: now end by SIGTERM, as its default action does
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
     except (DWLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

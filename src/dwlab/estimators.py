@@ -36,6 +36,12 @@ THETA_EPS = 1e-8  # |theta_hat| at or below this counts as zero where a formula 
 
 _BLOCK = 2**14  # steps per block of running_estimates; its time was flat from 2^13 to 2^15
 
+# The DegenerateDenominator message of each least squares denominator, by the statistic it divides
+THETA_DEGENERATE = "sum of squared lagged values is zero"
+RHO_DEGENERATE = "sum of squared lagged residuals is zero"
+DW_DEGENERATE = "sum of squared residuals is zero"
+THETA_SQ_DEGENERATE = "sum of squared twice-lagged values is zero"
+
 
 @dataclass(frozen=True)
 class EstimateSet:
@@ -63,6 +69,8 @@ class RunningEstimates:
     rho: np.ndarray
     dw: np.ndarray
 
+
+ESTIMATES = ("theta_hat", "rho_hat", "sigma2_hat", "dw", "theta_sq_hat")  # the fitted fields of EstimateSet, in order
 
 TRAJECTORIES = ("theta", "rho", "dw")  # the trajectory fields of RunningEstimates, in walk order
 
@@ -131,7 +139,7 @@ def _slope(y: ArrayLike, lag: int, degenerate: str):
 
 def estimate_theta(path: ArrayLike) -> float:
     """Least squares slope of X_k on X_{k-1}: sum(X_k X_{k-1}) / sum(X_{k-1}^2)."""
-    return _slope(path, 1, "sum of squared lagged values is zero")
+    return _slope(path, 1, THETA_DEGENERATE)
 
 
 def residuals(path: ArrayLike, theta_hat: float) -> np.ndarray:
@@ -147,7 +155,7 @@ def residuals(path: ArrayLike, theta_hat: float) -> np.ndarray:
 
 def estimate_rho(res: ArrayLike) -> float:
     """Lag-1 least squares coefficient of the residual sequence."""
-    return _slope(res, 1, "sum of squared lagged residuals is zero")
+    return _slope(res, 1, RHO_DEGENERATE)
 
 
 def estimate_sigma2(res: ArrayLike, rho_hat: float) -> float:
@@ -163,14 +171,14 @@ def dw_statistic(res: ArrayLike) -> float:
     """Durbin-Watson ratio sum (eps_hat_k - eps_hat_{k-1})^2 / sum eps_hat_k^2."""
     e = _as_block(res)
     _check_steps(e)
-    denom = _denominator(_total(e * e), "sum of squared residuals is zero")
+    denom = _denominator(_total(e * e), DW_DEGENERATE)
     d = np.diff(e)
     return _total(d * d) / denom
 
 
 def estimate_theta_sq(path: ArrayLike) -> float:
     """Least squares slope of X_k on X_{k-2}; consistent for theta^2 when theta = -rho."""
-    return _slope(path, 2, "sum of squared twice-lagged values is zero")
+    return _slope(path, 2, THETA_SQ_DEGENERATE)
 
 
 def estimate_all(path: ArrayLike) -> EstimateSet:
@@ -183,26 +191,28 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
     of being returned.  In a block, any row that trips a check raises.
 
     One fused kernel gives bit for bit, with the same first error, what the
-    six one-statistic functions above give in turn; besides the series and
-    the residuals it holds the squares of X, then of the residuals, and one scratch buffer.
+    six one-statistic functions above give in turn.  Like
+    :func:`prefix_estimates` it holds one scratch row besides the series and
+    the residuals, and takes each sum of a product from that row before the
+    next product overwrites it.  The dw denominator goes unchecked: it sums
+    rho's squares and one more, so it vanishes only where rho's has raised.
     """
     x = _as_block(path)
     _check_steps(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        squares, scratch = x * x, np.multiply(x[..., 1:], x[..., :-1])
-        th = _total(scratch) / _denominator(_total(squares[..., :-1]), "sum of squared lagged values is zero")
-        lag2 = _total(np.multiply(x[..., 2:], x[..., :-2], out=scratch[..., :-1]))
-        lag2_denom = _total(squares[..., :-2])
+        row = np.multiply(x, x)
+        theta_denom, lag2_denom = _total(row[..., :-1]), _total(row[..., :-2])
+        lagged = row[..., :-1]
+        th = _total(np.multiply(x[..., 1:], x[..., :-1], out=lagged)) / _denominator(theta_denom, THETA_DEGENERATE)
+        lag2 = _total(np.multiply(x[..., 2:], x[..., :-2], out=row[..., :-2]))
         res = residuals(x, th)
-        np.multiply(res, res, out=squares)
-        np.multiply(res[..., 1:], res[..., :-1], out=scratch)
-        rho = _total(scratch) / _denominator(_total(squares[..., :-1]), "sum of squared lagged residuals is zero")
-        np.subtract(res[..., 1:], np.multiply(_lagged(rho), res[..., :-1], out=scratch), out=scratch)
-        sigma2 = _total(np.square(scratch, out=scratch)) / (x.shape[-1] - 1)
-        dw_denom = _denominator(_total(squares), "sum of squared residuals is zero")
-        dw = _total(np.square(np.subtract(res[..., 1:], res[..., :-1], out=scratch), out=scratch)) / dw_denom
-        theta_sq = lag2 / _denominator(lag2_denom, "sum of squared twice-lagged values is zero")  # last, as before
-    fitted = {"theta_hat": th, "rho_hat": rho, "sigma2_hat": sigma2, "dw": dw, "theta_sq_hat": theta_sq}
+        rho_denom, dw_denom = _total(np.multiply(res, res, out=row)[..., :-1]), _total(row)
+        rho = _total(np.multiply(res[..., 1:], res[..., :-1], out=lagged)) / _denominator(rho_denom, RHO_DEGENERATE)
+        np.subtract(res[..., 1:], np.multiply(_lagged(rho), res[..., :-1], out=lagged), out=lagged)
+        sigma2 = _total(np.square(lagged, out=lagged)) / (x.shape[-1] - 1)
+        dw = _total(np.square(np.subtract(res[..., 1:], res[..., :-1], out=lagged), out=lagged)) / dw_denom
+        theta_sq = lag2 / _denominator(lag2_denom, THETA_SQ_DEGENERATE)  # last, as before
+    fitted = dict(zip(ESTIMATES, (th, rho, sigma2, dw, theta_sq)))
     for name, value in fitted.items():
         if not np.all(np.isfinite(value)):
             raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
@@ -239,7 +249,7 @@ def prefix_estimates(path: ArrayLike, which: str, checkpoints: Sequence[int]) ->
     head = x[..., :last]
 
     np.multiply(head, head, out=row[..., :last])
-    denoms = [_denominator(_total(row[..., :m]), "sum of squared lagged values is zero") for m in checkpoints]
+    denoms = [_denominator(_total(row[..., :m]), THETA_DEGENERATE) for m in checkpoints]
     np.multiply(x[..., 1 : last + 1], head, out=row[..., :last])
     thetas = [_total(row[..., :m]) / denom for m, denom in zip(checkpoints, denoms)]
     if which == "theta":
@@ -248,9 +258,9 @@ def prefix_estimates(path: ArrayLike, which: str, checkpoints: Sequence[int]) ->
     values = []
     for m, th in zip(checkpoints, thetas):
         if which == "rho":  # sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m
-            squares, degenerate = m, "sum of squared lagged residuals is zero"
+            squares, degenerate = m, RHO_DEGENERATE
         else:  # sum (eps_k - eps_{k-1})^2 / sum eps_k^2 over k = 0..m
-            squares, degenerate = m + 1, "sum of squared residuals is zero"
+            squares, degenerate = m + 1, DW_DEGENERATE
         row[..., 0] = x[..., 0] * x[..., 0]
         for a, b, eps in _residual_chunks(x, th, squares):
             np.multiply(eps[..., 1:], eps[..., 1:], out=row[..., a:b])

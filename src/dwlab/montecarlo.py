@@ -40,6 +40,7 @@ from .dist import ks_statistic, normal_cdf
 from .errors import DomainError, DWLabError
 from .estimators import (
     DEFAULT_BURN_IN,
+    ESTIMATES,
     TRAJECTORIES,
     EstimateSet,
     check_burn_in,
@@ -93,9 +94,6 @@ _STATISTICS = dict(
         (("theta_hat", "theta_star", "var_theta"), ("rho_hat", "rho_star", "var_rho"), ("dw", "d_star", "var_d")),
     )
 )
-
-# The fitted statistics of each replicate, in EstimateSet and report order.
-_ESTIMATES = ("theta_hat", "rho_hat", "sigma2_hat", "dw", "theta_sq_hat")
 
 # The report targets besides gamma, in report order: the limits and the
 # asymptotic variances of the three statistics.
@@ -312,14 +310,15 @@ def _run_claims(block: Callable[[int], list], starts: range, claims: IO[bytes]) 
 
 
 def _estimate_rows(est: EstimateSet) -> list:
-    """The fitted statistics of each row of a block fit, as a tuple of floats in ``_ESTIMATES`` order."""
-    return list(zip(*(getattr(est, name).tolist() for name in _ESTIMATES)))
+    """The fitted statistics of each row of a block fit, as a tuple of floats in ``ESTIMATES`` order."""
+    return list(zip(*(getattr(est, name).tolist() for name in ESTIMATES)))
 
 
 def _fit_rows(x: np.ndarray) -> list:
     """One ``estimate_all`` over a block; each row's fit as an EstimateSet of floats."""
     est = estimate_all(x)
-    return [EstimateSet(*values, residuals=res, n=est.n) for values, res in zip(_estimate_rows(est), est.residuals)]
+    rows = zip(_estimate_rows(est), est.residuals)
+    return [EstimateSet(**dict(zip(ESTIMATES, values)), residuals=res, n=est.n) for values, res in rows]
 
 
 def _asymptotic_targets(cfg: McConfig) -> dict:
@@ -345,7 +344,7 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
     """
     targets = _asymptotic_targets(cfg)
     rows = _map_paths(lambda x: _estimate_rows(estimate_all(x)), cfg, threads)
-    estimates = dict(zip(_ESTIMATES, zip(*rows)))
+    estimates = dict(zip(ESTIMATES, zip(*rows)))
 
     root_n = math.sqrt(cfg.n)
     centered, ks, notes = {}, {}, []
@@ -363,7 +362,7 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
     if cfg.replicates >= 2:
         body["sample_cov"] = np.cov(np.vstack([centered["theta"], centered["rho"]]), ddof=1).tolist()
     body["notes"] = notes
-    return McReport(body, _ESTIMATES, rows)
+    return McReport(body, ESTIMATES, rows)
 
 
 TEST_KINDS = ("zero", "rho0", "critical")

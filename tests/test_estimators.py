@@ -254,6 +254,19 @@ class TestFusedKernel:
         for row in x[[0, -1]]:
             assert _fit_outcome(estimate_all, row) == _fit_outcome(estimate_all_reference, row)
 
+    def test_a_block_fit_holds_the_residuals_and_one_scratch_row(self):
+        # one clt block, 13 paths of n = 5000; 3.0x with the squares of X kept beside the scratch buffer
+        x = simulate_paths(ModelParams(0.5, 0.3), NoiseSpec(), 5000, list(range(13)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_all(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes  # measured 2.0x
+
 
 def _reference_residuals(x, theta_hat):
     """residuals as one expression, with its two path-sized temporaries."""

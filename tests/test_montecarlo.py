@@ -640,6 +640,16 @@ class TestWorkerLifetime:
             assert time.monotonic() - start < 1.0
             assert _alive(workers) == []
 
+    def test_a_terminated_run_leaves_no_partial_file_and_no_process(self, tmp_path):
+        dest = tmp_path / "rows.csv"
+        dest.write_text("kept\n")
+        with _running_workers(*_LONG_VERIFY, "--csv", str(dest)) as (proc, workers):
+            os.kill(proc.pid, signal.SIGTERM)
+            assert proc.wait(timeout=10) == -signal.SIGTERM  # ended by the signal: a shell reports 143
+            assert _alive(workers) == []
+        assert dest.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [dest]
+
 
 # |theta| < 1, so the path could be drawn, but outside the limits' region |theta| < 1 - 1e-9
 _OUT_OF_REGION = {
