@@ -5,9 +5,11 @@ least squares, form residuals eps_hat_k = X_k - theta_hat*X_{k-1} (with
 eps_hat_0 = X_0), fit the residual lag-1 coefficient rho_hat, estimate the
 innovation variance from the second-stage residuals, and form the
 Durbin-Watson ratio.  The estimators need n >= 3 steps; shorter inputs raise
-TooShort.  The one-shot estimators also take a (B, n+1) block holding one
-series per row and return one value per row, bit for bit the value of the
-row on its own.
+TooShort.  They also take a (B, n+1) block holding one series per row and
+return one value per row, bit for bit the value of the row on its own.
+One kernel, :func:`prefix_estimates`, fits every prefix up to ascending
+checkpoints; :func:`estimate_all` is its last checkpoint, and the
+one-statistic functions give, one at a time, the bits it gives.
 
 Sums are accumulated with numpy's pairwise reduction, which is deterministic
 and at least as accurate as sequential accumulation; the test suite checks
@@ -104,7 +106,7 @@ def _total(a: np.ndarray):
     numpy's pairwise sum of a contiguous row is the same sum as that of the
     row alone, so each row's total is bit-identical to the one-series total.
     """
-    total = np.sum(a, axis=-1)
+    total = np.add.reduce(a, axis=-1)  # np.sum's own reduction, without its dispatch
     return float(total) if total.ndim == 0 else total
 
 
@@ -120,7 +122,7 @@ def _lagged(coef) -> np.ndarray:
 
 def _denominator(denom, degenerate: str):
     """``denom``, unless one of its values is zero or negative: then DegenerateDenominator(degenerate)."""
-    if np.any(denom <= 0.0):
+    if np.less_equal(denom, 0.0).any():
         raise DegenerateDenominator(degenerate)
     return denom
 
@@ -190,55 +192,41 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
     1e154), raises DomainError naming it, without numpy warnings, instead
     of being returned.  In a block, any row that trips a check raises.
 
-    One fused kernel gives bit for bit, with the same first error, what the
-    six one-statistic functions above give in turn.  Like
-    :func:`prefix_estimates` it holds one scratch row besides the series and
-    the residuals, and takes each sum of a product from that row before the
-    next product overwrites it.  The dw denominator goes unchecked: it sums
-    rho's squares and one more, so it vanishes only where rho's has raised.
+    The statistics are :func:`prefix_estimates` at the last checkpoint; the
+    returned residuals are formed once that fit is done.
     """
     x = _as_block(path)
     _check_steps(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        row = np.multiply(x, x)
-        theta_denom, lag2_denom = _total(row[..., :-1]), _total(row[..., :-2])
-        lagged = row[..., :-1]
-        th = _total(np.multiply(x[..., 1:], x[..., :-1], out=lagged)) / _denominator(theta_denom, THETA_DEGENERATE)
-        lag2 = _total(np.multiply(x[..., 2:], x[..., :-2], out=row[..., :-2]))
-        res = residuals(x, th)
-        rho_denom, dw_denom = _total(np.multiply(res, res, out=row)[..., :-1]), _total(row)
-        rho = _total(np.multiply(res[..., 1:], res[..., :-1], out=lagged)) / _denominator(rho_denom, RHO_DEGENERATE)
-        np.subtract(res[..., 1:], np.multiply(_lagged(rho), res[..., :-1], out=lagged), out=lagged)
-        sigma2 = _total(np.square(lagged, out=lagged)) / (x.shape[-1] - 1)
-        dw = _total(np.square(np.subtract(res[..., 1:], res[..., :-1], out=lagged), out=lagged)) / dw_denom
-        theta_sq = lag2 / _denominator(lag2_denom, THETA_SQ_DEGENERATE)  # last, as before
-    fitted = dict(zip(ESTIMATES, (th, rho, sigma2, dw, theta_sq)))
+        fitted = {name: value for name, (value,) in zip(ESTIMATES, prefix_estimates(x, ESTIMATES, [x.shape[-1] - 1]))}
     for name, value in fitted.items():
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
-    return EstimateSet(residuals=res, n=x.shape[-1] - 1, **fitted)
+    return EstimateSet(residuals=residuals(x, fitted["theta_hat"]), n=x.shape[-1] - 1, **fitted)
 
 
-def prefix_estimates(path: ArrayLike, which: str, checkpoints: Sequence[int]) -> list:
-    """Statistic ``which`` of every prefix X_0..X_m, one entry per checkpoint m.
+def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequence[int]) -> list:
+    """The statistics ``names`` (from ESTIMATES) of every prefix X_0..X_m: per name, one entry per checkpoint m.
 
-    Each entry is bit for bit what :func:`estimate_theta` gives on the prefix
-    alone, or :func:`estimate_rho` or :func:`dw_statistic` of its
-    :func:`residuals`: a float for one series, one value per row for a
-    (B, n+1) block.  The checkpoints must ascend strictly within [3, n].  A
-    zero denominator raises the DegenerateDenominator those functions raise,
-    at the first checkpoint where one vanishes.
+    The one fit kernel: each entry is bit for bit what the one-statistic
+    functions above give on the prefix alone, a float for one series, one
+    value per row for a (B, n+1) block.  The checkpoints must ascend
+    strictly within [3, n].  A zero denominator raises, at the first
+    checkpoint where one vanishes, what :func:`estimate_all`'s pipeline
+    raises first: theta_hat's, then rho_hat's (dw's when neither rho_hat
+    nor sigma2_hat is asked for), then theta_sq_hat's.
 
-    Besides the series the refit holds one scratch row of (last checkpoint
-    + 1) values per path.  The products of each sum over X go into that row
-    once, and each checkpoint sums a prefix of it.  The residual sums depend
-    on the checkpoint's theta_hat, so each checkpoint writes their products
-    again, in two passes over residuals formed ``_BLOCK`` steps at a time:
-    no residual, difference or product array of the path's length is made.
-    Every sum is ``np.sum`` over a contiguous row prefix of the same products
-    the one-shot functions form, so the bits do not move.
+    Besides the series it holds one scratch row of (last checkpoint + 1)
+    values per path, and forms only the sums that ``names`` needs.  Each
+    product goes into the row, once for all checkpoints for the products
+    over X and once per checkpoint for those of its residuals, which are
+    formed once when they fit in one ``_BLOCK``-step chunk and chunk by
+    chunk on every pass beyond.  Each checkpoint sums a contiguous prefix
+    of the row with ``np.sum`` before the next product overwrites it, so
+    the bits do not move.
     """
-    check_which(which)
+    if not set(names) <= set(ESTIMATES):
+        raise DomainError(f"statistics must be named from {ESTIMATES}")
     x = _as_block(path)
     n = x.shape[-1] - 1
     bounds = [MIN_STEPS - 1, *checkpoints, n + 1]  # strictly ascending exactly when the checkpoints are valid
@@ -247,52 +235,61 @@ def prefix_estimates(path: ArrayLike, which: str, checkpoints: Sequence[int]) ->
     last = checkpoints[-1]
     row = np.empty(x.shape[:-1] + (last + 1,))
     head = x[..., :last]
-
-    np.multiply(head, head, out=row[..., :last])
+    np.square(head, out=row[..., :last])
     denoms = [_denominator(_total(row[..., :m]), THETA_DEGENERATE) for m in checkpoints]
+    if "theta_sq_hat" in names:  # sum X_k X_{k-2} / sum X_{k-2}^2 over k = 2..m, the denominator checked last
+        lag2_denoms = [_total(row[..., : m - 1]) for m in checkpoints]
+        np.multiply(x[..., 2 : last + 1], x[..., : last - 1], out=row[..., : last - 1])
+        lag2_sums = [_total(row[..., : m - 1]) for m in checkpoints]
     np.multiply(x[..., 1 : last + 1], head, out=row[..., :last])
-    thetas = [_total(row[..., :m]) / denom for m, denom in zip(checkpoints, denoms)]
-    if which == "theta":
-        return thetas
+    fitted = {name: [] for name in ESTIMATES}
+    fitted["theta_hat"] = [_total(row[..., :m]) / denom for m, denom in zip(checkpoints, denoms)]
+    fit_rho = "rho_hat" in names or "sigma2_hat" in names
+    fit_residuals = fit_rho or "dw" in names  # every pass of every checkpoint forms its residual chunks in buf
+    buf = np.empty(x.shape[:-1] + (min(_BLOCK, last) + 1,)) if fit_residuals else None
+    for m, th in zip(checkpoints, fitted["theta_hat"] if fit_residuals else ()):
+        formed = list(_residual_chunks(x, th, m + 1, buf)) if m <= _BLOCK else None  # one chunk, read by every pass
+        for a, b, eps in formed or _residual_chunks(x, th, m + 1, buf):  # eps_k^2 to slot k, the other terms to k-1
+            np.square(eps, out=row[..., a - 1 : b])
+        rho_denom, dw_denom = _total(row[..., :m]), _total(row[..., : m + 1])
+        if fit_rho:  # sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m
+            for a, b, eps in formed or _residual_chunks(x, th, m + 1, buf):
+                np.multiply(eps[..., 1:], eps[..., :-1], out=row[..., a - 1 : b - 1])
+            fitted["rho_hat"].append(rho := _total(row[..., :m]) / _denominator(rho_denom, RHO_DEGENERATE))
+        else:
+            _denominator(dw_denom, DW_DEGENERATE)
+        if "sigma2_hat" in names:  # the second-stage residual eps_k - rho_hat*eps_{k-1}, squared
+            for a, b, eps in formed or _residual_chunks(x, th, m + 1, buf):
+                out = np.multiply(_lagged(rho), eps[..., :-1], out=row[..., a - 1 : b - 1])
+                np.square(np.subtract(eps[..., 1:], out, out=out), out=out)
+            fitted["sigma2_hat"].append(_total(row[..., :m]) / m)
+        if "dw" in names:  # sum (eps_k - eps_{k-1})^2 over k = 1..m / sum eps_k^2 over k = 0..m
+            for a, b, eps in formed or _residual_chunks(x, th, m + 1, buf):
+                out = np.subtract(eps[..., 1:], eps[..., :-1], out=row[..., a - 1 : b - 1])
+                np.square(out, out=out)
+            fitted["dw"].append(_total(row[..., :m]) / dw_denom)
+    if "theta_sq_hat" in names:
+        fitted["theta_sq_hat"] = [s / _denominator(d, THETA_SQ_DEGENERATE) for s, d in zip(lag2_sums, lag2_denoms)]
+    return [fitted[name] for name in names]
 
-    values = []
-    for m, th in zip(checkpoints, thetas):
-        if which == "rho":  # sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m
-            squares, degenerate = m, RHO_DEGENERATE
-        else:  # sum (eps_k - eps_{k-1})^2 / sum eps_k^2 over k = 0..m
-            squares, degenerate = m + 1, DW_DEGENERATE
-        row[..., 0] = x[..., 0] * x[..., 0]
-        for a, b, eps in _residual_chunks(x, th, squares):
-            np.multiply(eps[..., 1:], eps[..., 1:], out=row[..., a:b])
-        denom = _denominator(_total(row[..., :squares]), degenerate)
-        for a, b, eps in _residual_chunks(x, th, m + 1):  # the lag-k term goes to slot k-1
-            out = row[..., a - 1 : b - 1]
-            if which == "rho":
-                np.multiply(eps[..., 1:], eps[..., :-1], out=out)
-            else:
-                np.subtract(eps[..., 1:], eps[..., :-1], out=out)
-                np.multiply(out, out, out=out)
-        values.append(_total(row[..., :m]) / denom)
-    return values
 
-
-def _residual_chunks(x: np.ndarray, theta_hat, stop: int):
+def _residual_chunks(x: np.ndarray, theta_hat, stop: int, buf: np.ndarray):
     """Residuals eps_k = X_k - theta_hat*X_{k-1} for k = 1..stop-1, ``_BLOCK`` steps at a time.
 
     Yields (a, b, eps) for consecutive chunks of steps a..b-1: ``eps[..., 1:]``
     holds eps_a..eps_{b-1} and ``eps[..., 0]`` holds eps_{a-1} (X_0 at a = 1),
-    rounded as :func:`residuals` rounds them.  The buffer is reused, so each
-    chunk is valid only until the next is asked for.
+    rounded as :func:`residuals` rounds them.  ``eps`` is a view of ``buf``,
+    which holds at least min(_BLOCK, stop - 1) + 1 values per path: each
+    chunk is valid only until the next is asked for, the last one after.
     """
-    buf = np.empty(x.shape[:-1] + (_BLOCK + 1,))
-    buf[..., 0] = x[..., 0]
+    eps = x[..., :1]
     for a in range(1, stop, _BLOCK):
         b = min(a + _BLOCK, stop)
+        buf[..., 0] = eps[..., -1]  # X_0, or the last residual of the chunk before
         eps = buf[..., : b - a + 1]
         np.multiply(_lagged(theta_hat), x[..., a - 1 : b - 1], out=eps[..., 1:])
         np.subtract(x[..., a:b], eps[..., 1:], out=eps[..., 1:])
         yield a, b, eps
-        buf[..., 0] = eps[..., -1]
 
 
 def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray:

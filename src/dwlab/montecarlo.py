@@ -466,9 +466,9 @@ def lil_envelope_check(
 
     The checkpoints must be distinct integers from 16 to n, in any order; a
     value that is not an integer raises DomainError naming it.  Each path's
-    estimates come from one :func:`prefix_estimates` refit over all the
-    checkpoints, so a worker holds its path and one scratch row as long as
-    the last checkpoint.
+    estimates of the one statistic come from one call of the fit kernel,
+    :func:`prefix_estimates`, over all the checkpoints, so a worker holds
+    its path and one scratch row as long as the last checkpoint.
     """
     checkpoints = sorted(map(_checkpoint, checkpoints))
     if not checkpoints:
@@ -485,7 +485,7 @@ def lil_envelope_check(
     envelope = LIL_SD_MULTIPLE * math.sqrt(variance)
 
     def deviations(x: np.ndarray) -> list:
-        estimates = prefix_estimates(x, which, checkpoints)
+        (estimates,) = prefix_estimates(x, (_STATISTICS[which][0],), checkpoints)
         columns = [lil_deviation(value, limit, m) for m, value in zip(checkpoints, estimates)]
         return np.column_stack(columns).tolist()
 

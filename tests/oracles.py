@@ -4,10 +4,10 @@ Closed-form values are recomputed in exact rational arithmetic (Fraction),
 sums are recomputed with compensated summation (math.fsum), so every check
 compares the float64 implementation against an arithmetic path it does not
 share.  Two exceptions mirror the library's own code paths, which a faster
-kernel must match bit for bit: :func:`prefix_estimate`, the whole-prefix
-lil refit through the one-shot estimators, for the chunked
+kernel must match bit for bit: :func:`prefix_estimate`, a whole-prefix fit
+through the one-statistic estimators, for the fit kernel
 ``estimators.prefix_estimates``; and :func:`estimate_all_reference`, the
-one-statistic-at-a-time pipeline, for the fused ``estimators.estimate_all``.
+one-statistic-at-a-time pipeline, for ``estimators.estimate_all``.
 :func:`replicate_rows` is the Monte Carlo experiments' per-replicate loop
 through the one-path API, which the blocked, forked runs must match.
 """
@@ -144,14 +144,21 @@ def dw_fsum(res) -> float:
 # --- the lil prefix refit as whole-prefix one-shot fits ---------------------
 
 
-def prefix_estimate(x: np.ndarray, m: int, which: str) -> np.ndarray:
-    """Statistic ``which`` of X_0..X_m, fitted on every row of a (B, n+1) block."""
+def prefix_estimate(x: np.ndarray, m: int, name: str) -> np.ndarray:
+    """Statistic ``name`` (from ESTIMATES) of X_0..X_m, fitted on every row of a (B, n+1) block.
+
+    The one-statistic functions run in ``estimate_all``'s order, theta_hat
+    first, so a vanishing denominator raises what that pipeline raises first.
+    """
     prefix = x[:, : m + 1]
     theta_hat = estimate_theta(prefix)
-    if which == "theta":
-        return theta_hat
+    if name in ("theta_hat", "theta_sq_hat"):
+        return theta_hat if name == "theta_hat" else estimate_theta_sq(prefix)
     res = residuals(prefix, theta_hat)
-    return estimate_rho(res) if which == "rho" else dw_statistic(res)
+    if name == "dw":
+        return dw_statistic(res)
+    rho_hat = estimate_rho(res)
+    return rho_hat if name == "rho_hat" else estimate_sigma2(res, rho_hat)
 
 
 # --- estimate_all as the six one-statistic functions in turn ---------------

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from hypothesis import strategies as st
 from dwlab import estimators
 from dwlab.errors import DegenerateDenominator, DomainError, TooShort
 from dwlab.estimators import (
+    DW_DEGENERATE,
+    ESTIMATES,
+    RHO_DEGENERATE,
+    THETA_DEGENERATE,
+    THETA_SQ_DEGENERATE,
     TRAJECTORIES,
     RunningEstimates,
     dw_statistic,
@@ -192,7 +198,7 @@ _DAMAGE = ("none", "zero", "constant", "zero_head", "zero_but_last", "nan", "inf
 
 
 class TestFusedKernel:
-    """estimate_all's fused kernel against the six one-statistic functions in turn (tests/oracles.py)."""
+    """estimate_all, the fit kernel at its last checkpoint, against the one-statistic functions (tests/oracles.py)."""
 
     @given(
         params_st,
@@ -257,15 +263,24 @@ class TestFusedKernel:
     def test_a_block_fit_holds_the_residuals_and_one_scratch_row(self):
         # one clt block, 13 paths of n = 5000; 3.0x with the squares of X kept beside the scratch buffer
         x = simulate_paths(ModelParams(0.5, 0.3), NoiseSpec(), 5000, list(range(13)))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            estimate_all(x)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * x.nbytes  # measured 2.0x
+        assert _traced_peak(estimate_all, x) < 2.5 * x.nbytes  # measured 2.0x: the row and its one residual chunk
+
+    def test_a_long_series_fit_holds_one_scratch_row_and_residual_chunks(self):
+        x = simulate(ModelParams(0.5, 0.3), NoiseSpec(), 10**5, 5).x
+        # measured 1.17x; 2.0x when the residuals were formed beside the scratch row
+        assert _traced_peak(estimate_all, x) <= 1.5 * x.nbytes
+
+
+def _traced_peak(fit, x) -> int:
+    """The most memory ``fit(x)`` holds at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fit(x)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def _reference_residuals(x, theta_hat):
@@ -685,10 +700,11 @@ class TestBlockedRunningEstimates:
 
 # (estimators._BLOCK, n, checkpoints): the residual chunks start at steps 1, 1+B, 1+2B, ..., and a
 # checkpoint m ends its passes at step m or m+1, so jB-1, jB and jB+1 end them just before, on and
-# just after a chunk edge
+# just after a chunk edge; a checkpoint m <= B forms its residuals once, a later one chunk by chunk
 _PREFIX_CASES = [
     (1, 300, [16, 17, 18, 300]),
     (7, 2000, [16, 20, 21, 22, 2000]),
+    (20, 300, [3, 19, 20, 21, 300]),
     (2**14, 40_000, [16, 2**14 - 1, 2**14, 2**14 + 1, 40_000]),
 ]
 
@@ -701,41 +717,77 @@ def _refit_outcome(fit):
         return type(exc), str(exc)
 
 
+def _flat(columns) -> list:
+    """The values of every name's list of checkpoint values, name after name."""
+    return [value for values in columns for value in values]
+
+
 class TestPrefixEstimates:
-    """The chunked lil refit against the whole-prefix one-shot fits, for any chunk size."""
+    """The fit kernel against whole-prefix fits through the one-statistic functions, for any chunk size."""
 
     @pytest.mark.parametrize("block, n, checkpoints", _PREFIX_CASES)
     def test_bytes_match_the_whole_prefix_refit(self, monkeypatch, block, n, checkpoints):
         x = simulate_paths(ModelParams(theta=-0.6, rho=0.7), NoiseSpec("rademacher"), n, [3, 4, 5])
         monkeypatch.setattr(estimators, "_BLOCK", block)
-        for which in TRAJECTORIES:
-            expected = [prefix_estimate(x, m, which) for m in checkpoints]
-            got = prefix_estimates(x, which, checkpoints)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected], which
+        together = prefix_estimates(x, ESTIMATES, checkpoints)
+        for name, got in zip(ESTIMATES, together):
+            expected = [prefix_estimate(x, m, name) for m in checkpoints]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected], name
+            # asked for alone, a statistic gets the bits it gets among all five
+            (alone,) = prefix_estimates(x, [name], checkpoints)
+            assert [a.tobytes() for a in alone] == [a.tobytes() for a in got], name
             # a series on its own gets its row's values, as floats
-            assert prefix_estimates(x[1], which, checkpoints) == [float(a[1]) for a in got], which
+            assert prefix_estimates(x[1], [name], checkpoints) == [[float(a[1]) for a in got]], name
+        # the lists come in the order of the names asked for
+        dw_then_theta = prefix_estimates(x, ["dw", "theta_hat"], checkpoints)
+        assert _refit_outcome(lambda: _flat(dw_then_theta)) == _refit_outcome(lambda: [*together[3], *together[0]])
+
+    def test_a_prefix_within_one_chunk_forms_its_residuals_once(self, monkeypatch):
+        x = simulate_paths(ModelParams(theta=-0.6, rho=0.7), NoiseSpec(), 300, [3, 4])
+        monkeypatch.setattr(estimators, "_BLOCK", 20)
+        chunks, formed = estimators._residual_chunks, Counter()
+
+        def counting(x, theta_hat, stop, buf):
+            formed[stop - 1] += 1
+            return chunks(x, theta_hat, stop, buf)
+
+        monkeypatch.setattr(estimators, "_residual_chunks", counting)
+        prefix_estimates(x, ESTIMATES, [19, 20, 21, 300])
+        assert formed == {19: 1, 20: 1, 21: 4, 300: 4}  # one pass each for eps^2, rho_hat, sigma2_hat and dw
 
     @pytest.mark.parametrize("block", [1, 7, 2**14])
-    def test_a_zero_row_raises_as_the_whole_prefix_refit_does(self, monkeypatch, block):
+    def test_the_first_error_is_the_whole_prefix_refits(self, monkeypatch, block):
         path = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, [6, 7])
         monkeypatch.setattr(estimators, "_BLOCK", block)
-        for zero in (slice(None), slice(0, 20)):  # zero throughout, or only up to past the first checkpoint
+        checkpoints, raised = [3, 16, 300], set()
+        # zero throughout; zero past the first two checkpoints; zero but the last value that theta_hat's
+        # denominator sums at m = 3; squares that underflow, so that the residual sums vanish at m = 3
+        for head in ([0.0] * 301, [0.0] * 20, [0.0] * 2, [0.0, 1e-170, 1e-150, 1e-130]):
             x = path.copy()
-            x[1, zero] = 0.0
-            for which in TRAJECTORIES:
-                expected = _refit_outcome(lambda: [prefix_estimate(x, m, which) for m in (16, 300)])
-                assert expected == (DegenerateDenominator, "sum of squared lagged values is zero")
-                assert _refit_outcome(lambda: prefix_estimates(x, which, [16, 300])) == expected
-                assert _refit_outcome(lambda: prefix_estimates(x[1], which, [16, 300])) == expected
+            x[1, : len(head)] = head
+            for names in [*((name,) for name in ESTIMATES), ESTIMATES, ("rho_hat", "dw")]:
+                for data in (x, x[1:], x[1]):  # the block, the damaged row as a block and on its own
+                    rows = np.atleast_2d(data)
+                    one_at_a_time = [(name, m) for name in names for m in checkpoints]
+                    expected = _refit_outcome(lambda: [prefix_estimate(rows, m, name) for name, m in one_at_a_time])
+                    assert _refit_outcome(lambda: _flat(prefix_estimates(data, names, checkpoints))) == expected, names
+                    raised.add(expected[1] if expected[0] is DegenerateDenominator else None)
+        assert raised == {None, THETA_DEGENERATE, RHO_DEGENERATE, DW_DEGENERATE, THETA_SQ_DEGENERATE}
 
     def test_checkpoints_must_ascend_within_the_path(self):
         x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 6).x
         for checkpoints in ([], [2], [301], [100, 100], [200, 100]):
             with pytest.raises(DomainError, match=r"^checkpoints must ascend strictly within \[3, 300\]$"):
-                prefix_estimates(x, "rho", checkpoints)
-        with pytest.raises(DomainError):
-            prefix_estimates(x, "sigma2", [100])
-        assert prefix_estimates(x, "dw", [3, 300])[0] == dw_statistic(residuals(x[:4], estimate_theta(x[:4])))
+                prefix_estimates(x, ["rho_hat"], checkpoints)
+        for names in (["sigma2"], "dw", ["rho"]):
+            with pytest.raises(DomainError, match="^statistics must be named from"):
+                prefix_estimates(x, names, [100])
+        assert prefix_estimates(x, ["dw"], [3, 300])[0][0] == dw_statistic(residuals(x[:4], estimate_theta(x[:4])))
+
+    def test_a_series_fits_as_its_values(self):
+        series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 6)
+        assert _fit_outcome(estimate_all, series) == _fit_outcome(estimate_all, series.x)
+        assert prefix_estimates(series, ESTIMATES, [16, 300]) == prefix_estimates(series.x, ESTIMATES, [16, 300])
 
 
 class TestConsistency:

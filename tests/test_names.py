@@ -1,9 +1,10 @@
 """Each fitted statistic and each degeneracy message is written out once under ``src/dwlab``.
 
 The four DegenerateDenominator messages are constants of
-``dwlab.estimators``, shared by the one-statistic functions,
-``estimate_all`` and ``prefix_estimates``.  The names and order of the five
-fitted statistics are ``estimators.ESTIMATES``: the float fields of
+``dwlab.estimators``, shared by the one-statistic functions and the fit
+kernel ``prefix_estimates``, whose last checkpoint is ``estimate_all``.
+The names and order of the five fitted statistics are
+``estimators.ESTIMATES``: the names the kernel takes, the float fields of
 ``EstimateSet``, the ``estimate`` JSON keys before ``n`` and the clt
 ``--csv`` columns after ``replicate`` all follow it.
 """
