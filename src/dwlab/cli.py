@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, limits
 from .errors import DWLabError, DomainError
-from .estimators import DEFAULT_BURN_IN, ESTIMATES, check_burn_in, estimate_all, running_estimates
+from .estimators import DEFAULT_BURN_IN, ESTIMATES, check_burn_in, estimate_all, residuals, running_estimates
 from .model import (
     ModelParams,
     NoiseSpec,
@@ -169,13 +169,14 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
-    """The five statistics and n; the residuals and trajectories go only to the CSV files asked for."""
+    """The five statistics and n; the residuals and trajectories are formed only for the CSV files asked for."""
     series = _read_series(args)
     if args.trajectories:  # a burn-in the series cannot take fails before any file is written
         check_burn_in(series.n, args.k0)
     est = estimate_all(series.x)
     if args.residuals:
-        write_table(args.residuals, ("k", "eps_hat"), (range(est.residuals.size), float_cells(est.residuals)))
+        res = residuals(series.x, est.theta_hat)
+        write_table(args.residuals, ("k", "eps_hat"), (range(res.size), float_cells(res)))
     if args.trajectories:
         traj = running_estimates(series.x, k0=args.k0)
         write_table(

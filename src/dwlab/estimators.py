@@ -8,8 +8,8 @@ Durbin-Watson ratio.  The estimators need n >= 3 steps; shorter inputs raise
 TooShort.  They also take a (B, n+1) block holding one series per row and
 return one value per row, bit for bit the value of the row on its own.
 One kernel, :func:`prefix_estimates`, fits every prefix up to ascending
-checkpoints; :func:`estimate_all` is its last checkpoint, and the
-one-statistic functions give, one at a time, the bits it gives.
+checkpoints; :func:`estimate_all` is its last checkpoint and keeps no
+residuals, and the one-statistic functions give, one at a time, its bits.
 
 Sums are accumulated with numpy's pairwise reduction, which is deterministic
 and at least as accurate as sequential accumulation; the test suite checks
@@ -50,7 +50,7 @@ class EstimateSet:
     """All one-shot statistics of a single series, or of each row of a block.
 
     For one series the statistics are floats; for a (B, n+1) block they are
-    arrays of B values and ``residuals`` has the block's shape.
+    arrays of B values.  ``residuals(x, est.theta_hat)`` forms the residuals behind them.
     """
 
     theta_hat: float
@@ -58,7 +58,6 @@ class EstimateSet:
     sigma2_hat: float
     dw: float
     theta_sq_hat: float
-    residuals: np.ndarray
     n: int
 
 
@@ -192,8 +191,8 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
     1e154), raises DomainError naming it, without numpy warnings, instead
     of being returned.  In a block, any row that trips a check raises.
 
-    The statistics are :func:`prefix_estimates` at the last checkpoint; the
-    returned residuals are formed once that fit is done.
+    The statistics are :func:`prefix_estimates` at the last checkpoint, so
+    no residual series is formed.
     """
     x = _as_block(path)
     _check_steps(x)
@@ -202,7 +201,7 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
     for name, value in fitted.items():
         if not np.isfinite(value).all():
             raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
-    return EstimateSet(residuals=residuals(x, fitted["theta_hat"]), n=x.shape[-1] - 1, **fitted)
+    return EstimateSet(n=x.shape[-1] - 1, **fitted)
 
 
 def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequence[int]) -> list:

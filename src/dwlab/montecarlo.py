@@ -317,8 +317,7 @@ def _estimate_rows(est: EstimateSet) -> list:
 def _fit_rows(x: np.ndarray) -> list:
     """One ``estimate_all`` over a block; each row's fit as an EstimateSet of floats."""
     est = estimate_all(x)
-    rows = zip(_estimate_rows(est), est.residuals)
-    return [EstimateSet(**dict(zip(ESTIMATES, values)), residuals=res, n=est.n) for values, res in rows]
+    return [EstimateSet(**dict(zip(ESTIMATES, values)), n=est.n) for values in _estimate_rows(est)]
 
 
 def _asymptotic_targets(cfg: McConfig) -> dict:

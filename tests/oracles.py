@@ -178,7 +178,7 @@ def estimate_all_reference(path) -> EstimateSet:
     for name, value in fitted.items():
         if not np.all(np.isfinite(value)):
             raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
-    return EstimateSet(residuals=res, n=x.shape[-1] - 1, **fitted)
+    return EstimateSet(n=x.shape[-1] - 1, **fitted)
 
 
 # --- the Monte Carlo experiments, one replicate at a time -------------------

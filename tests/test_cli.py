@@ -19,7 +19,7 @@ import pytest
 import dwlab.cli
 from dwlab.cli import _emit, _json_default, build_parser, main
 from dwlab.errors import DomainError
-from dwlab.estimators import estimate_all, running_estimates
+from dwlab.estimators import estimate_all, residuals, running_estimates
 from dwlab.model import ModelParams, NoiseSpec, read_csv, simulate, write_csv
 from dwlab.montecarlo import McConfig
 
@@ -175,7 +175,8 @@ class TestSimulateEstimate:
         assert (code, err) == (0, "")
         assert "residuals" not in json.loads(out)["estimates"]
         # the row-by-row csv.writer dump that the residuals file must reproduce byte for byte
-        res = estimate_all(read_csv(src).x).residuals
+        x = read_csv(src).x
+        res = residuals(x, estimate_all(x).theta_hat)
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["k", "eps_hat"])

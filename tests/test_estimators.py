@@ -152,13 +152,14 @@ class TestBlocks:
         # below 128 values numpy sums with its unrolled loop, above it pairwise
         block = np.stack([simulate(ModelParams(0.5, 0.3), NoiseSpec(), n, seed).x for seed in range(rows)])
         fit = estimate_all(block)
-        assert fit.n == n and fit.residuals.shape == block.shape
+        res = residuals(block, fit.theta_hat)
+        assert fit.n == n and res.shape == block.shape
         for i in range(rows):
             one = estimate_all(block[i])
             for name in _FITTED:
                 assert type(getattr(one, name)) is float
                 assert np.float64(getattr(one, name)).tobytes() == getattr(fit, name)[i].tobytes(), (name, i)
-            assert one.residuals.tobytes() == fit.residuals[i].tobytes()
+            assert residuals(block[i], one.theta_hat).tobytes() == res[i].tobytes()
 
     def test_fortran_ordered_block(self):
         block = np.stack([simulate(ModelParams(-0.4, 0.6), NoiseSpec(), 301, seed).x for seed in range(5)])
@@ -189,7 +190,7 @@ def _fit_outcome(fit, x):
             est = fit(x)
         except Exception as exc:  # any class: the class and message themselves are compared
             return type(exc), str(exc)
-    fields = [getattr(est, name) for name in _FITTED] + [est.residuals]
+    fields = [getattr(est, name) for name in _FITTED]
     return [(type(value), np.asarray(value).tobytes()) for value in fields] + [est.n]
 
 
@@ -808,7 +809,7 @@ class TestConsistency:
         s = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 5000, 91)
         est = estimate_all(s.x)
         assert est.n == 5000
-        assert est.residuals[0] == s.x[0]
+        assert residuals(s.x, est.theta_hat)[0] == s.x[0]
         assert est.theta_hat == estimate_theta(s.x)
         assert est.dw >= 0.0
         # fsum mirrors of the full pipeline

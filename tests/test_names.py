@@ -54,6 +54,11 @@ def test_estimates_are_the_float_fields_of_an_estimate_set():
     assert ESTIMATES == tuple(field.name for field in dataclasses.fields(EstimateSet) if field.type == "float")
 
 
+def test_an_estimate_set_holds_the_statistics_and_n_only():
+    # a fit keeps no residual series; estimate --residuals forms it through residuals() when asked
+    assert [field.name for field in dataclasses.fields(EstimateSet)] == [*ESTIMATES, "n"]
+
+
 def test_estimates_name_the_estimate_json_and_the_clt_csv_columns(capsys, tmp_path):
     series, rows = tmp_path / "s.csv", tmp_path / "rows.csv"
     write_csv(simulate(ModelParams(0.5, 0.3), NoiseSpec(), 200, 1), series)
