@@ -36,7 +36,9 @@ def quadratic_roots(s: float, p: float) -> tuple[float, float]:
     """Ordered real roots of z^2 - s z + p = 0.
 
     Discriminants in (-1e-10, 0) are clamped to zero (double root near
-    theta = rho); genuinely negative ones raise NegativeDiscriminant.
+    theta = rho); genuinely negative ones raise NegativeDiscriminant.  The
+    larger root in magnitude is formed without cancellation and the other
+    as p over it (Vieta), so a root near zero keeps its relative accuracy.
     """
     disc = s * s - 4.0 * p
     if disc < 0.0:
@@ -47,8 +49,10 @@ def quadratic_roots(s: float, p: float) -> tuple[float, float]:
                 "estimates are inconsistent with a real parameter pair "
                 "(insufficient sample size or model misfit)"
             )
-    root = math.sqrt(disc)
-    return (s - root) / 2.0, (s + root) / 2.0
+    if disc == 0.0:
+        return s / 2.0, s / 2.0
+    big = (s + math.copysign(math.sqrt(disc), s)) / 2.0
+    return min(big, p / big), max(big, p / big)
 
 
 def recover_params(theta_hat: float, rho_hat: float, convention: str = "theta_less") -> RecoveredParams:

@@ -54,6 +54,13 @@ class TestRecoverParams:
         assert rel_close(rec.theta_rec + rec.rho_rec, rec.s_hat, 1e-12)
         assert rel_close(rec.theta_rec * rec.rho_rec, rec.p_hat, 1e-12)
 
+    @pytest.mark.parametrize("theta, rho", [(0.5, 1e-8), (-0.7, 1e-9), (0.3, -2e-9), (0.5, 1e-6)])
+    def test_a_small_root_keeps_its_digits(self, theta, rho):
+        # (s - sqrt(disc)) / 2 cancels when |p| << s^2: it was 1e-12 to 2.7e-8 off, relative, at these points
+        rec = recover_params(limits.theta_star(theta, rho), limits.rho_star(theta, rho), "theta_less")
+        for got, want in ((rec.theta_rec, min(theta, rho)), (rec.rho_rec, max(theta, rho))):
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
     def test_convention_flip_swaps_only(self):
         a = recover_params(0.8, 0.12, "theta_less")
         b = recover_params(0.8, 0.12, "theta_greater")
