@@ -19,6 +19,7 @@ oracle.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -80,6 +81,14 @@ def check_which(which: str) -> None:
     """A ``which`` that names no trajectory raises DomainError."""
     if which not in TRAJECTORIES:
         raise DomainError(f"which must be one of {TRAJECTORIES}")
+
+
+def _checkpoint(m, rule: str = "checkpoints must be integers") -> int:
+    """``m`` as an int; anything but an integer (1000.7, "1e3", None) raises DomainError(f"{rule}, got {m!r}")."""
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise DomainError(f"{rule}, got {m!r}") from None
 
 
 def _as_block(path: ArrayLike) -> np.ndarray:
@@ -209,8 +218,8 @@ def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequenc
 
     The one fit kernel: each entry is bit for bit what the one-statistic
     functions above give on the prefix alone, a float for one series, one
-    value per row for a (B, n+1) block.  The checkpoints must ascend
-    strictly within [3, n].  A zero denominator raises, at the first
+    value per row for a (B, n+1) block.  The checkpoints must be integers
+    that ascend strictly within [3, n].  A zero denominator raises, at the first
     checkpoint where one vanishes, what :func:`estimate_all`'s pipeline
     raises first: theta_hat's, then rho_hat's (dw's when neither rho_hat
     nor sigma2_hat is asked for), then theta_sq_hat's.
@@ -228,6 +237,7 @@ def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequenc
         raise DomainError(f"statistics must be named from {ESTIMATES}")
     x = _as_block(path)
     n = x.shape[-1] - 1
+    checkpoints = [_checkpoint(m) for m in checkpoints]
     bounds = [MIN_STEPS - 1, *checkpoints, n + 1]  # strictly ascending exactly when the checkpoints are valid
     if len(bounds) < 3 or any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise DomainError(f"checkpoints must ascend strictly within [{MIN_STEPS}, {n}]")
@@ -315,8 +325,8 @@ def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray
 
 
 def check_burn_in(n: int, k0: int) -> None:
-    """Raise unless burn-in k0 is at least 3 and a path of n steps reaches it."""
-    if k0 < 3:
+    """Raise unless burn-in k0 is an integer, at least 3, and a path of n steps reaches it."""
+    if _checkpoint(k0, "burn-in k0 must be an integer") < 3:
         raise DomainError("burn-in k0 must be at least 3")
     if n < k0:
         raise TooShort(f"need at least k0={k0} steps, got {n}")

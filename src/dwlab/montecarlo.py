@@ -43,6 +43,7 @@ from .estimators import (
     ESTIMATES,
     TRAJECTORIES,
     EstimateSet,
+    _checkpoint,
     check_burn_in,
     check_which,
     estimate_all,
@@ -440,14 +441,6 @@ def lil_deviation(estimate, limit: float, m: int):
     if m < 16:
         raise DomainError("checkpoint too small: log log m must be positive")
     return math.sqrt(m / (2.0 * math.log(math.log(m)))) * abs(estimate - limit)
-
-
-def _checkpoint(m) -> int:
-    """A checkpoint as an int; anything but an integer (1000.7, "1e3", None) raises DomainError naming it."""
-    try:
-        return operator.index(m)
-    except TypeError:
-        raise DomainError(f"checkpoints must be integers, got {m!r}") from None
 
 
 def lil_envelope_check(

@@ -516,6 +516,22 @@ class TestRunningEstimates:
             with pytest.raises(DegenerateDenominator):
                 fn(np.zeros(30), k0=5)
 
+    @pytest.mark.parametrize("k0, shown", [(10.0, "10.0"), ("10", "'10'"), (None, "None")])
+    def test_a_burn_in_that_is_not_an_integer_is_named(self, k0, shown):
+        x = simulate(ModelParams(0.5, 0.3), NoiseSpec(), 200, 1).x
+        with pytest.raises(DomainError) as exc:
+            running_estimates(x, k0)
+        assert str(exc.value) == f"burn-in k0 must be an integer, got {shown}"
+        assert running_estimates(x, np.int64(10)).k.tolist() == running_estimates(x, 10).k.tolist()
+
+    @pytest.mark.parametrize("k0, shown", [(10.5, "10.5"), ("10", "'10'"), (None, "None")])
+    def test_a_summed_burn_in_that_is_not_an_integer_is_named(self, k0, shown):
+        x = simulate(ModelParams(0.5, 0.3), NoiseSpec(), 200, 1).x
+        with pytest.raises(DomainError) as exc:
+            squared_deviation_sum(x, "theta", 0.7, k0)
+        assert str(exc.value) == f"burn-in k0 must be an integer, got {shown}"
+        assert squared_deviation_sum(x, "theta", 0.7, np.int64(10)) == squared_deviation_sum(x, "theta", 0.7, 10)
+
 
 def _reference_running_estimates(x: np.ndarray, k0: int, theta_only: bool = False):
     # the whole-array kernel that the blocked running_estimates must reproduce bit for bit;
@@ -784,6 +800,14 @@ class TestPrefixEstimates:
             with pytest.raises(DomainError, match="^statistics must be named from"):
                 prefix_estimates(x, names, [100])
         assert prefix_estimates(x, ["dw"], [3, 300])[0][0] == dw_statistic(residuals(x[:4], estimate_theta(x[:4])))
+
+    @pytest.mark.parametrize("checkpoints, shown", [([100.0], "100.0"), ([16, "1e3"], "'1e3'"), ([None], "None")])
+    def test_a_checkpoint_that_is_not_an_integer_is_named(self, checkpoints, shown):
+        x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 6).x
+        with pytest.raises(DomainError) as exc:
+            prefix_estimates(x, ["theta_hat"], checkpoints)
+        assert str(exc.value) == f"checkpoints must be integers, got {shown}"
+        assert prefix_estimates(x, ESTIMATES, [np.int64(16), 300]) == prefix_estimates(x, ESTIMATES, [16, 300])
 
     def test_a_series_fits_as_its_values(self):
         series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 6)

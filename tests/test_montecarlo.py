@@ -211,6 +211,16 @@ class TestQsl:
             qsl_check(config(0.5, 0.3, n=n, reps=2, seed=1), "theta", k0=k0)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("k0, shown", [(10.5, "10.5"), (None, "None")])
+    def test_a_burn_in_that_is_not_an_integer_fails_before_any_path_is_drawn(self, monkeypatch, k0, shown):
+        def no_draw(*args):
+            raise AssertionError("simulate_paths was called")
+
+        monkeypatch.setattr(montecarlo, "simulate_paths", no_draw)
+        with pytest.raises(DomainError) as exc:
+            qsl_check(config(0.5, 0.3, n=20_000, reps=2, seed=1), "theta", k0=k0)
+        assert str(exc.value) == f"burn-in k0 must be an integer, got {shown}"
+
     def test_a_theta_block_holds_x_its_trajectory_and_one_block_of_sums(self):
         # at n = 10^5 a block is one path; besides x and theta_hat_k for k = k0..n the walk holds S and P
         # for 2^14 steps, a third of a path here.  Drawing V, eps and X as three arrays peaked at 3.0 paths.
