@@ -3,7 +3,9 @@
 Closed-form values are recomputed in exact rational arithmetic (Fraction),
 sums are recomputed with compensated summation (math.fsum), so every check
 compares the float64 implementation against an arithmetic path it does not
-share.  Two exceptions mirror the library's own code paths, which a faster
+share.  :func:`bartlett_gamma` derives the limits and their covariance a
+second way, from Bartlett's formula, so it also catches an error that a
+formula and its exact transcription share.  Two exceptions mirror the library's own code paths, which a faster
 kernel must match bit for bit: :func:`prefix_estimate`, a whole-prefix fit
 through the one-statistic estimators, for the fit kernel
 ``estimators.prefix_estimates``; and :func:`estimate_all_reference`, the
@@ -115,6 +117,41 @@ def sigma_hat_limit_frac(theta, rho, sigma2) -> Fraction:
     t, r, s = F(theta), F(rho), F(sigma2)
     tr = t * r
     return s * ((1 + tr) ** 2 - tr * tr * (t + r) ** 2) / ((1 - tr) * (1 + tr) ** 3)
+
+
+def bartlett_gamma(theta: float, rho: float) -> tuple:
+    """(r1, r2, g(r1, r2), Gamma): the limits of theta_hat and rho_hat and their covariance, by Bartlett's formula.
+
+    X is an AR(2) process with coefficients (theta + rho, -theta*rho), so
+    theta_hat is its lag-1 sample autocorrelation, and rho_hat is
+    g(r1, r2) = r1 (r1^2 - r2) / (1 - r1^2) of the lag-1 and lag-2 ones,
+    both up to O(1/n) boundary terms.  Bartlett's formula (Brockwell & Davis,
+    *Time Series: Theory and Methods*, 1991, Thm 7.2.1) gives the asymptotic
+    covariance W of sqrt(n) (r1_hat, r2_hat) under iid noise with a finite
+    fourth moment, and the delta method through (r1, g) gives Gamma.
+
+    The sums stop at the lag L where max(|theta|, |rho|)^L < 1e-17.  The
+    autocorrelations decay as L r^L at worst (a double root), each summand
+    as the square of that, so the dropped tail is below 1e-25 of W's
+    entries at |theta|, |rho| <= 0.95 (L = 764 there).
+    """
+    phi1, phi2 = theta + rho, -theta * rho
+    root = max(abs(theta), abs(rho))
+    lags = max(3, math.ceil(math.log(1e-17) / math.log(root))) if root > 0.0 else 3
+    r = np.empty(lags + 3)  # the autocorrelations r(0..L+2) by the AR(2) recursion
+    r[0], r[1] = 1.0, phi1 / (1.0 - phi2)
+    for h in range(2, r.size):
+        r[h] = phi1 * r[h - 1] + phi2 * r[h - 2]
+    k = np.arange(1, lags + 1)
+    # Bartlett: w_ij = sum_{k>=1} (r(k+i) + r(k-i) - 2 r(i) r(k)) (r(k+j) + r(k-j) - 2 r(j) r(k))
+    terms = [r[k + i] + r[np.abs(k - i)] - 2.0 * r[i] * r[k] for i in (1, 2)]
+    w = np.array([[np.dot(a, b) for b in terms] for a in terms])
+    r1, r2 = r[1], r[2]
+    g = r1 * (r1 * r1 - r2) / (1.0 - r1 * r1)
+    dg_dr1 = ((3.0 * r1 * r1 - r2) * (1.0 - r1 * r1) + 2.0 * r1 * r1 * (r1 * r1 - r2)) / (1.0 - r1 * r1) ** 2
+    dg_dr2 = -r1 / (1.0 - r1 * r1)
+    jac = np.array([[1.0, 0.0], [dg_dr1, dg_dr2]])
+    return float(r1), float(r2), float(g), jac @ w @ jac.T
 
 
 # --- brute-force estimator mirrors ------------------------------------------

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dwlab import limits
 from dwlab.errors import OutOfRegion
+from dwlab.testing import critical_statistic
 
 from oracles import (
+    bartlett_gamma,
     d_star_frac,
     ell1_frac,
     ell2_frac,
@@ -93,6 +95,60 @@ class TestAgainstExactArithmetic:
                 assert rel_close(
                     limits.sigma_hat_limit(t, r, s2), float(sigma_hat_limit_frac(t, r, s2)), 1e-13
                 )
+
+
+def close(got: float, want: float, scale: float = 0.0) -> bool:
+    """|got - want| <= 1e-11 * max(|got|, |want|, scale): relative, unless the oracle's own rounding is larger."""
+    return abs(got - want) <= 1e-11 * max(abs(got), abs(want), scale)
+
+
+def assert_bartlett(t: float, r: float) -> None:
+    """Every limit and asymptotic variance of ``limits`` at (t, r) agrees with :func:`bartlett_gamma`."""
+    r1, _, g, gamma = bartlett_gamma(t, r)
+    a = limits.asymptotics(t, r)
+    assert close(a.theta_star, r1)
+    # the oracle forms g from r1^2 - r2 = theta*rho*(1 - r1^2), which cancels when theta*rho << r1^2
+    assert close(a.rho_star, g, abs(r1) ** 3)
+    assert close(a.d_star, 2.0 * (1.0 - g))
+    assert close(a.var_theta, gamma[0, 0])
+    assert close(a.var_rho, gamma[1, 1])
+    assert close(a.var_d, 4.0 * gamma[1, 1])
+    assert np.abs(a.gamma - gamma).max() <= 1e-11 * np.abs(gamma).max()
+
+
+class TestAgainstBartlett:
+    """The closed forms against a second derivation: Bartlett's formula for X as an AR(2) process.
+
+    The exact-arithmetic oracles transcribe the same formulas as ``limits``;
+    this one derives them from the autocorrelations, so it also catches an
+    error that a formula and its transcription share.
+    """
+
+    @given(inside, inside)
+    @settings(max_examples=300)
+    @example(0.95, 0.95)
+    @example(-0.95, -0.95)
+    @example(0.95, -0.95)
+    @example(-0.95, 0.95)
+    @example(0.95, 0.0)
+    @example(0.0, -0.95)
+    @example(0.0, 0.0)
+    @example(0.5, 0.3)
+    def test_limits_and_covariance(self, t, r):
+        assert_bartlett(t, r)
+
+    @given(st.floats(min_value=0.01, max_value=0.95))
+    @example(0.01)
+    @example(0.5)
+    @example(0.95)
+    def test_critical_line(self, t):
+        # on theta = -rho, the theta^2 plug-in's limit is r2 and rho_hat's limit is 0; the critical-case
+        # statistic n (dw - 2)^2 / (4 t^2 (1 + t) / (1 - t)) must divide by var_d = 4 var_rho there
+        for theta in (t, -t):
+            assert_bartlett(theta, -theta)
+            r1, r2, g, gamma = bartlett_gamma(theta, -theta)
+            assert (r1, g) == (0.0, 0.0) and r2 == theta * theta
+            assert close(1.0 / critical_statistic(1, 3.0, r2), 4.0 * gamma[1, 1])
 
 
 class TestProperties:
