@@ -219,10 +219,10 @@ def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequenc
     The one fit kernel: each entry is bit for bit what the one-statistic
     functions above give on the prefix alone, a float for one series, one
     value per row for a (B, n+1) block.  The checkpoints must be integers
-    that ascend strictly within [3, n].  A zero denominator raises, at the first
-    checkpoint where one vanishes, what :func:`estimate_all`'s pipeline
-    raises first: theta_hat's, then rho_hat's (dw's when neither rho_hat
-    nor sigma2_hat is asked for), then theta_sq_hat's.
+    that ascend strictly within [3, n].  A zero denominator raises, at the
+    first checkpoint where one vanishes, what :func:`estimate_all`'s
+    pipeline raises first: theta_hat's, then rho_hat's (dw's when neither
+    rho_hat nor sigma2_hat is asked for), then theta_sq_hat's.
 
     Besides the series it holds one scratch row of (last checkpoint + 1)
     values per path, and forms only the sums that ``names`` needs.  Each

@@ -52,7 +52,7 @@ def quadratic_roots(s: float, p: float) -> tuple[float, float]:
     if disc == 0.0:
         return s / 2.0, s / 2.0
     big = (s + math.copysign(math.sqrt(disc), s)) / 2.0
-    return min(big, p / big), max(big, p / big)
+    return tuple(sorted((p / big, big)))
 
 
 def recover_params(theta_hat: float, rho_hat: float, convention: str = "theta_less") -> RecoveredParams:
