@@ -51,7 +51,7 @@ class EstimateSet:
     """All one-shot statistics of a single series, or of each row of a block.
 
     For one series the statistics are floats; for a (B, n+1) block they are
-    arrays of B values.  ``residuals(x, est.theta_hat)`` forms the residuals behind them.
+    arrays of B values.  :func:`residuals` of the series and ``theta_hat`` forms the residuals behind them.
     """
 
     theta_hat: float
