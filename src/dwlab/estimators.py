@@ -14,13 +14,18 @@ residuals, and the one-statistic functions give, one at a time, its bits.
 Sums are accumulated with numpy's pairwise reduction, which is deterministic
 and at least as accurate as sequential accumulation; the test suite checks
 the algebraic identities between these sums against a compensated-summation
-oracle.
+oracle.  A sum longer than ``_LEAF`` terms is formed a leaf of numpy's own
+summation tree at a time, and the leaf sums are added up along that tree,
+so it is bit for bit ``np.sum`` over all its terms while only a leaf of
+them is held: besides the series, a fit or a qsl walk holds buffers of a
+few leaves, whatever n is.
 """
 
 from __future__ import annotations
 
 import operator
 from contextlib import contextmanager
+from functools import lru_cache
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -38,6 +43,8 @@ DEFAULT_BURN_IN = 10  # first trajectory index; early estimates are erratic
 THETA_EPS = 1e-8  # |theta_hat| at or below this counts as zero where a formula divides by it
 
 _BLOCK = 2**14  # steps per block of running_estimates; its time was flat from 2^13 to 2^15
+
+_LEAF = 2**14  # most terms a long sum forms at once, a leaf of numpy's pairwise tree; at least 128, where numpy stops splitting
 
 # The DegenerateDenominator message of each least squares denominator, by the statistic it divides
 THETA_DEGENERATE = "sum of squared lagged values is zero"
@@ -155,12 +162,19 @@ def estimate_theta(path: ArrayLike) -> float:
 def residuals(path: ArrayLike, theta_hat: float) -> np.ndarray:
     """First-stage residuals: eps_hat_0 = X_0 and eps_hat_k = X_k - theta_hat*X_{k-1}."""
     x = _as_block(path)
-    res = np.empty_like(x)
-    res[..., 0] = x[..., 0]
-    # X_k - theta_hat*X_{k-1}, formed in res itself: the same two roundings, no temporaries
-    np.multiply(_lagged(theta_hat), x[..., :-1], out=res[..., 1:])
-    np.subtract(x[..., 1:], res[..., 1:], out=res[..., 1:])
-    return res
+    return _form_residuals(x, theta_hat, 0, x.shape[-1], np.empty_like(x))
+
+
+def _form_residuals(x: np.ndarray, theta_hat, a: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """eps_hat_a..eps_hat_{stop-1} into the first stop-a slots of ``out``, each rounded as in the whole series."""
+    if a == 0:
+        out[..., 0] = x[..., 0]
+    lo = a or 1
+    eps = out[..., lo - a : stop - a]
+    # X_k - theta_hat*X_{k-1}, formed in place: the same two roundings, no temporaries
+    np.multiply(_lagged(theta_hat), x[..., lo - 1 : stop - 1], out=eps)
+    np.subtract(x[..., lo:stop], eps, out=eps)
+    return out
 
 
 def estimate_rho(res: ArrayLike) -> float:
@@ -207,9 +221,9 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
     _check_steps(x)
     with np.errstate(over="ignore", invalid="ignore"):
         fitted = {name: value for name, (value,) in zip(ESTIMATES, prefix_estimates(x, ESTIMATES, [x.shape[-1] - 1]))}
-    for name, value in fitted.items():
-        if not np.isfinite(value).all():
-            raise DomainError(f"{name} is not finite: the series holds nan/inf or its sums of squares overflow")
+    finite = np.isfinite(list(fitted.values())).reshape(len(fitted), -1).all(axis=1)  # one check for all five
+    if not finite.all():
+        raise DomainError(f"{ESTIMATES[finite.argmin()]} is not finite: the series holds nan/inf or its sums of squares overflow")
     return EstimateSet(n=x.shape[-1] - 1, **fitted)
 
 
@@ -224,14 +238,16 @@ def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequenc
     pipeline raises first: theta_hat's, then rho_hat's (dw's when neither
     rho_hat nor sigma2_hat is asked for), then theta_sq_hat's.
 
-    Besides the series it holds one scratch row of (last checkpoint + 1)
-    values per path, and forms only the sums that ``names`` needs.  Each
-    product goes into the row, once for all checkpoints for the products
-    over X and once per checkpoint for those of its residuals, which are
-    formed once when they fit in one ``_BLOCK``-step chunk and chunk by
-    chunk on every pass beyond.  Each checkpoint sums a contiguous prefix
-    of the row with ``np.sum`` before the next product overwrites it, so
-    the bits do not move.
+    Every sum is numpy's pairwise sum of its prefix, formed leaf by leaf
+    (see :func:`_tree_sums`), and only the sums that ``names`` needs are
+    formed.  The products over X come first, for all checkpoints at once;
+    then each checkpoint's residuals, once per leaf for eps_k^2 and the
+    lag-1 products, and once more per leaf for sigma2_hat's second-stage
+    residuals, which need rho_hat; dw's differences go with the last of
+    these passes.  A prefix within one leaf forms its residuals once for
+    every sum, as the whole-prefix functions do.  Besides the series a
+    call holds a scratch row and a residual buffer of at most ``_LEAF`` + 1
+    values per path, whatever the checkpoints.
     """
     if not set(names) <= set(ESTIMATES):
         raise DomainError(f"statistics must be named from {ESTIMATES}")
@@ -242,63 +258,138 @@ def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequenc
     if len(bounds) < 3 or any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise DomainError(f"checkpoints must ascend strictly within [{MIN_STEPS}, {n}]")
     last = checkpoints[-1]
-    row = np.empty(x.shape[:-1] + (last + 1,))
-    head = x[..., :last]
-    np.square(head, out=row[..., :last])
-    denoms = [_denominator(_total(row[..., :m]), THETA_DEGENERATE) for m in checkpoints]
-    if "theta_sq_hat" in names:  # sum X_k X_{k-2} / sum X_{k-2}^2 over k = 2..m, the denominator checked last
-        lag2_denoms = [_total(row[..., : m - 1]) for m in checkpoints]
-        np.multiply(x[..., 2 : last + 1], x[..., : last - 1], out=row[..., : last - 1])
-        lag2_sums = [_total(row[..., : m - 1]) for m in checkpoints]
-    np.multiply(x[..., 1 : last + 1], head, out=row[..., :last])
+    row = np.empty(x.shape[:-1] + (min(last + 1, _LEAF),))
+
+    def lagged_products(lag, a, span, out):  # X_{k+lag} X_k for k = a..
+        b = a + out.shape[-1]
+        return np.square(x[..., a:b], out=out) if lag == 0 else np.multiply(x[..., a + lag : b + lag], x[..., a:b], out=out)
+
+    # theta_hat over k = 1..m; theta_sq_hat's lag-2 sums over k = 2..m, the denominator checked last
+    fit_theta_sq = "theta_sq_hat" in names
+    lag2 = [(kind, m - 1) for m in checkpoints for kind in (0, 2)] if fit_theta_sq else []
+    x_sums = _tree_sums([(kind, m) for m in checkpoints for kind in (0, 1)] + lag2, lagged_products, row)
     fitted = {name: [] for name in ESTIMATES}
-    fitted["theta_hat"] = [_total(row[..., :m]) / denom for m, denom in zip(checkpoints, denoms)]
-    fit_rho = "rho_hat" in names or "sigma2_hat" in names
-    fit_residuals = fit_rho or "dw" in names  # every pass of every checkpoint forms its residual chunks in buf
-    buf = np.empty(x.shape[:-1] + (min(_BLOCK, last) + 1,)) if fit_residuals else None
+    fitted["theta_hat"] = [x_sums[1, m] / _denominator(x_sums[0, m], THETA_DEGENERATE) for m in checkpoints]
+    fit_sigma2 = "sigma2_hat" in names
+    fit_rho = "rho_hat" in names or fit_sigma2
+    fit_residuals = fit_rho or "dw" in names
+    buf = np.empty(x.shape[:-1] + (min(last, _LEAF) + 1,)) if fit_residuals else None
+
+    def residual_products(kind, a, span, out):  # eps_k^2 at slot k, the other terms of eps_{k+1} and eps_k at k
+        nonlocal formed
+        # eps_a..eps_b for the group's longest leaf a..b-1; sigma2_hat's leaf at a is never longer than the first pass's
+        if formed != a:
+            formed = a
+            _form_residuals(x, th, a, min(a + span + 1, m + 1), buf)
+        now = buf[..., : out.shape[-1]]
+        if kind == "sq":
+            return np.square(now, out=out)
+        then = buf[..., 1 : out.shape[-1] + 1]
+        if kind == "lag":
+            return np.multiply(then, now, out=out)
+        if kind == "sigma2":  # the second-stage residual eps_{k+1} - rho_hat*eps_k, squared
+            np.subtract(then, np.multiply(_lagged(rho), now, out=out), out=out)
+        else:  # dw's eps_{k+1} - eps_k, squared
+            np.subtract(then, now, out=out)
+        return np.square(out, out=out)
+
     for m, th in zip(checkpoints, fitted["theta_hat"] if fit_residuals else ()):
-        formed = list(_residual_chunks(x, th, m + 1, buf)) if m <= _BLOCK else None  # one chunk, read by every pass
-        for a, b, eps in formed or _residual_chunks(x, th, m + 1, buf):  # eps_k^2 to slot k, the other terms to k-1
-            np.square(eps, out=row[..., a - 1 : b])
-        rho_denom, dw_denom = _total(row[..., :m]), _total(row[..., : m + 1])
-        if fit_rho:  # sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m
-            for a, b, eps in formed or _residual_chunks(x, th, m + 1, buf):
-                np.multiply(eps[..., 1:], eps[..., :-1], out=row[..., a - 1 : b - 1])
-            fitted["rho_hat"].append(rho := _total(row[..., :m]) / _denominator(rho_denom, RHO_DEGENERATE))
+        formed = None  # the first position of the residuals in buf, formed from this theta_hat
+        # rho_hat: sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m; dw: sum (eps_k - eps_{k-1})^2 over k = 1..m
+        # / sum eps_k^2 over k = 0..m.  sigma2_hat's terms need rho_hat, so they take a second pass, and dw's
+        # differences go with the last pass
+        diff = [("diff", m)] if "dw" in names else []
+        sums = _tree_sums([("sq", m + 1)] + [("sq", m), ("lag", m)] * fit_rho + diff * (not fit_sigma2), residual_products, row)
+        if fit_rho:
+            fitted["rho_hat"].append(rho := sums["lag", m] / _denominator(sums["sq", m], RHO_DEGENERATE))
         else:
-            _denominator(dw_denom, DW_DEGENERATE)
-        if "sigma2_hat" in names:  # the second-stage residual eps_k - rho_hat*eps_{k-1}, squared
-            for a, b, eps in formed or _residual_chunks(x, th, m + 1, buf):
-                out = np.multiply(_lagged(rho), eps[..., :-1], out=row[..., a - 1 : b - 1])
-                np.square(np.subtract(eps[..., 1:], out, out=out), out=out)
-            fitted["sigma2_hat"].append(_total(row[..., :m]) / m)
-        if "dw" in names:  # sum (eps_k - eps_{k-1})^2 over k = 1..m / sum eps_k^2 over k = 0..m
-            for a, b, eps in formed or _residual_chunks(x, th, m + 1, buf):
-                out = np.subtract(eps[..., 1:], eps[..., :-1], out=row[..., a - 1 : b - 1])
-                np.square(out, out=out)
-            fitted["dw"].append(_total(row[..., :m]) / dw_denom)
-    if "theta_sq_hat" in names:
-        fitted["theta_sq_hat"] = [s / _denominator(d, THETA_SQ_DEGENERATE) for s, d in zip(lag2_sums, lag2_denoms)]
+            _denominator(sums["sq", m + 1], DW_DEGENERATE)
+        if fit_sigma2:  # within one leaf the residuals are still in buf
+            sums.update(_tree_sums([("sigma2", m)] + diff, residual_products, row))
+            fitted["sigma2_hat"].append(sums["sigma2", m] / m)
+        if diff:
+            fitted["dw"].append(sums["diff", m] / sums["sq", m + 1])
+    if fit_theta_sq:
+        fitted["theta_sq_hat"] = [x_sums[2, m - 1] / _denominator(x_sums[0, m - 1], THETA_SQ_DEGENERATE) for m in checkpoints]
     return [fitted[name] for name in names]
 
 
-def _residual_chunks(x: np.ndarray, theta_hat, stop: int, buf: np.ndarray):
-    """Residuals eps_k = X_k - theta_hat*X_{k-1} for k = 1..stop-1, ``_BLOCK`` steps at a time.
+def _split(n: int) -> int:
+    """Where numpy's pairwise sum splits n > 128 values: at n//2, rounded down to its unroll of 8."""
+    return n // 2 - n // 2 % 8
 
-    Yields (a, b, eps) for consecutive chunks of steps a..b-1: ``eps[..., 1:]``
-    holds eps_a..eps_{b-1} and ``eps[..., 0]`` holds eps_{a-1} (X_0 at a = 1),
-    rounded as :func:`residuals` rounds them.  ``eps`` is a view of ``buf``,
-    which holds at least min(_BLOCK, stop - 1) + 1 values per path: each
-    chunk is valid only until the next is asked for, the last one after.
+
+def _leaves(n: int, a: int = 0):
+    """The leaves of numpy's pairwise sum of the n values at positions a..a+n-1, as (start, stop) in order.
+
+    The sum's tree depends on n alone (Higham, "The accuracy of floating
+    point summation", SISC 1993), and a leaf is a whole subtree of at most
+    ``_LEAF`` values, which ``np.add.reduce`` of the leaf alone sums by the
+    same tree.  ``_LEAF`` is at least 128, below which numpy does not split.
     """
-    eps = x[..., :1]
-    for a in range(1, stop, _BLOCK):
-        b = min(a + _BLOCK, stop)
-        buf[..., 0] = eps[..., -1]  # X_0, or the last residual of the chunk before
-        eps = buf[..., : b - a + 1]
-        np.multiply(_lagged(theta_hat), x[..., a - 1 : b - 1], out=eps[..., 1:])
-        np.subtract(x[..., a:b], eps[..., 1:], out=eps[..., 1:])
-        yield a, b, eps
+    if n <= _LEAF:
+        yield a, a + n
+    else:
+        yield from _leaves(_split(n), a)
+        yield from _leaves(n - _split(n), a + _split(n))
+
+
+def _combine(sums, n: int):
+    """numpy's pairwise sum of n values from ``sums``, an iterator over the sums of its leaves in order.
+
+    Each leaf sum starts, as np.add.reduce does, from +0.0, which can only
+    turn a -0.0 into 0.0; that does not change the total, since numpy's own
+    total also starts from +0.0.
+    """
+    if n <= _LEAF:
+        return next(sums)
+    return _combine(sums, _split(n)) + _combine(sums, n - _split(n))
+
+
+def _tree_sums(wanted: list, product, row: np.ndarray) -> dict:
+    """numpy's pairwise sum of every (kind, n) in ``wanted``, the sum of n terms of that kind from position 0, by leaves.
+
+    The leaves of all the sums are grouped by their first position a (see
+    :func:`_plan`), and each kind's terms are formed once per group, over its
+    longest leaf there: ``product(kind, a, span, out)`` writes the terms at
+    positions a.. into ``out``, a prefix of ``row``, and returns it, where
+    ``span`` is the length of the group's longest leaf of any kind.  Each
+    result is bit for bit ``np.sum`` over the n terms, a sum wanted twice
+    is formed once, and every sum of at most ``_LEAF`` terms is one leaf at 0.
+    """
+    keys, groups = _plan(tuple(wanted), _LEAF)
+    sums = {key: [] for key in keys}
+    for a, span, kinds in groups:
+        for kind, width, leaves in kinds:
+            terms = product(kind, a, span, row[..., :width])
+            for length, same in leaves:
+                total = _total(terms if length == width else terms[..., :length])
+                for key in same:
+                    sums[key].append(total)
+    if len(groups) == 1:  # every sum is one leaf
+        return {key: total for key, (total,) in sums.items()}
+    return {key: _combine(iter(leaf_sums), key[1]) for key, leaf_sums in sums.items()}
+
+
+@lru_cache(maxsize=64)
+def _plan(wanted: tuple, leaf: int) -> tuple:
+    """The distinct (kind, n) in ``wanted``, and the leaves of their sums grouped by first position, for ``leaf`` = ``_LEAF``.
+
+    Per group, in ascending first position a: the length of its longest
+    leaf, and per kind the length of its longest leaf there and each length
+    of its leaves with the (kind, n) that have a leaf of that length there,
+    so that leaves of one length share one sum.  A fit repeats its sums path
+    after path, so the plan is kept.
+    """
+    keys = tuple(dict.fromkeys(wanted))
+    groups = {}
+    for key in keys:
+        for a, b in _leaves(key[1]):
+            groups.setdefault(a, {}).setdefault(key[0], {}).setdefault(b - a, []).append(key)
+    return keys, [
+        (a, max(max(leaves) for leaves in kinds.values()), [(kind, max(leaves), list(leaves.items())) for kind, leaves in kinds.items()])
+        for a, kinds in sorted(groups.items())
+    ]
 
 
 def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray:
@@ -379,74 +470,93 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     1.3e-9 on rho_hat; theta_hat_k, a plain ratio of running sums, stayed
     within 3e-14.  The tests pin 1e-6 on dw at (0.99, 0.99).
     """
+    x = _series(path, k0)
+    tracks = [np.empty(x.size - k0) for _ in TRAJECTORIES]
+    blocks = [(a, min(a + _BLOCK, x.size)) for a in range(k0, x.size, _BLOCK)]
     with _overflow_guard():
-        theta, rho, dw = _walk(path, k0, TRAJECTORIES)
-    return RunningEstimates(k=np.arange(k0, k0 + theta.size), theta=theta, rho=rho, dw=dw)
+        for _ in _walk(x, k0, True, blocks, tracks):
+            pass
+    return RunningEstimates(np.arange(k0, x.size), *tracks)
 
 
 def squared_deviation_sum(path: ArrayLike, which: str, limit: float, k0: int = DEFAULT_BURN_IN) -> float:
     """sum_{k=k0..n} (estimate_k - limit)^2 along the running trajectory ``which``.
 
     ``which`` names a trajectory of :func:`running_estimates` (theta, rho or
-    dw), and the sum is bit for bit the one over that trajectory.  Only that
-    trajectory is held at full length, so besides the series a call holds
-    one path-sized array and a few block buffers.  For theta the walk forms
+    dw), and the sum is bit for bit ``np.sum`` over that trajectory.  The
+    walk's blocks are the leaves of that sum's pairwise tree, so each block
+    of squared deviations is summed as soon as it is formed and no
+    trajectory is held at full length: besides the series a call holds a
+    few block buffers of at most ``_LEAF`` values.  For theta the walk forms
     only S and P, and no residual sum; the check that J_{k-1} does not
     vanish guards the rho and dw divisions, so it applies to rho and dw
-    alone.  Every other check of
-    :func:`running_estimates` applies, and a squared deviation or a sum that
-    overflows raises the same DomainError, without numpy warnings.
+    alone.  Every other check of :func:`running_estimates` applies, and a
+    squared deviation or a sum that overflows raises the same DomainError,
+    without numpy warnings.
     """
     check_which(which)
+    x = _series(path, k0)
+    slot = TRAJECTORIES.index(which)
     with _overflow_guard():
-        (track,) = _walk(path, k0, (which,))
-        np.subtract(track, limit, out=track)
-        np.square(track, out=track)
-        return float(np.sum(track))
+        walk = _walk(x, k0, which != "theta", list(_leaves(x.size - k0, k0)))
+        deviations = (np.square(np.subtract(track[slot], limit, out=track[slot]), out=track[slot]) for track in walk)
+        return _combine(map(_total, deviations), x.size - k0)
 
 
-def _walk(path: ArrayLike, k0: int, keep: tuple) -> tuple:
-    """The blocked walk of the running sums: the trajectories named in ``keep``, in walk order.
+def _series(path: ArrayLike, k0: int) -> np.ndarray:
+    """The series of a walk, once the burn-in is checked and every value is finite.
 
-    Validates the series and the burn-in, then carries S and P (and Q when
-    ``keep`` names rho or dw, whose residual sums need it) from block to
-    block; run it under :func:`_overflow_guard`.  Only the kept trajectories
-    are held at full length: a trajectory the walk needs but does not keep
-    (theta_hat_k for rho and dw, dw_k's slot for rho) lives in a block buffer.
+    The values are checked ``_BLOCK`` at a time, so no mask as long as the
+    series is formed; a non-finite value raises DomainError at its index.
     """
-    residual_sums = keep != ("theta",)
     x = _as_x(path)
-    n = x.size - 1
-    check_burn_in(n, k0)
-    if not np.isfinite(x).all():  # no mask is held through the walk
-        i = int(np.argmin(np.isfinite(x)))
-        raise DomainError(f"non-finite value {x[i]} at index {i} of the series")
+    check_burn_in(x.size - 1, k0)
+    for a in range(0, x.size, _BLOCK):
+        finite = np.isfinite(x[a : a + _BLOCK])
+        if not finite.all():
+            i = a + int(np.argmin(finite))
+            raise DomainError(f"non-finite value {x[i]} at index {i} of the series")
+    return x
 
+
+def _walk(x: np.ndarray, k0: int, residual_sums: bool, blocks: list, tracks=None):
+    """The blocked walk of the running sums: per block, the trajectories over its steps, in walk order.
+
+    ``x`` comes from :func:`_series`, and ``blocks`` lists consecutive steps
+    (a, b) from k0 to n+1.  For each block the walk yields theta_hat_k for
+    k = a..b-1 and, with ``residual_sums``, rho_hat_k and dw_k, which need
+    Q and the residual sums.  They are views of ``tracks``, one array over
+    k0..n per trajectory, or without it of block buffers that the next
+    block overwrites.  Run it under :func:`_overflow_guard`.
+    """
+    size = max(b - a for a, b in blocks)
+    step = max(size, min(_BLOCK, k0 - 2))  # burn-in steps per block: a long burn-in is walked _BLOCK at a time
     if residual_sums:
-        sums = np.empty((3, _BLOCK + 1))
+        sums = np.empty((3, step + 1))
     else:  # S and P as the real and imaginary parts of one complex row, which one cumsum walks
-        sums = np.empty(_BLOCK + 1, np.complex128).view(np.float64).reshape(-1, 2).T
+        sums = np.empty(step + 1, np.complex128).view(np.float64).reshape(-1, 2).T
     # S_1, P_1, Q_1 as a cumsum over the whole path forms them (its 0.0 + turns -0.0 into 0.0)
     sums[:, 0] = (x[0] * x[0] + x[1] * x[1], 0.0 + x[1] * x[0], 0.0)[: len(sums)]
-    for a in range(2, k0, _BLOCK):
-        b = min(a + _BLOCK, k0)
+    for a in range(2, k0, step):
+        b = min(a + step, k0)
         sums[:, 0] = _advance_sums(x, a, b, sums)[:, -1]
     if sums[0, 0] <= 0.0:
         raise DegenerateDenominator("series is identically zero up to the burn-in")
 
-    kept = [name in keep for name in TRAJECTORIES[: 3 if residual_sums else 1]]
-    tracks = [np.empty(n + 1 - k0 if full else _BLOCK) for full in kept]
+    buffers = tracks is None
+    if buffers:
+        tracks = [np.empty(size) for _ in TRAJECTORIES[: 3 if residual_sums else 1]]
     if residual_sums:
-        scratch = np.empty((3, _BLOCK))
-    for a in range(k0, n + 1, _BLOCK):
-        b = min(a + _BLOCK, n + 1)
+        scratch = np.empty((3, size))
+    for a, b in blocks:
         block = _advance_sums(x, a, b, sums)
-        th, *residual = [track[a - k0 : b - k0] if full else track[: b - a] for track, full in zip(tracks, kept)]
+        lo = 0 if buffers else a - k0
+        th, *residual = [track[lo : lo + b - a] for track in tracks]
         np.divide(block[1, 1:], block[0, :-1], out=th)
         if residual_sums:
             _residual_block(x, a, b, block, th, *residual, scratch[:, : b - a])
         sums[:, 0] = block[:, -1]
-    return tuple(track for track, full in zip(tracks, kept) if full)
+        yield th, *residual
 
 
 def _residual_block(

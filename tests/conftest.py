@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,3 +16,15 @@ def bench_spans(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look the module up
     spec.loader.exec_module(spans)
     return spans
+
+
+def traced_peak(run):
+    """The most memory ``run()`` holds at once beyond what was held before it, as tracemalloc counts it, and its result."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()

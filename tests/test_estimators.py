@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from collections import Counter
 
@@ -30,6 +29,7 @@ from dwlab.estimators import (
 )
 from dwlab.model import NOISE_KINDS, ModelParams, NoiseSpec, simulate, simulate_paths
 
+from conftest import traced_peak
 from oracles import dot_fsum, dw_fsum, estimate_all_reference, prefix_estimate, rel_close, rho_hat_fsum, sum_fsum, theta_hat_fsum
 
 params_st = st.builds(
@@ -262,26 +262,15 @@ class TestFusedKernel:
             assert _fit_outcome(estimate_all, row) == _fit_outcome(estimate_all_reference, row)
 
     def test_a_block_fit_holds_the_residuals_and_one_scratch_row(self):
-        # one clt block, 13 paths of n = 5000; 3.0x with the squares of X kept beside the scratch buffer
+        # one clt block, 13 paths of n = 5000, within one leaf; 3.0x with the squares of X kept beside the scratch buffer
         x = simulate_paths(ModelParams(0.5, 0.3), NoiseSpec(), 5000, list(range(13)))
-        assert _traced_peak(estimate_all, x) < 2.5 * x.nbytes  # measured 2.0x: the row and its one residual chunk
+        assert traced_peak(lambda: estimate_all(x))[0] < 2.5 * x.nbytes  # measured 2.0x: the row and the residuals
 
-    def test_a_long_series_fit_holds_one_scratch_row_and_residual_chunks(self):
+    def test_a_long_series_fit_holds_a_leaf_of_scratch(self):
         x = simulate(ModelParams(0.5, 0.3), NoiseSpec(), 10**5, 5).x
-        # measured 1.17x; 2.0x when the residuals were formed beside the scratch row
-        assert _traced_peak(estimate_all, x) <= 1.5 * x.nbytes
-
-
-def _traced_peak(fit, x) -> int:
-    """The most memory ``fit(x)`` holds at once, as tracemalloc counts it."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fit(x)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+        # a scratch row and a residual buffer of one leaf each, 2^14 values: measured 0.36x.  1.17x with a scratch
+        # row as long as the series, 2.0x when the residuals were formed beside it
+        assert traced_peak(lambda: estimate_all(x))[0] <= 0.45 * x.nbytes
 
 
 def _reference_residuals(x, theta_hat):
@@ -319,15 +308,7 @@ class TestResiduals:
     def test_memory_is_the_output(self):
         # the expression form also held the product and the difference, near 3 x.nbytes
         x = simulate(ModelParams(0.5, 0.3), NoiseSpec(), 10**5, 4).x
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            residuals(x, 0.5)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * x.nbytes
+        assert traced_peak(lambda: residuals(x, 0.5))[0] <= 1.1 * x.nbytes
 
 
 class TestIdentities:
@@ -562,10 +543,15 @@ def _reference_running_estimates(x: np.ndarray, k0: int, theta_only: bool = Fals
 
 BLOCKS = (1, 7, 1000, 2**14)
 
+LEAVES = (128, 129, 1000, 2**14)  # _LEAF is at least 128, numpy's unrolled block
+
 
 def _theta_walk(x, k0):
+    """theta_hat_k of the walk that forms S and P alone, its blocks copied out of the block buffers."""
+    x = estimators._series(x, k0)
+    blocks = [(a, min(a + estimators._BLOCK, x.size)) for a in range(k0, x.size, estimators._BLOCK)]
     with estimators._overflow_guard():
-        return estimators._walk(x, k0, ("theta",))
+        return (np.concatenate([theta.copy() for (theta,) in estimators._walk(x, k0, False, blocks)]),)
 
 
 def _reference_theta(x, k0):
@@ -671,50 +657,86 @@ class TestBlockedRunningEstimates:
     def test_memory_is_the_outputs_and_a_few_blocks(self):
         # the whole-array kernel peaked near 19 x.nbytes; the four outputs alone are 4 x.nbytes
         x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 2).x
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            traj = running_estimates(x)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak, traj = traced_peak(lambda: running_estimates(x))
         assert traj.k.size == 10**5 - 9
         assert peak <= 6 * x.nbytes
 
-    def test_theta_statistic_holds_one_trajectory(self):
-        # one trajectory (about x.nbytes) plus two rows of block sums; no Q, residual sums or k
+    def test_theta_statistic_holds_block_buffers_only(self):
+        # two rows of block sums and one block of the trajectory, each as long as the sum's longest leaf (12,504
+        # steps here): measured 0.38x.  No Q, residual sums or k; 1.33x when the whole trajectory was kept for its sum
         x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 2).x
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            squared_deviation_sum(x, "theta", 0.5)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * x.nbytes
+        assert traced_peak(lambda: squared_deviation_sum(x, "theta", 0.5))[0] <= 0.5 * x.nbytes
 
-    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("leaf", LEAVES)
     @pytest.mark.parametrize("which", TRAJECTORIES)
-    def test_squared_deviation_sum_is_the_sum_over_the_trajectory(self, block, which):
+    def test_squared_deviation_sum_is_the_sum_over_the_trajectory(self, leaf, which):
+        # the walk's blocks are the leaves of the sum, so they change with the leaf size; a burn-in near n leaves
+        # one short block after a long walk
         x = simulate(ModelParams(theta=-0.4, rho=0.6, x0=1.5), NoiseSpec("uniform"), 3000, 8).x
-        track = getattr(running_estimates(x, k0=7), which)
-        expected = float(np.sum((track - 0.3) ** 2))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators, "_BLOCK", block)
-            assert squared_deviation_sum(x, which, 0.3, k0=7) == expected
+        for k0 in (7, 2990):
+            track = getattr(running_estimates(x, k0=k0), which)
+            expected = float(np.sum((track - 0.3) ** 2))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimators, "_LEAF", leaf)
+                assert squared_deviation_sum(x, which, 0.3, k0=k0) == expected
         with pytest.raises(DomainError):
             squared_deviation_sum(x, "sigma2", 0.3)
 
 
-# (estimators._BLOCK, n, checkpoints): the residual chunks start at steps 1, 1+B, 1+2B, ..., and a
-# checkpoint m ends its passes at step m or m+1, so jB-1, jB and jB+1 end them just before, on and
-# just after a chunk edge; a checkpoint m <= B forms its residuals once, a later one chunk by chunk
+def _tree_sums(values, lengths):
+    """``estimators._tree_sums`` of the first n of ``values`` for each n in ``lengths``, with leaves of 128 values."""
+    def copy(kind, a, span, out):
+        np.copyto(out, values[..., a : a + out.shape[-1]])
+        return out
+
+    return estimators._tree_sums([("v", n) for n in lengths], copy, np.empty(values.shape[:-1] + (128,)))
+
+
+class TestLeafPlan:
+    """A long sum formed leaf by leaf is numpy's own pairwise sum, bit for bit.
+
+    The fit kernel and the qsl walk copy numpy's summation tree; a numpy that
+    sums along another tree fails here first.  A leaf of 128 values, the
+    least the plan allows, puts many leaves in short sums.
+    """
+
+    LENGTHS = [*range(1, 4 * 128 + 2), 999_991, 1_000_001]
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["series", "block"])
+    def test_the_leaf_sums_add_up_to_numpy_sum(self, monkeypatch, shape):
+        monkeypatch.setattr(estimators, "_LEAF", 128)
+        rng = np.random.default_rng(11)
+        for n in self.LENGTHS:
+            # magnitudes 2^-40..2^40 and signs at random, so that adding in another order moves the bits
+            values = rng.standard_normal(shape + (n + 1,)) * 2.0 ** rng.integers(-40, 40, shape + (n + 1,))
+            # sums of n-1, n and n+1 terms, whose leaves the plan groups by their first position
+            sums = _tree_sums(values, (n - 1, n, n + 1))
+            for m in (n - 1, n, n + 1):
+                got = np.asarray(sums["v", m]).tobytes()
+                assert got == np.add.reduce(values[..., :m], axis=-1).tobytes(), m
+                alone = [np.add.reduce(row[:m]) for row in values.reshape(-1, n + 1)]  # each row contiguous
+                assert got == np.array(alone).reshape(shape).tobytes(), m
+
+    def test_signed_zeros_sum_as_numpy_sums_them(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_LEAF", 128)
+        for values in (np.full(1000, -0.0), np.where(np.arange(1000) % 3, -0.0, 0.0)):
+            sums = _tree_sums(values, (1000,))
+            assert np.float64(sums["v", 1000]).tobytes() == np.add.reduce(values).tobytes()
+
+    def test_the_leaves_follow_numpy_split(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_LEAF", 128)
+        # 1000 values split at 496, each half at 248, each quarter at 120 or 128 (n//2 rounded down to a multiple of 8)
+        assert list(estimators._leaves(1000)) == [(0, 120), (120, 248), (248, 368), (368, 496), (496, 616), (616, 744), (744, 872), (872, 1000)]
+        assert list(estimators._leaves(128)) == [(0, 128)] and list(estimators._leaves(129)) == [(0, 64), (64, 129)]
+
+
+# (estimators._LEAF, n, checkpoints): a checkpoint m sums m-1, m and m+1 terms, so L-1, L and L+1 put
+# those sums just within one leaf of L terms, across its edge and just beyond; later checkpoints take
+# several leaves, and at m = 2000 (a multiple of 16) the trees of m-1 and m terms split apart at the root
 _PREFIX_CASES = [
-    (1, 300, [16, 17, 18, 300]),
-    (7, 2000, [16, 20, 21, 22, 2000]),
-    (20, 300, [3, 19, 20, 21, 300]),
+    (128, 300, [3, 16, 127, 128, 129, 300]),
+    (128, 2000, [16, 255, 256, 257, 1000, 2000]),
+    (1000, 3000, [999, 1000, 1001, 2001, 3000]),
     (2**14, 40_000, [16, 2**14 - 1, 2**14, 2**14 + 1, 40_000]),
 ]
 
@@ -733,12 +755,12 @@ def _flat(columns) -> list:
 
 
 class TestPrefixEstimates:
-    """The fit kernel against whole-prefix fits through the one-statistic functions, for any chunk size."""
+    """The fit kernel against whole-prefix fits through the one-statistic functions, for any leaf size."""
 
-    @pytest.mark.parametrize("block, n, checkpoints", _PREFIX_CASES)
-    def test_bytes_match_the_whole_prefix_refit(self, monkeypatch, block, n, checkpoints):
+    @pytest.mark.parametrize("leaf, n, checkpoints", _PREFIX_CASES)
+    def test_bytes_match_the_whole_prefix_refit(self, monkeypatch, leaf, n, checkpoints):
         x = simulate_paths(ModelParams(theta=-0.6, rho=0.7), NoiseSpec("rademacher"), n, [3, 4, 5])
-        monkeypatch.setattr(estimators, "_BLOCK", block)
+        monkeypatch.setattr(estimators, "_LEAF", leaf)
         together = prefix_estimates(x, ESTIMATES, checkpoints)
         for name, got in zip(ESTIMATES, together):
             expected = [prefix_estimate(x, m, name) for m in checkpoints]
@@ -752,23 +774,29 @@ class TestPrefixEstimates:
         dw_then_theta = prefix_estimates(x, ["dw", "theta_hat"], checkpoints)
         assert _refit_outcome(lambda: _flat(dw_then_theta)) == _refit_outcome(lambda: [*together[3], *together[0]])
 
-    def test_a_prefix_within_one_chunk_forms_its_residuals_once(self, monkeypatch):
-        x = simulate_paths(ModelParams(theta=-0.6, rho=0.7), NoiseSpec(), 300, [3, 4])
-        monkeypatch.setattr(estimators, "_BLOCK", 20)
-        chunks, formed = estimators._residual_chunks, Counter()
+    def test_residuals_are_formed_once_per_leaf_and_pass(self, monkeypatch):
+        x = simulate(ModelParams(theta=-0.6, rho=0.7), NoiseSpec(), 300, 3).x
+        checkpoints = [100, 127, 128, 300]
+        monkeypatch.setattr(estimators, "_LEAF", 128)
+        (thetas,) = prefix_estimates(x, ["theta_hat"], checkpoints)
+        form, formed = estimators._form_residuals, Counter()
 
-        def counting(x, theta_hat, stop, buf):
-            formed[stop - 1] += 1
-            return chunks(x, theta_hat, stop, buf)
+        def counting(x, theta_hat, a, stop, out):
+            formed[checkpoints[thetas.index(theta_hat)]] += 1
+            return form(x, theta_hat, a, stop, out)
 
-        monkeypatch.setattr(estimators, "_residual_chunks", counting)
-        prefix_estimates(x, ESTIMATES, [19, 20, 21, 300])
-        assert formed == {19: 1, 20: 1, 21: 4, 300: 4}  # one pass each for eps^2, rho_hat, sigma2_hat and dw
+        monkeypatch.setattr(estimators, "_form_residuals", counting)
+        prefix_estimates(x, ESTIMATES, checkpoints)
+        # within one leaf, once for every sum.  Beyond it, once per first position of a leaf of the first pass,
+        # whose sums of m and m+1 terms share the leaves that start together (m = 128: 0..127 for m terms, 0..63
+        # and 64..128 for m+1; m = 300: four leaves for each, the last 216..299 or 216..300), and once per leaf
+        # of sigma2_hat's pass
+        assert formed == {100: 1, 127: 1, 128: 2 + 1, 300: 4 + 4}
 
-    @pytest.mark.parametrize("block", [1, 7, 2**14])
-    def test_the_first_error_is_the_whole_prefix_refits(self, monkeypatch, block):
+    @pytest.mark.parametrize("leaf", [128, 200, 2**14])
+    def test_the_first_error_is_the_whole_prefix_refits(self, monkeypatch, leaf):
         path = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, [6, 7])
-        monkeypatch.setattr(estimators, "_BLOCK", block)
+        monkeypatch.setattr(estimators, "_LEAF", leaf)
         checkpoints, raised = [3, 16, 300], set()
         # zero throughout; zero past the first two checkpoints; zero but the last value that theta_hat's
         # denominator sums at m = 3; squares that underflow, so that the residual sums vanish at m = 3

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import tracemalloc
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -26,6 +25,8 @@ from dwlab.model import (
     validate_params,
     write_csv,
 )
+
+from conftest import traced_peak
 
 params_st = st.builds(
     ModelParams,
@@ -237,14 +238,7 @@ class TestSimulate:
         # V is drawn into x and both recursions run over it in place; V, eps and X as three arrays peaked near 3x
         simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 2, [7])  # loads numpy.random and the loop
         for seeds in ([7], [7, 8, 9]):
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                x = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, seeds)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            peak, x = traced_peak(lambda: simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, seeds))
             assert peak <= 1.2 * x.nbytes
 
     @pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
@@ -430,14 +424,7 @@ class TestCsv:
         series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 8)
         dest = tmp_path / "long.csv"
         write_csv(series, dest)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            back = read_csv(dest)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak, back = traced_peak(lambda: read_csv(dest))
         assert np.array_equal(back.x, series.x)
         assert peak <= 4 * back.x.nbytes
 
@@ -445,14 +432,7 @@ class TestCsv:
         # building the whole text before one write peaked near 35 x.nbytes
         series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 8)
         dest = tmp_path / "long.csv"
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            write_csv(series, dest)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: write_csv(series, dest))
         assert dest.read_bytes() == self._reference_csv(series).encode()
         assert peak <= 3 * series.x.nbytes
 

@@ -4,7 +4,6 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from dwlab.montecarlo import (
     run_replications,
 )
 
+from conftest import traced_peak
 from oracles import replicate_rows
 
 
@@ -221,21 +221,14 @@ class TestQsl:
             qsl_check(config(0.5, 0.3, n=20_000, reps=2, seed=1), "theta", k0=k0)
         assert str(exc.value) == f"burn-in k0 must be an integer, got {shown}"
 
-    def test_a_theta_block_holds_x_its_trajectory_and_one_block_of_sums(self):
-        # at n = 10^5 a block is one path; besides x and theta_hat_k for k = k0..n the walk holds S and P
-        # for 2^14 steps, a third of a path here.  Drawing V, eps and X as three arrays peaked at 3.0 paths.
+    def test_a_theta_block_holds_x_and_block_buffers(self):
+        # at n = 10^5 a block is one path; besides x the walk holds S, P and theta_hat_k for one leaf of the
+        # sum, at most 2^14 steps: measured 1.38 paths.  Keeping theta_hat_k for k = k0..n took 2.33, and
+        # drawing V, eps and X as three arrays peaked at 3.0 paths.
         n = 10**5
         cfg = config(0.5, 0.3, n=n, reps=1, seed=7)
         qsl_check(cfg, "theta")  # loads numpy.random and the recursion loop
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            qsl_check(cfg, "theta")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.4 * 8 * (n + 1)
+        assert _peak_paths(lambda: qsl_check(cfg, "theta"), n) <= 1.5
 
     def test_order_of_magnitude_at_moderate_n(self):
         # at n = 10^4 the log average should already sit near the target
@@ -256,15 +249,7 @@ class TestQsl:
 
 def _peak_paths(run, n: int) -> float:
     """The tracemalloc peak of ``run()``, in arrays of n+1 float64 values."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        run()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    return peak / (8 * (n + 1))
+    return traced_peak(run)[0] / (8 * (n + 1))
 
 
 @pytest.fixture(scope="module")
@@ -277,21 +262,22 @@ def warm_long_checks():
 
 
 class TestLongPathMemory:
-    """At n = 10^6 a block is one path; a worker holds it and at most one path-sized array more."""
+    """At n = 10^6 a block is one path; a worker holds it and buffers of a few leaves, no path-sized array more."""
 
     @pytest.mark.parametrize("which", TRAJECTORIES)
     @pytest.mark.parametrize("experiment", ["qsl", "lil"])
-    def test_a_block_peaks_near_two_paths(self, warm_long_checks, experiment, which):
-        # qsl keeps the summed trajectory and block buffers; lil's refit one scratch row and one
-        # chunk of residuals.  Fitting whole prefixes peaked at 3.0 (lil rho) and 4.0 paths (lil
-        # dw), and keeping all three trajectories at 4.1 (qsl rho and dw).
+    def test_a_block_peaks_near_one_path(self, warm_long_checks, experiment, which):
+        # qsl's walk holds block buffers one leaf of its sum long, lil's refit a scratch row and a residual
+        # buffer of one leaf each: measured 1.05-1.14 paths (qsl) and 1.03-1.05 (lil).  2.0-2.13 with the
+        # summed trajectory or a scratch row as long as the path, 3.0 (lil rho) and 4.0 paths (lil dw)
+        # fitting whole prefixes, and 4.1 (qsl rho and dw) keeping all three trajectories.
         n = 10**6
         cfg = config(0.5, 0.3, n=n, reps=1, seed=7)
         if experiment == "qsl":
             peak = _peak_paths(lambda: qsl_check(cfg, which), n)
         else:
             peak = _peak_paths(lambda: lil_envelope_check(cfg, which, [1000, 10**4, 10**5, n]), n)
-        assert peak <= 2.2
+        assert peak <= 1.25
 
 
 class TestLil:
@@ -320,20 +306,20 @@ class TestLil:
             lil_envelope_check(cfg, "theta", checkpoints)
         assert str(exc.value) == f"checkpoints must be integers, got {shown}"
 
-    @pytest.mark.parametrize("block, n, checkpoints", [
-        (1, 300, [16, 17, 18, 300]),
-        (7, 2000, [16, 20, 21, 22, 2000]),
+    @pytest.mark.parametrize("leaf, n, checkpoints", [
+        (128, 300, [16, 127, 128, 129, 300]),
+        (1000, 2000, [16, 999, 1000, 1001, 2000]),
         (2**14, 40_000, [16, 2**14 - 1, 2**14, 2**14 + 1, 40_000]),
     ])
-    def test_every_chunk_size_matches_the_per_replicate_loop(self, monkeypatch, block, n, checkpoints):
-        # checkpoints just before, on and just after an edge of the refit's residual chunks
+    def test_every_leaf_size_matches_the_per_replicate_loop(self, monkeypatch, leaf, n, checkpoints):
+        # checkpoints whose sums end just within, on and just beyond the edge of the refit's first leaf
         # (see tests/test_estimators.py), all three paths in one replicate block
         cfg = config(-0.6, 0.7, n=n, reps=3, seed=77, kind="rademacher")
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 3 * (n + 1))
         for which in TRAJECTORIES:
             rows = replicate_rows("lil", cfg, which=which, checkpoints=checkpoints)
             with monkeypatch.context() as patch:
-                patch.setattr(estimators, "_BLOCK", block)
+                patch.setattr(estimators, "_LEAF", leaf)
                 assert lil_envelope_check(cfg, which, checkpoints).rows == rows, which
 
     def test_envelope_smoke(self):
@@ -392,15 +378,15 @@ class TestReplicateBlocks:
             for threads in (1, 2):
                 assert _dumped(_run(kind, cfg, kwargs, threads)) == reference, (size, threads)
 
-    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    @pytest.mark.parametrize("leaf", [128, 1000, 2**14])
     @pytest.mark.parametrize("experiment", ["qsl", "qsl-rho"])
-    def test_every_walk_block_size_matches_the_per_replicate_loop(self, monkeypatch, experiment, block):
-        # the walk keeps only the summed trajectory, so its other trajectories cross block edges
-        # in block buffers; one replicate, as a block of one step walks 10^4 steps in 0.5 s
+    def test_every_leaf_size_matches_the_per_replicate_loop(self, monkeypatch, experiment, leaf):
+        # the walk's blocks are the leaves of the summed trajectory's pairwise sum, and every
+        # trajectory crosses block edges in block buffers
         kind, (theta, rho), noise, n, _, kwargs = _BLOCK_CASES[experiment]
         cfg = config(theta, rho, n=n, reps=1, seed=2024, kind=noise)
         rows = replicate_rows(kind, cfg, **kwargs)
-        monkeypatch.setattr(estimators, "_BLOCK", block)
+        monkeypatch.setattr(estimators, "_LEAF", leaf)
         assert qsl_check(cfg, kwargs["which"]).rows == [(value,) for value in rows]
 
     def test_block_size_follows_the_path_length(self, monkeypatch):
