@@ -14,11 +14,9 @@ residuals, and the one-statistic functions give, one at a time, its bits.
 Sums are accumulated with numpy's pairwise reduction, which is deterministic
 and at least as accurate as sequential accumulation; the test suite checks
 the algebraic identities between these sums against a compensated-summation
-oracle.  A sum longer than ``_LEAF`` terms is formed a leaf of numpy's own
-summation tree at a time, and the leaf sums are added up along that tree,
-so it is bit for bit ``np.sum`` over all its terms while only a leaf of
-them is held: besides the series, a fit or a qsl walk holds buffers of a
-few leaves, whatever n is.
+oracle.  A sum of more than ``_LEAF`` terms is formed a leaf of numpy's own
+summation tree at a time, so it is bit for bit ``np.sum`` while only a leaf
+of its terms is held, whatever n is.
 """
 
 from __future__ import annotations
@@ -322,10 +320,9 @@ def _split(n: int) -> int:
 def _leaves(n: int, a: int = 0):
     """The leaves of numpy's pairwise sum of the n values at positions a..a+n-1, as (start, stop) in order.
 
-    The sum's tree depends on n alone (Higham, "The accuracy of floating
-    point summation", SISC 1993), and a leaf is a whole subtree of at most
-    ``_LEAF`` values, which ``np.add.reduce`` of the leaf alone sums by the
-    same tree.  ``_LEAF`` is at least 128, below which numpy does not split.
+    The tree depends on n alone (Higham, "The accuracy of floating point
+    summation", SISC 1993); a leaf is a whole subtree of at most ``_LEAF``
+    values, which ``np.add.reduce`` of the leaf alone sums by the same tree.
     """
     if n <= _LEAF:
         yield a, a + n
@@ -337,9 +334,8 @@ def _leaves(n: int, a: int = 0):
 def _combine(sums, n: int):
     """numpy's pairwise sum of n values from ``sums``, an iterator over the sums of its leaves in order.
 
-    Each leaf sum starts, as np.add.reduce does, from +0.0, which can only
-    turn a -0.0 into 0.0; that does not change the total, since numpy's own
-    total also starts from +0.0.
+    A leaf sum starts from +0.0, as numpy's total does, which can only turn
+    a -0.0 leaf into 0.0 and so leaves the total as it is.
     """
     if n <= _LEAF:
         return next(sums)
@@ -375,11 +371,10 @@ def _tree_sums(wanted: list, product, row: np.ndarray) -> dict:
 def _plan(wanted: tuple, leaf: int) -> tuple:
     """The distinct (kind, n) in ``wanted``, and the leaves of their sums grouped by first position, for ``leaf`` = ``_LEAF``.
 
-    Per group, in ascending first position a: the length of its longest
-    leaf, and per kind the length of its longest leaf there and each length
-    of its leaves with the (kind, n) that have a leaf of that length there,
-    so that leaves of one length share one sum.  A fit repeats its sums path
-    after path, so the plan is kept.
+    Per group, in ascending first position a: its longest leaf, and per kind
+    the kind's longest leaf there and each leaf length with the (kind, n)
+    whose leaf it is, so that leaves of one length share one sum.  A fit
+    repeats its sums path after path, so the plan is kept.
     """
     keys = tuple(dict.fromkeys(wanted))
     groups = {}
@@ -507,7 +502,8 @@ def _series(path: ArrayLike, k0: int) -> np.ndarray:
     """The series of a walk, once the burn-in is checked and every value is finite.
 
     The values are checked ``_BLOCK`` at a time, so no mask as long as the
-    series is formed; a non-finite value raises DomainError at its index.
+    series is held; the first non-finite value raises DomainError naming it
+    and its index.
     """
     x = _as_x(path)
     check_burn_in(x.size - 1, k0)

@@ -412,11 +412,11 @@ def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int
     replicate; the strong law predicts the asymptotic variance of the chosen
     statistic.  Needs n >= 10^4 so the log average carries enough scales,
     and checks the burn-in before any path is drawn.  Each path takes one
-    walk of :func:`squared_deviation_sum`, which keeps only the summed
-    trajectory at full length: for theta it forms only the running sums S
-    and P; rho and dw also need the residual sums, and hold the other two
-    trajectories a block at a time.  So a worker holds its path, one
-    trajectory and about 1 MB of block buffers.
+    walk of :func:`squared_deviation_sum`, whose blocks are the leaves of
+    the sum's pairwise tree, so no trajectory is held at full length: for
+    theta it forms only the running sums S and P; rho and dw also need the
+    residual sums.  So a worker holds its path and about 0.4 MB (theta) or
+    1.2 MB (rho, dw) of block buffers.
     """
     if cfg.n < 10_000:
         raise DomainError("quadratic strong law check needs n >= 10^4")
@@ -459,8 +459,9 @@ def lil_envelope_check(
     The checkpoints must be distinct integers from 16 to n, in any order; a
     value that is not an integer raises DomainError naming it.  Each path's
     estimates of the one statistic come from one call of the fit kernel,
-    :func:`prefix_estimates`, over all the checkpoints, so a worker holds
-    its path and one scratch row as long as the last checkpoint.
+    :func:`prefix_estimates`, over all the checkpoints, which sums a leaf of
+    2^14 terms at a time, so a worker holds its path and a scratch row and
+    a residual buffer of one leaf each.
     """
     checkpoints = sorted(map(_checkpoint, checkpoints))
     if not checkpoints:
