@@ -182,7 +182,7 @@ def _cmd_estimate(args):
         write_table(
             args.trajectories,
             ("k", "theta_hat", "rho_hat", "dw"),
-            (traj.k.tolist(), float_cells(traj.theta), float_cells(traj.rho), float_cells(traj.dw)),
+            (range(args.k0, series.x.size), float_cells(traj.theta), float_cells(traj.rho), float_cells(traj.dw)),
         )
     return {"estimates": {**{name: getattr(est, name) for name in ESTIMATES}, "n": est.n}}
 

@@ -7,9 +7,10 @@ innovation variance from the second-stage residuals, and form the
 Durbin-Watson ratio.  The estimators need n >= 3 steps; shorter inputs raise
 TooShort.  They also take a (B, n+1) block holding one series per row and
 return one value per row, bit for bit the value of the row on its own.
-One kernel, :func:`prefix_estimates`, fits every prefix up to ascending
-checkpoints; :func:`estimate_all` is its last checkpoint and keeps no
-residuals, and the one-statistic functions give, one at a time, its bits.
+One kernel, :func:`fit`, fits the statistics asked for on the array it is
+given and checks that they are finite; :func:`estimate_all` is all five of
+them and keeps no residuals, and the one-statistic functions give, one at a
+time, its bits.  A caller that wants a prefix X_0..X_m fits ``x[..., :m + 1]``.
 
 Sums are accumulated with numpy's pairwise reduction, which is deterministic
 and at least as accurate as sequential accumulation; the test suite checks
@@ -207,78 +208,53 @@ def estimate_all(path: ArrayLike) -> EstimateSet:
     """Run the full pipeline on one series, or on every row of a (B, n+1) block.
 
     Each row of a block gets bit for bit the statistics it gets on its own.
-    A statistic that comes out non-finite, from nan/inf in the series or
-    from values whose squares overflow float64 (magnitudes above about
-    1e154), raises DomainError naming it, without numpy warnings, instead
-    of being returned.  In a block, any row that trips a check raises.
-
-    The statistics are :func:`prefix_estimates` at the last checkpoint, so
-    no residual series is formed.
+    The statistics are :func:`fit` of all five ``ESTIMATES``, with its
+    checks, so no residual series is formed.
     """
     x = _as_block(path)
-    _check_steps(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fitted = {name: value for name, (value,) in zip(ESTIMATES, prefix_estimates(x, ESTIMATES, [x.shape[-1] - 1]))}
-    finite = np.isfinite(list(fitted.values())).reshape(len(fitted), -1).all(axis=1)  # one check for all five
-    if not finite.all():
-        raise DomainError(f"{ESTIMATES[finite.argmin()]} is not finite: the series holds nan/inf or its sums of squares overflow")
-    return EstimateSet(n=x.shape[-1] - 1, **fitted)
+    return EstimateSet(n=x.shape[-1] - 1, **dict(zip(ESTIMATES, fit(x, ESTIMATES))))
 
 
-def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequence[int]) -> list:
-    """The statistics ``names`` (from ESTIMATES) of every prefix X_0..X_m: per name, one entry per checkpoint m.
+def fit(path: ArrayLike, names: Sequence[str]) -> list:
+    """The statistics ``names`` (from ESTIMATES) of the series, or of each row of a (B, n+1) block, in that order.
 
-    The one fit kernel: each entry is bit for bit what the one-statistic
-    functions above give on the prefix alone, a float for one series, one
-    value per row for a (B, n+1) block.  The checkpoints must be integers
-    that ascend strictly within [3, n].  A zero denominator raises, at the
-    first checkpoint where one vanishes, what :func:`estimate_all`'s
-    pipeline raises first: theta_hat's, then rho_hat's (dw's when neither
-    rho_hat nor sigma2_hat is asked for), then theta_sq_hat's.
+    The one fit kernel: each value is bit for bit what the one-statistic
+    functions above give, a float for one series, one value per row for a
+    block.  A zero denominator raises what :func:`estimate_all`'s pipeline
+    raises first: theta_hat's, then rho_hat's (dw's when neither rho_hat nor
+    sigma2_hat is asked for), then theta_sq_hat's.  A statistic that comes
+    out non-finite, from nan/inf in the series or from values whose squares
+    overflow float64 (magnitudes above about 1e154), raises DomainError
+    naming the first such name, without numpy warnings, instead of being
+    returned.  In a block, any row that trips a check raises.
 
-    Every sum is numpy's pairwise sum of its prefix, formed leaf by leaf
-    (see :func:`_tree_sums`), and only the sums that ``names`` needs are
-    formed.  The products over X come first, for all checkpoints at once;
-    then each checkpoint's residuals, once per leaf for eps_k^2 and the
-    lag-1 products, and once more per leaf for sigma2_hat's second-stage
-    residuals, which need rho_hat; dw's differences go with the last of
-    these passes.  A prefix within one leaf forms its residuals once for
-    every sum, as the whole-prefix functions do.  Besides the series a
+    Every sum is numpy's pairwise sum, formed leaf by leaf (see
+    :func:`_tree_sums`), and only the sums that ``names`` needs are formed.
+    The products over X come first; then the residuals, once per leaf for
+    eps_k^2 and the lag-1 products, and once more per leaf for sigma2_hat's
+    second-stage residuals, which need rho_hat; dw's differences go with the
+    last of these passes.  A series within one leaf forms its residuals once
+    for every sum, as the one-statistic functions do.  Besides the series a
     call holds a scratch row and a residual buffer of at most ``_LEAF`` + 1
-    values per path, whatever the checkpoints.
+    values per path.
     """
-    if not set(names) <= set(ESTIMATES):
+    if not names or not set(names) <= set(ESTIMATES):
         raise DomainError(f"statistics must be named from {ESTIMATES}")
     x = _as_block(path)
-    n = x.shape[-1] - 1
-    checkpoints = [_checkpoint(m) for m in checkpoints]
-    bounds = [MIN_STEPS - 1, *checkpoints, n + 1]  # strictly ascending exactly when the checkpoints are valid
-    if len(bounds) < 3 or any(a >= b for a, b in zip(bounds, bounds[1:])):
-        raise DomainError(f"checkpoints must ascend strictly within [{MIN_STEPS}, {n}]")
-    last = checkpoints[-1]
-    row = np.empty(x.shape[:-1] + (min(last + 1, _LEAF),))
+    _check_steps(x)
+    m = x.shape[-1] - 1
+    row = np.empty(x.shape[:-1] + (min(m + 1, _LEAF),))
 
     def lagged_products(lag, a, span, out):  # X_{k+lag} X_k for k = a..
         b = a + out.shape[-1]
         return np.square(x[..., a:b], out=out) if lag == 0 else np.multiply(x[..., a + lag : b + lag], x[..., a:b], out=out)
-
-    # theta_hat over k = 1..m; theta_sq_hat's lag-2 sums over k = 2..m, the denominator checked last
-    fit_theta_sq = "theta_sq_hat" in names
-    lag2 = [(kind, m - 1) for m in checkpoints for kind in (0, 2)] if fit_theta_sq else []
-    x_sums = _tree_sums([(kind, m) for m in checkpoints for kind in (0, 1)] + lag2, lagged_products, row)
-    fitted = {name: [] for name in ESTIMATES}
-    fitted["theta_hat"] = [x_sums[1, m] / _denominator(x_sums[0, m], THETA_DEGENERATE) for m in checkpoints]
-    fit_sigma2 = "sigma2_hat" in names
-    fit_rho = "rho_hat" in names or fit_sigma2
-    fit_residuals = fit_rho or "dw" in names
-    buf = np.empty(x.shape[:-1] + (min(last, _LEAF) + 1,)) if fit_residuals else None
 
     def residual_products(kind, a, span, out):  # eps_k^2 at slot k, the other terms of eps_{k+1} and eps_k at k
         nonlocal formed
         # eps_a..eps_b for the group's longest leaf a..b-1; sigma2_hat's leaf at a is never longer than the first pass's
         if formed != a:
             formed = a
-            _form_residuals(x, th, a, min(a + span + 1, m + 1), buf)
+            _form_residuals(x, fitted["theta_hat"], a, min(a + span + 1, m + 1), buf)
         now = buf[..., : out.shape[-1]]
         if kind == "sq":
             return np.square(now, out=out)
@@ -286,30 +262,45 @@ def prefix_estimates(path: ArrayLike, names: Sequence[str], checkpoints: Sequenc
         if kind == "lag":
             return np.multiply(then, now, out=out)
         if kind == "sigma2":  # the second-stage residual eps_{k+1} - rho_hat*eps_k, squared
-            np.subtract(then, np.multiply(_lagged(rho), now, out=out), out=out)
+            np.subtract(then, np.multiply(_lagged(fitted["rho_hat"]), now, out=out), out=out)
         else:  # dw's eps_{k+1} - eps_k, squared
             np.subtract(then, now, out=out)
         return np.square(out, out=out)
 
-    for m, th in zip(checkpoints, fitted["theta_hat"] if fit_residuals else ()):
-        formed = None  # the first position of the residuals in buf, formed from this theta_hat
-        # rho_hat: sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m; dw: sum (eps_k - eps_{k-1})^2 over k = 1..m
-        # / sum eps_k^2 over k = 0..m.  sigma2_hat's terms need rho_hat, so they take a second pass, and dw's
-        # differences go with the last pass
-        diff = [("diff", m)] if "dw" in names else []
-        sums = _tree_sums([("sq", m + 1)] + [("sq", m), ("lag", m)] * fit_rho + diff * (not fit_sigma2), residual_products, row)
-        if fit_rho:
-            fitted["rho_hat"].append(rho := sums["lag", m] / _denominator(sums["sq", m], RHO_DEGENERATE))
-        else:
-            _denominator(sums["sq", m + 1], DW_DEGENERATE)
-        if fit_sigma2:  # within one leaf the residuals are still in buf
-            sums.update(_tree_sums([("sigma2", m)] + diff, residual_products, row))
-            fitted["sigma2_hat"].append(sums["sigma2", m] / m)
-        if diff:
-            fitted["dw"].append(sums["diff", m] / sums["sq", m + 1])
-    if fit_theta_sq:
-        fitted["theta_sq_hat"] = [x_sums[2, m - 1] / _denominator(x_sums[0, m - 1], THETA_SQ_DEGENERATE) for m in checkpoints]
-    return [fitted[name] for name in names]
+    fit_theta_sq = "theta_sq_hat" in names
+    fit_sigma2 = "sigma2_hat" in names
+    fit_rho = "rho_hat" in names or fit_sigma2
+    fit_dw = "dw" in names
+    fitted = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        # theta_hat over k = 1..m; theta_sq_hat's lag-2 sums over k = 2..m, the denominator checked last
+        x_sums = _tree_sums([(0, m), (1, m)] + [(0, m - 1), (2, m - 1)] * fit_theta_sq, lagged_products, row)
+        fitted["theta_hat"] = x_sums[1, m] / _denominator(x_sums[0, m], THETA_DEGENERATE)
+        if fit_rho or fit_dw:
+            buf = np.empty(x.shape[:-1] + (min(m, _LEAF) + 1,))
+            formed = None  # the first position of the residuals in buf
+            # rho_hat: sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m; dw: sum (eps_k - eps_{k-1})^2 over k = 1..m
+            # / sum eps_k^2 over k = 0..m, a sum that only dw reads.  sigma2_hat's terms need rho_hat, so they take a
+            # second pass, and dw's differences go with the last pass
+            diff = [("diff", m)] * fit_dw
+            first = [("sq", m), ("lag", m)] * fit_rho + [("sq", m + 1)] * fit_dw + diff * (not fit_sigma2)
+            sums = _tree_sums(first, residual_products, row)
+            if fit_rho:
+                fitted["rho_hat"] = sums["lag", m] / _denominator(sums["sq", m], RHO_DEGENERATE)
+            else:
+                _denominator(sums["sq", m + 1], DW_DEGENERATE)
+            if fit_sigma2:  # within one leaf the residuals are still in buf
+                sums.update(_tree_sums([("sigma2", m)] + diff, residual_products, row))
+                fitted["sigma2_hat"] = sums["sigma2", m] / m
+            if fit_dw:
+                fitted["dw"] = sums["diff", m] / sums["sq", m + 1]
+        if fit_theta_sq:
+            fitted["theta_sq_hat"] = x_sums[2, m - 1] / _denominator(x_sums[0, m - 1], THETA_SQ_DEGENERATE)
+    values = [fitted[name] for name in names]
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)  # one check for all of them
+    if not finite.all():
+        raise DomainError(f"{names[finite.argmin()]} is not finite: the series holds nan/inf or its sums of squares overflow")
+    return values
 
 
 def _split(n: int) -> int:

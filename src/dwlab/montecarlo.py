@@ -47,7 +47,7 @@ from .estimators import (
     check_burn_in,
     check_which,
     estimate_all,
-    prefix_estimates,
+    fit,
     squared_deviation_sum,
 )
 from .model import _MASK64, ModelParams, NoiseSpec, check_seed, simulate_paths
@@ -457,11 +457,11 @@ def lil_envelope_check(
     a sanity envelope at fixed sample sizes, not a limsup estimate.
 
     The checkpoints must be distinct integers from 16 to n, in any order; a
-    value that is not an integer raises DomainError naming it.  Each path's
-    estimates of the one statistic come from one call of the fit kernel,
-    :func:`prefix_estimates`, over all the checkpoints, which sums a leaf of
-    2^14 terms at a time, so a worker holds its path and a scratch row and
-    a residual buffer of one leaf each.
+    value that is not an integer raises DomainError naming it.  The deviation
+    at m comes from one :func:`fit` of the prefix ``x[..., :m + 1]``, with its
+    finiteness check; the prefix of a one-path block is not copied, and a
+    long-path worker holds its path and a scratch row and a residual buffer
+    of one leaf of 2^14 values each.
     """
     checkpoints = sorted(map(_checkpoint, checkpoints))
     if not checkpoints:
@@ -477,9 +477,10 @@ def lil_envelope_check(
     targets, limit, variance = _limit_and_variance(cfg, which)
     envelope = LIL_SD_MULTIPLE * math.sqrt(variance)
 
+    names = (_STATISTICS[which][0],)
+
     def deviations(x: np.ndarray) -> list:
-        (estimates,) = prefix_estimates(x, (_STATISTICS[which][0],), checkpoints)
-        columns = [lil_deviation(value, limit, m) for m, value in zip(checkpoints, estimates)]
+        columns = [lil_deviation(*fit(x[..., : m + 1], names), limit, m) for m in checkpoints]
         return np.column_stack(columns).tolist()
 
     rows = _map_paths(deviations, cfg, threads)

@@ -55,6 +55,13 @@ def quadratic_roots(s: float, p: float) -> tuple[float, float]:
     return tuple(sorted((p / big, big)))
 
 
+def _sum_and_product(theta_hat: float, rho_hat: float) -> tuple[float, float]:
+    """s_hat = theta_hat + rho_hat and p_hat = rho_hat / theta_hat; a |theta_hat| at or below THETA_EPS raises ThetaNearZero."""
+    if abs(theta_hat) <= THETA_EPS:
+        raise ThetaNearZero("cannot form rho_hat/theta_hat with a vanishing AR estimate")
+    return theta_hat + rho_hat, rho_hat / theta_hat
+
+
 def recover_params(theta_hat: float, rho_hat: float, convention: str = "theta_less") -> RecoveredParams:
     """Solve for the parameter pair behind the estimator limits.
 
@@ -63,10 +70,7 @@ def recover_params(theta_hat: float, rho_hat: float, convention: str = "theta_le
     """
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
-    if abs(theta_hat) <= THETA_EPS:
-        raise ThetaNearZero("cannot form rho_hat/theta_hat with a vanishing AR estimate")
-    s_hat = theta_hat + rho_hat
-    p_hat = rho_hat / theta_hat
+    s_hat, p_hat = _sum_and_product(theta_hat, rho_hat)
     lo, hi = quadratic_roots(s_hat, p_hat)
     theta_rec, rho_rec = (lo, hi) if convention == "theta_less" else (hi, lo)
     return RecoveredParams(
@@ -86,10 +90,7 @@ def recover_sigma2(theta_hat: float, rho_hat: float, sigma2_hat: float) -> float
     s = theta_hat + rho_hat and p = rho_hat / theta_hat; the factor is the
     exact reciprocal of the estimator's limit-to-sigma2 ratio.
     """
-    if abs(theta_hat) <= THETA_EPS:
-        raise ThetaNearZero("cannot form rho_hat/theta_hat with a vanishing AR estimate")
-    s_hat = theta_hat + rho_hat
-    p_hat = rho_hat / theta_hat
+    s_hat, p_hat = _sum_and_product(theta_hat, rho_hat)
     denom = (1.0 + p_hat) ** 2 - (s_hat * p_hat) ** 2
     if denom <= 0.0:
         raise DegenerateDenominator("variance correction factor is undefined for these estimates")

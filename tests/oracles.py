@@ -5,11 +5,12 @@ sums are recomputed with compensated summation (math.fsum), so every check
 compares the float64 implementation against an arithmetic path it does not
 share.  :func:`bartlett_gamma` derives the limits and their covariance a
 second way, from Bartlett's formula, so it also catches an error that a
-formula and its exact transcription share.  Two exceptions mirror the library's own code paths, which a faster
-kernel must match bit for bit: :func:`prefix_estimate`, a whole-prefix fit
-through the one-statistic estimators, for the fit kernel
-``estimators.prefix_estimates``; and :func:`estimate_all_reference`, the
-one-statistic-at-a-time pipeline, for ``estimators.estimate_all``.
+formula and its exact transcription share.  Two exceptions mirror the
+library's own code paths, which a faster kernel must match bit for bit:
+:func:`prefix_estimate`, a whole-prefix fit through the one-statistic
+estimators, for the fit kernel ``estimators.fit`` of the prefix
+``x[..., :m + 1]``, as lil refits it; and :func:`estimate_all_reference`,
+the one-statistic-at-a-time pipeline, for ``estimators.estimate_all``.
 :func:`replicate_rows` is the Monte Carlo experiments' per-replicate loop
 through the one-path API, which the blocked, forked runs must match.
 """

@@ -248,6 +248,15 @@ class TestEstimateOutputSize:
         # the JSON
         assert peak < 1.75 * nbytes
 
+    def test_trajectories_hold_the_three_tracks_and_no_list_of_k(self, capsys, series_csv, tmp_path):
+        path, nbytes = series_csv
+        traj = tmp_path / "traj.csv"
+        peak, code = traced_peak(lambda: main(["estimate", "--input", str(path), "--trajectories", str(traj)]))
+        assert code == 0 and traj.exists()
+        # measured 6.9x with k written from a range: the series, the three trajectories and a chunk of rows.
+        # 11.8x with k as a list of n+1 Python ints
+        assert peak <= 7.5 * nbytes
+
 
 class TestTestCommand:
     @pytest.fixture()
@@ -758,6 +767,20 @@ class TestOverflow:
         assert "theta_hat is not finite" in proc.stderr
         assert "overflow" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("which, name", [("theta", "theta_hat"), ("rho", "rho_hat"), ("dw", "dw")])
+    def test_lil_names_the_statistic_that_overflows(self, tmp_path, which, name):
+        # paths whose squares overflow: the refits at every checkpoint fail as clt and qsl fail, with no nan rows
+        for threads in "12":
+            dest = tmp_path / f"rows.{threads}.csv"
+            proc = run_fresh(
+                "-m", "dwlab", "verify", "--experiment", "lil", "--which", which, "--theta", "0.5", "--rho", "0.3",
+                "--sigma2", "1e307", "--n", "1000", "--reps", "3", "--seed", "1", "--threads", threads,
+                "--checkpoints", "100,1000", "--csv", str(dest),
+            )
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == f"error: {name} is not finite: the series holds nan/inf or its sums of squares overflow\n"
+            assert not dest.exists()
 
 
 class TestBadCsvText:

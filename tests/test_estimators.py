@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from collections import Counter
 
@@ -22,7 +23,7 @@ from dwlab.estimators import (
     estimate_sigma2,
     estimate_theta,
     estimate_theta_sq,
-    prefix_estimates,
+    fit,
     residuals,
     running_estimates,
     squared_deviation_sum,
@@ -199,7 +200,7 @@ _DAMAGE = ("none", "zero", "constant", "zero_head", "zero_but_last", "nan", "inf
 
 
 class TestFusedKernel:
-    """estimate_all, the fit kernel at its last checkpoint, against the one-statistic functions (tests/oracles.py)."""
+    """estimate_all, the fit kernel of all five statistics, against the one-statistic functions (tests/oracles.py)."""
 
     @given(
         params_st,
@@ -730,7 +731,7 @@ class TestLeafPlan:
         assert list(estimators._leaves(128)) == [(0, 128)] and list(estimators._leaves(129)) == [(0, 64), (64, 129)]
 
 
-# (estimators._LEAF, n, checkpoints): a checkpoint m sums m-1, m and m+1 terms, so L-1, L and L+1 put
+# (estimators._LEAF, n, checkpoints): a prefix of m steps sums m-1, m and m+1 terms, so L-1, L and L+1 put
 # those sums just within one leaf of L terms, across its edge and just beyond; later checkpoints take
 # several leaves, and at m = 2000 (a multiple of 16) the trees of m-1 and m terms split apart at the root
 _PREFIX_CASES = [
@@ -741,99 +742,110 @@ _PREFIX_CASES = [
 ]
 
 
-def _refit_outcome(fit):
-    """The values ``fit()`` returns, as bytes, or the class and message of the exception it raises."""
+def _refit_outcome(call):
+    """The values ``call()`` returns, as bytes, or the class and message of the exception it raises."""
     try:
-        return [np.asarray(value).tobytes() for value in fit()]
+        return [np.asarray(value).tobytes() for value in call()]
     except Exception as exc:
         return type(exc), str(exc)
 
 
-def _flat(columns) -> list:
-    """The values of every name's list of checkpoint values, name after name."""
-    return [value for values in columns for value in values]
-
-
-class TestPrefixEstimates:
-    """The fit kernel against whole-prefix fits through the one-statistic functions, for any leaf size."""
+class TestFit:
+    """The fit kernel on prefixes X_0..X_m against the one-statistic functions on the prefix, for any leaf size."""
 
     @pytest.mark.parametrize("leaf, n, checkpoints", _PREFIX_CASES)
     def test_bytes_match_the_whole_prefix_refit(self, monkeypatch, leaf, n, checkpoints):
         x = simulate_paths(ModelParams(theta=-0.6, rho=0.7), NoiseSpec("rademacher"), n, [3, 4, 5])
         monkeypatch.setattr(estimators, "_LEAF", leaf)
-        together = prefix_estimates(x, ESTIMATES, checkpoints)
-        for name, got in zip(ESTIMATES, together):
-            expected = [prefix_estimate(x, m, name) for m in checkpoints]
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected], name
-            # asked for alone, a statistic gets the bits it gets among all five
-            (alone,) = prefix_estimates(x, [name], checkpoints)
-            assert [a.tobytes() for a in alone] == [a.tobytes() for a in got], name
-            # a series on its own gets its row's values, as floats
-            assert prefix_estimates(x[1], [name], checkpoints) == [[float(a[1]) for a in got]], name
-        # the lists come in the order of the names asked for
-        dw_then_theta = prefix_estimates(x, ["dw", "theta_hat"], checkpoints)
-        assert _refit_outcome(lambda: _flat(dw_then_theta)) == _refit_outcome(lambda: [*together[3], *together[0]])
+        for m in checkpoints:
+            together = fit(x[:, : m + 1], ESTIMATES)
+            for name, got in zip(ESTIMATES, together):
+                assert got.tobytes() == prefix_estimate(x, m, name).tobytes(), (name, m)
+                # asked for alone, a statistic gets the bits it gets among all five
+                assert fit(x[:, : m + 1], [name])[0].tobytes() == got.tobytes(), (name, m)
+                # a series on its own gets its row's value, as a float
+                assert fit(x[1, : m + 1], [name]) == [float(got[1])], (name, m)
+            # the values come in the order of the names asked for
+            dw_then_theta = fit(x[:, : m + 1], ["dw", "theta_hat"])
+            assert _refit_outcome(lambda: dw_then_theta) == _refit_outcome(lambda: [together[3], together[0]])
 
     def test_residuals_are_formed_once_per_leaf_and_pass(self, monkeypatch):
         x = simulate(ModelParams(theta=-0.6, rho=0.7), NoiseSpec(), 300, 3).x
-        checkpoints = [100, 127, 128, 300]
         monkeypatch.setattr(estimators, "_LEAF", 128)
-        (thetas,) = prefix_estimates(x, ["theta_hat"], checkpoints)
         form, formed = estimators._form_residuals, Counter()
 
         def counting(x, theta_hat, a, stop, out):
-            formed[checkpoints[thetas.index(theta_hat)]] += 1
+            formed[x.shape[-1] - 1] += 1
             return form(x, theta_hat, a, stop, out)
 
         monkeypatch.setattr(estimators, "_form_residuals", counting)
-        prefix_estimates(x, ESTIMATES, checkpoints)
+        for m in (100, 127, 128, 300):
+            fit(x[: m + 1], ESTIMATES)
         # within one leaf, once for every sum.  Beyond it, once per first position of a leaf of the first pass,
         # whose sums of m and m+1 terms share the leaves that start together (m = 128: 0..127 for m terms, 0..63
         # and 64..128 for m+1; m = 300: four leaves for each, the last 216..299 or 216..300), and once per leaf
         # of sigma2_hat's pass
         assert formed == {100: 1, 127: 1, 128: 2 + 1, 300: 4 + 4}
 
+    @pytest.mark.parametrize("names", [("rho_hat",), ("sigma2_hat",), ("dw",), ("rho_hat", "dw")])
+    def test_dw_denominator_is_summed_only_for_dw(self, monkeypatch, names):
+        x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 3).x
+        tree_sums, wanted = estimators._tree_sums, []
+
+        def recording(keys, product, row):
+            wanted.extend(keys)
+            return tree_sums(keys, product, row)
+
+        monkeypatch.setattr(estimators, "_tree_sums", recording)
+        fit(x, names)
+        # sum eps_k^2 over k = 0..n, dw's denominator, against sum eps_{k-1}^2 over k = 1..n, rho_hat's
+        assert (("sq", 301) in wanted) == ("dw" in names)
+        assert (("sq", 300) in wanted) == (names != ("dw",))
+
     @pytest.mark.parametrize("leaf", [128, 200, 2**14])
     def test_the_first_error_is_the_whole_prefix_refits(self, monkeypatch, leaf):
         path = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, [6, 7])
         monkeypatch.setattr(estimators, "_LEAF", leaf)
-        checkpoints, raised = [3, 16, 300], set()
+        raised = set()
         # zero throughout; zero past the first two checkpoints; zero but the last value that theta_hat's
         # denominator sums at m = 3; squares that underflow, so that the residual sums vanish at m = 3
         for head in ([0.0] * 301, [0.0] * 20, [0.0] * 2, [0.0, 1e-170, 1e-150, 1e-130]):
             x = path.copy()
             x[1, : len(head)] = head
             for names in [*((name,) for name in ESTIMATES), ESTIMATES, ("rho_hat", "dw")]:
-                for data in (x, x[1:], x[1]):  # the block, the damaged row as a block and on its own
+                # the block, the damaged row as a block and on its own
+                for data, m in itertools.product((x, x[1:], x[1]), (3, 16, 300)):
                     rows = np.atleast_2d(data)
-                    one_at_a_time = [(name, m) for name in names for m in checkpoints]
-                    expected = _refit_outcome(lambda: [prefix_estimate(rows, m, name) for name, m in one_at_a_time])
-                    assert _refit_outcome(lambda: _flat(prefix_estimates(data, names, checkpoints))) == expected, names
+                    expected = _refit_outcome(lambda: [prefix_estimate(rows, m, name) for name in names])
+                    assert _refit_outcome(lambda: fit(data[..., : m + 1], names)) == expected, (names, m)
                     raised.add(expected[1] if expected[0] is DegenerateDenominator else None)
         assert raised == {None, THETA_DEGENERATE, RHO_DEGENERATE, DW_DEGENERATE, THETA_SQ_DEGENERATE}
 
-    def test_checkpoints_must_ascend_within_the_path(self):
-        x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 6).x
-        for checkpoints in ([], [2], [301], [100, 100], [200, 100]):
-            with pytest.raises(DomainError, match=r"^checkpoints must ascend strictly within \[3, 300\]$"):
-                prefix_estimates(x, ["rho_hat"], checkpoints)
-        for names in (["sigma2"], "dw", ["rho"]):
-            with pytest.raises(DomainError, match="^statistics must be named from"):
-                prefix_estimates(x, names, [100])
-        assert prefix_estimates(x, ["dw"], [3, 300])[0][0] == dw_statistic(residuals(x[:4], estimate_theta(x[:4])))
+    @pytest.mark.parametrize("name", ESTIMATES)
+    def test_every_fit_names_its_first_statistic_that_is_not_finite(self, name):
+        # squares that overflow: theta_hat is inf / inf, and every statistic formed from it nan
+        x = simulate_paths(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, [6, 7]) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data in (x, x[0]):
+                with pytest.raises(DomainError, match=f"^{name} is not finite: "):
+                    fit(data, [name])
+                with pytest.raises(DomainError, match=f"^{name} is not finite: "):
+                    fit(data, [name, *ESTIMATES])
 
-    @pytest.mark.parametrize("checkpoints, shown", [([100.0], "100.0"), ([16, "1e3"], "'1e3'"), ([None], "None")])
-    def test_a_checkpoint_that_is_not_an_integer_is_named(self, checkpoints, shown):
+    def test_statistics_must_be_named_from_estimates(self):
         x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 6).x
-        with pytest.raises(DomainError) as exc:
-            prefix_estimates(x, ["theta_hat"], checkpoints)
-        assert str(exc.value) == f"checkpoints must be integers, got {shown}"
-        assert prefix_estimates(x, ESTIMATES, [np.int64(16), 300]) == prefix_estimates(x, ESTIMATES, [16, 300])
+        for names in (["sigma2"], "dw", ["rho"], []):
+            with pytest.raises(DomainError, match="^statistics must be named from"):
+                fit(x, names)
+        with pytest.raises(TooShort):
+            fit(x[:3], ["theta_hat"])
+        assert fit(x[:4], ["dw"]) == [dw_statistic(residuals(x[:4], estimate_theta(x[:4])))]
 
     def test_a_series_fits_as_its_values(self):
         series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 6)
         assert _fit_outcome(estimate_all, series) == _fit_outcome(estimate_all, series.x)
-        assert prefix_estimates(series, ESTIMATES, [16, 300]) == prefix_estimates(series.x, ESTIMATES, [16, 300])
+        assert fit(series, ESTIMATES) == fit(series.x, ESTIMATES)
 
 
 class TestConsistency:

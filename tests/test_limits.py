@@ -150,6 +150,32 @@ class TestAgainstBartlett:
             assert (r1, g) == (0.0, 0.0) and r2 == theta * theta
             assert close(1.0 / critical_statistic(1, 3.0, r2), 4.0 * gamma[1, 1])
 
+    @given(inside, inside, st.floats(min_value=0.01, max_value=100.0))
+    @settings(max_examples=300)
+    @example(0.95, 0.95, 1.0)
+    @example(-0.95, -0.95, 1.0)
+    @example(0.95, -0.95, 2.0)
+    @example(0.0, 0.0, 1.0)
+    @example(0.5, 0.3, 1.0)
+    def test_second_moments_are_the_ar2_autocovariances(self, t, r, s2):
+        # X is AR(2) with phi1 = theta + rho and phi2 = -theta*rho, driven by noise of variance sigma2: gamma(0)
+        # in closed form, gamma(1) and gamma(2) from the autocorrelations of the Bartlett oracle.  ell1, ell2 and
+        # sigma_hat_limit can be small beside ell, so every gap is relative to ell
+        phi1, phi2 = t + r, -t * r
+        gamma0 = s2 * (1.0 - phi2) / ((1.0 + phi2) * ((1.0 - phi2) ** 2 - phi1 * phi1))
+        r1, r2, _, _ = bartlett_gamma(t, r)
+        gamma1, gamma2 = gamma0 * r1, gamma0 * r2
+        a = limits.asymptotics(t, r, s2)
+        assert close(a.ell, gamma0)
+        assert close(a.ell1, gamma1, a.ell)
+        assert close(a.ell2, gamma2, a.ell)
+        # the residual X_k - theta_star X_{k-1} has lag-0 and lag-1 autocovariances c0 and c1; rho_hat's limit
+        # c1 / c0 leaves the second-stage residual variance c0 - c1^2 / c0
+        ts = a.theta_star
+        c0 = gamma0 * (1.0 + ts * ts) - 2.0 * ts * gamma1
+        c1 = gamma1 * (1.0 + ts * ts) - ts * (gamma0 + gamma2)
+        assert close(a.sigma_hat_limit, c0 - c1 * c1 / c0, a.ell)
+
 
 class TestProperties:
     @given(inside, inside)

@@ -2,7 +2,7 @@
 
 The four DegenerateDenominator messages are constants of
 ``dwlab.estimators``, shared by the one-statistic functions and the fit
-kernel ``prefix_estimates``, whose last checkpoint is ``estimate_all``.
+kernel ``fit``, of which ``estimate_all`` is all five statistics.
 The names and order of the five fitted statistics are
 ``estimators.ESTIMATES``: the names the kernel takes, the float fields of
 ``EstimateSet``, the ``estimate`` JSON keys before ``n`` and the clt
