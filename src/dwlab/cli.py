@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, limits
 from .errors import DWLabError, DomainError
-from .estimators import DEFAULT_BURN_IN, ESTIMATES, check_burn_in, estimate_all, residuals, running_estimates
+from .estimators import DEFAULT_BURN_IN, ESTIMATES, TRAJECTORIES, check_burn_in, estimate_all, residuals, running_estimates
 from .model import (
     ModelParams,
     NoiseSpec,
@@ -43,7 +43,6 @@ from .model import (
     write_table,
 )
 from .montecarlo import (
-    STATS,
     TEST_KINDS,
     McConfig,
     _libc_function,
@@ -299,7 +298,7 @@ def _cmd_verify(args):
             report = lil_envelope_check(cfg, args.which, checkpoints, threads=threads)
         if csv:
             write_table(csv, *report.table())
-    return {"report": {"experiment": experiment, **report.to_dict()}}
+    return {"report": {"experiment": experiment, **report.body}}
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--rho0", type=float, help="null value for the rho0 test kind")
     p.add_argument("--test-kind", choices=TEST_KINDS, default="zero")
-    p.add_argument("--which", choices=STATS, default="theta")
+    p.add_argument("--which", choices=TRAJECTORIES, default="theta")
     p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in for the qsl experiment")
     p.add_argument("--checkpoints", help="comma-separated sample sizes for the lil experiment")
     p.add_argument("--csv", help="write the per-replicate rows to this CSV file (the JSON holds only summaries)")

@@ -17,14 +17,15 @@ and at least as accurate as sequential accumulation; the test suite checks
 the algebraic identities between these sums against a compensated-summation
 oracle.  A sum of more than ``_LEAF`` terms is formed a leaf of numpy's own
 summation tree at a time, so it is bit for bit ``np.sum`` while only a leaf
-of its terms is held, whatever n is.
+of its terms is held, whatever n is.  Each sum length is one walk over its
+leaves, which forms every kind of term of that length; the running
+trajectories walk the leaves of their own length the same way.
 """
 
 from __future__ import annotations
 
 import operator
 from contextlib import contextmanager
-from functools import lru_cache
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -41,9 +42,7 @@ DEFAULT_BURN_IN = 10  # first trajectory index; early estimates are erratic
 
 THETA_EPS = 1e-8  # |theta_hat| at or below this counts as zero where a formula divides by it
 
-_BLOCK = 2**14  # steps per block of running_estimates; its time was flat from 2^13 to 2^15
-
-_LEAF = 2**14  # most terms a long sum forms at once, a leaf of numpy's pairwise tree; at least 128, where numpy stops splitting
+_LEAF = 2**14  # most terms a sum or walk forms at once: a leaf of numpy's pairwise tree, at least 128, where numpy stops splitting
 
 # The DegenerateDenominator message of each least squares denominator, by the statistic it divides
 THETA_DEGENERATE = "sum of squared lagged values is zero"
@@ -70,9 +69,8 @@ class EstimateSet:
 
 @dataclass(frozen=True)
 class RunningEstimates:
-    """Trajectories (theta_hat_k, rho_hat_k, dw_k) for k = k0..n."""
+    """Trajectories (theta_hat_k, rho_hat_k, dw_k) for k = k0..n, step k at index k - k0."""
 
-    k: np.ndarray
     theta: np.ndarray
     rho: np.ndarray
     dw: np.ndarray
@@ -229,14 +227,17 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
     returned.  In a block, any row that trips a check raises.
 
     Every sum is numpy's pairwise sum, formed leaf by leaf (see
-    :func:`_tree_sums`), and only the sums that ``names`` needs are formed.
-    The products over X come first; then the residuals, once per leaf for
-    eps_k^2 and the lag-1 products, and once more per leaf for sigma2_hat's
-    second-stage residuals, which need rho_hat; dw's differences go with the
-    last of these passes.  A series within one leaf forms its residuals once
-    for every sum, as the one-statistic functions do.  Besides the series a
-    call holds a scratch row and a residual buffer of at most ``_LEAF`` + 1
-    values per path.
+    :func:`_tree_sums`), and only the sums that ``names`` needs are formed,
+    in at most five walks, one per sum length and pass: the products over X
+    of m terms and, for theta_sq_hat, of m-1 terms; then the residuals, over
+    m+1 terms for dw's denominator, over m terms for rho_hat's sums, and
+    over m terms again for sigma2_hat's second-stage residuals, which need
+    rho_hat.  dw's differences go with the last residual pass.  Each leaf
+    forms the residuals it needs, unless the leaf before formed the same
+    ones, so a series within one leaf forms its residuals once for every
+    sum, as the one-statistic functions do.  Besides the series a call holds
+    a scratch row and a residual buffer of at most ``_LEAF`` + 1 values per
+    path.
     """
     if not names or not set(names) <= set(ESTIMATES):
         raise DomainError(f"statistics must be named from {ESTIMATES}")
@@ -245,27 +246,29 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
     m = x.shape[-1] - 1
     row = np.empty(x.shape[:-1] + (min(m + 1, _LEAF),))
 
-    def lagged_products(lag, a, span, out):  # X_{k+lag} X_k for k = a..
-        b = a + out.shape[-1]
-        return np.square(x[..., a:b], out=out) if lag == 0 else np.multiply(x[..., a + lag : b + lag], x[..., a:b], out=out)
+    def lagged_products(lags, a, b):  # per lag, the sum of X_{k+lag} X_k over k = a..b-1
+        out, sums = row[..., : b - a], np.empty((len(lags),) + x.shape[:-1])
+        for i, lag in enumerate(lags):
+            np.add.reduce(np.multiply(x[..., a + lag : b + lag], x[..., a:b], out=out), axis=-1, out=sums[i, ...])
+        return sums
 
-    def residual_products(kind, a, span, out):  # eps_k^2 at slot k, the other terms of eps_{k+1} and eps_k at k
+    def residual_products(kinds, a, b):  # per kind, the sum over k = a..b-1 of eps_k^2 or of a term in eps_{k+1} and eps_k
         nonlocal formed
-        # eps_a..eps_b for the group's longest leaf a..b-1; sigma2_hat's leaf at a is never longer than the first pass's
-        if formed != a:
-            formed = a
-            _form_residuals(x, fitted["theta_hat"], a, min(a + span + 1, m + 1), buf)
-        now = buf[..., : out.shape[-1]]
-        if kind == "sq":
-            return np.square(now, out=out)
-        then = buf[..., 1 : out.shape[-1] + 1]
-        if kind == "lag":
-            return np.multiply(then, now, out=out)
-        if kind == "sigma2":  # the second-stage residual eps_{k+1} - rho_hat*eps_k, squared
-            np.subtract(then, np.multiply(_lagged(fitted["rho_hat"]), now, out=out), out=out)
-        else:  # dw's eps_{k+1} - eps_k, squared
-            np.subtract(then, now, out=out)
-        return np.square(out, out=out)
+        if formed != (a, min(b + 1, m + 1)):  # eps_a..eps_b, as far as the series goes
+            formed = (a, min(b + 1, m + 1))
+            _form_residuals(x, fitted["theta_hat"], *formed, buf)
+        now, then, out = buf[..., : b - a], buf[..., 1 : b - a + 1], row[..., : b - a]
+        sums = np.empty((len(kinds),) + x.shape[:-1])
+        for i, kind in enumerate(kinds):
+            if kind == "sq":
+                np.square(now, out=out)
+            elif kind == "lag":
+                np.multiply(then, now, out=out)
+            else:  # sigma2_hat's second-stage residual eps_{k+1} - rho_hat*eps_k, or dw's eps_{k+1} - eps_k, squared
+                np.subtract(then, np.multiply(_lagged(fitted["rho_hat"]), now, out=out) if kind == "sigma2" else now, out=out)
+                np.square(out, out=out)
+            np.add.reduce(out, axis=-1, out=sums[i, ...])  # np.sum's own reduction, into the kind's slot
+        return sums
 
     fit_theta_sq = "theta_sq_hat" in names
     fit_sigma2 = "sigma2_hat" in names
@@ -273,34 +276,36 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
     fit_dw = "dw" in names
     fitted = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        # theta_hat over k = 1..m; theta_sq_hat's lag-2 sums over k = 2..m, the denominator checked last
-        x_sums = _tree_sums([(0, m), (1, m)] + [(0, m - 1), (2, m - 1)] * fit_theta_sq, lagged_products, row)
-        fitted["theta_hat"] = x_sums[1, m] / _denominator(x_sums[0, m], THETA_DEGENERATE)
+        # theta_hat: sum X_k X_{k-1} / sum X_{k-1}^2 over k = 1..m
+        s, p = _tree_sums(m, lagged_products, (0, 1))
+        fitted["theta_hat"] = p / _denominator(s, THETA_DEGENERATE)
         if fit_rho or fit_dw:
             buf = np.empty(x.shape[:-1] + (min(m, _LEAF) + 1,))
-            formed = None  # the first position of the residuals in buf
+            formed = None  # the (start, stop) of the residuals in buf
             # rho_hat: sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m; dw: sum (eps_k - eps_{k-1})^2 over k = 1..m
-            # / sum eps_k^2 over k = 0..m, a sum that only dw reads.  sigma2_hat's terms need rho_hat, so they take a
-            # second pass, and dw's differences go with the last pass
-            diff = [("diff", m)] * fit_dw
-            first = [("sq", m), ("lag", m)] * fit_rho + [("sq", m + 1)] * fit_dw + diff * (not fit_sigma2)
-            sums = _tree_sums(first, residual_products, row)
-            if fit_rho:
-                fitted["rho_hat"] = sums["lag", m] / _denominator(sums["sq", m], RHO_DEGENERATE)
-            else:
-                _denominator(sums["sq", m + 1], DW_DEGENERATE)
-            if fit_sigma2:  # within one leaf the residuals are still in buf
-                sums.update(_tree_sums([("sigma2", m)] + diff, residual_products, row))
-                fitted["sigma2_hat"] = sums["sigma2", m] / m
+            # / sum eps_k^2 over k = 0..m, a sum of m+1 terms that only dw reads.  sigma2_hat's terms need rho_hat, so
+            # they take a pass of their own, and dw's differences go with the last pass
             if fit_dw:
-                fitted["dw"] = sums["diff", m] / sums["sq", m + 1]
-        if fit_theta_sq:
-            fitted["theta_sq_hat"] = x_sums[2, m - 1] / _denominator(x_sums[0, m - 1], THETA_SQ_DEGENERATE)
+                (dw_denominator,) = _tree_sums(m + 1, residual_products, ("sq",))
+            diff = ("diff",) * fit_dw
+            sums = _tree_sums(m, residual_products, ("sq", "lag") * fit_rho + diff * (not fit_sigma2))
+            if fit_rho:
+                fitted["rho_hat"] = sums[1] / _denominator(sums[0], RHO_DEGENERATE)
+            else:
+                _denominator(dw_denominator, DW_DEGENERATE)
+            if fit_sigma2:  # within one leaf the residuals are still in buf
+                sums = _tree_sums(m, residual_products, ("sigma2",) + diff)
+                fitted["sigma2_hat"] = sums[0] / m
+            if fit_dw:
+                fitted["dw"] = sums[-1] / dw_denominator
+        if fit_theta_sq:  # sum X_k X_{k-2} / sum X_{k-2}^2 over k = 2..m
+            s, q = _tree_sums(m - 1, lagged_products, (0, 2))
+            fitted["theta_sq_hat"] = q / _denominator(s, THETA_SQ_DEGENERATE)
     values = [fitted[name] for name in names]
     finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)  # one check for all of them
     if not finite.all():
         raise DomainError(f"{names[finite.argmin()]} is not finite: the series holds nan/inf or its sums of squares overflow")
-    return values
+    return values if x.ndim == 2 else [float(value) for value in values]
 
 
 def _split(n: int) -> int:
@@ -333,49 +338,18 @@ def _combine(sums, n: int):
     return _combine(sums, _split(n)) + _combine(sums, n - _split(n))
 
 
-def _tree_sums(wanted: list, product, row: np.ndarray) -> dict:
-    """numpy's pairwise sum of every (kind, n) in ``wanted``, the sum of n terms of that kind from position 0, by leaves.
+def _tree_sums(n: int, leaf, kinds: tuple) -> np.ndarray:
+    """numpy's pairwise sum of the n terms from position 0 of each of ``kinds``, one value (or row) per kind, by leaves.
 
-    The leaves of all the sums are grouped by their first position a (see
-    :func:`_plan`), and each kind's terms are formed once per group, over its
-    longest leaf there: ``product(kind, a, span, out)`` writes the terms at
-    positions a.. into ``out``, a prefix of ``row``, and returns it, where
-    ``span`` is the length of the group's longest leaf of any kind.  Each
-    result is bit for bit ``np.sum`` over the n terms, a sum wanted twice
-    is formed once, and every sum of at most ``_LEAF`` terms is one leaf at 0.
+    ``leaf(kinds, a, b)`` returns, as a numpy array, the sum of each kind's
+    terms at positions a..b-1, for each leaf (a, b) of :func:`_leaves` in
+    order, and :func:`_combine` adds these arrays up: each add is elementwise
+    and IEEE, so every result is bit for bit ``np.sum`` over its n terms.  A
+    sum of at most ``_LEAF`` terms is the one call ``leaf(kinds, 0, n)``.
     """
-    keys, groups = _plan(tuple(wanted), _LEAF)
-    sums = {key: [] for key in keys}
-    for a, span, kinds in groups:
-        for kind, width, leaves in kinds:
-            terms = product(kind, a, span, row[..., :width])
-            for length, same in leaves:
-                total = _total(terms if length == width else terms[..., :length])
-                for key in same:
-                    sums[key].append(total)
-    if len(groups) == 1:  # every sum is one leaf
-        return {key: total for key, (total,) in sums.items()}
-    return {key: _combine(iter(leaf_sums), key[1]) for key, leaf_sums in sums.items()}
-
-
-@lru_cache(maxsize=64)
-def _plan(wanted: tuple, leaf: int) -> tuple:
-    """The distinct (kind, n) in ``wanted``, and the leaves of their sums grouped by first position, for ``leaf`` = ``_LEAF``.
-
-    Per group, in ascending first position a: its longest leaf, and per kind
-    the kind's longest leaf there and each leaf length with the (kind, n)
-    whose leaf it is, so that leaves of one length share one sum.  A fit
-    repeats its sums path after path, so the plan is kept.
-    """
-    keys = tuple(dict.fromkeys(wanted))
-    groups = {}
-    for key in keys:
-        for a, b in _leaves(key[1]):
-            groups.setdefault(a, {}).setdefault(key[0], {}).setdefault(b - a, []).append(key)
-    return keys, [
-        (a, max(max(leaves) for leaves in kinds.values()), [(kind, max(leaves), list(leaves.items())) for kind, leaves in kinds.items()])
-        for a, kinds in sorted(groups.items())
-    ]
+    if n <= _LEAF:
+        return leaf(kinds, 0, n)
+    return _combine((leaf(kinds, a, b) for a, b in _leaves(n)), n)
 
 
 def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray:
@@ -440,14 +414,15 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     raise DomainError at the first overflow, as :func:`estimate_all` does,
     without numpy warnings.
 
-    The path is walked in blocks of ``_BLOCK`` steps.  Each block's running
-    sums start from the totals carried out of the block before it, so every
-    sum takes the same additions in the same order as one ``np.cumsum`` over
-    the whole path, and every elementwise step rounds the same operands in
-    the same order as the whole-array formulas; the trajectories are
-    therefore bit-identical for any block size.  Besides the four returned
-    arrays, a call holds six block buffers (about 0.8 MB) whatever n is.
-    :func:`squared_deviation_sum` takes the same walk.
+    The path is walked in blocks, the leaves of numpy's pairwise sum over
+    the n+1-k0 steps, as :func:`squared_deviation_sum` walks it.  Each
+    block's running sums start from the totals carried out of the block
+    before it, so every sum takes the same additions in the same order as
+    one ``np.cumsum`` over the whole path, and every elementwise step rounds
+    the same operands in the same order as the whole-array formulas; the
+    trajectories are therefore bit-identical for any block size.  Besides
+    the three returned arrays, a call holds six block buffers of at most
+    ``_LEAF`` values (about 0.8 MB) whatever n is.
 
     The expansions cancel as theta_hat_k approaches 1, so the end point
     agrees with the one-shot estimators less closely near the unit root.
@@ -458,11 +433,10 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     """
     x = _series(path, k0)
     tracks = [np.empty(x.size - k0) for _ in TRAJECTORIES]
-    blocks = [(a, min(a + _BLOCK, x.size)) for a in range(k0, x.size, _BLOCK)]
     with _overflow_guard():
-        for _ in _walk(x, k0, True, blocks, tracks):
+        for _ in _walk(x, k0, True, list(_leaves(x.size - k0, k0)), tracks):
             pass
-    return RunningEstimates(np.arange(k0, x.size), *tracks)
+    return RunningEstimates(*tracks)
 
 
 def squared_deviation_sum(path: ArrayLike, which: str, limit: float, k0: int = DEFAULT_BURN_IN) -> float:
@@ -492,14 +466,14 @@ def squared_deviation_sum(path: ArrayLike, which: str, limit: float, k0: int = D
 def _series(path: ArrayLike, k0: int) -> np.ndarray:
     """The series of a walk, once the burn-in is checked and every value is finite.
 
-    The values are checked ``_BLOCK`` at a time, so no mask as long as the
+    The values are checked ``_LEAF`` at a time, so no mask as long as the
     series is held; the first non-finite value raises DomainError naming it
     and its index.
     """
     x = _as_x(path)
     check_burn_in(x.size - 1, k0)
-    for a in range(0, x.size, _BLOCK):
-        finite = np.isfinite(x[a : a + _BLOCK])
+    for a in range(0, x.size, _LEAF):
+        finite = np.isfinite(x[a : a + _LEAF])
         if not finite.all():
             i = a + int(np.argmin(finite))
             raise DomainError(f"non-finite value {x[i]} at index {i} of the series")
@@ -517,7 +491,7 @@ def _walk(x: np.ndarray, k0: int, residual_sums: bool, blocks: list, tracks=None
     block overwrites.  Run it under :func:`_overflow_guard`.
     """
     size = max(b - a for a, b in blocks)
-    step = max(size, min(_BLOCK, k0 - 2))  # burn-in steps per block: a long burn-in is walked _BLOCK at a time
+    step = max(size, min(_LEAF, k0 - 2))  # burn-in steps per block: a long burn-in is walked _LEAF at a time
     if residual_sums:
         sums = np.empty((3, step + 1))
     else:  # S and P as the real and imaginary parts of one complex row, which one cumsum walks

@@ -84,14 +84,12 @@ LIL_NOTE = (
     "law of iterated logarithm is not observable at finite n"
 )
 
-# The checked statistics are the running trajectories.
-STATS = TRAJECTORIES
-
-# Each checked statistic, in STATS order: its EstimateSet field, then the
-# target keys of its almost-sure limit and of its asymptotic variance.
+# Each checked statistic, a running trajectory in TRAJECTORIES order: its
+# EstimateSet field, then the target keys of its almost-sure limit and of its
+# asymptotic variance.
 _STATISTICS = dict(
     zip(
-        STATS,
+        TRAJECTORIES,
         (("theta_hat", "theta_star", "var_theta"), ("rho_hat", "rho_star", "var_rho"), ("dw", "d_star", "var_d")),
     )
 )
@@ -154,9 +152,6 @@ class McReport:
     body: dict
     columns: tuple
     rows: list
-
-    def to_dict(self) -> dict:
-        return self.body
 
     def table(self) -> tuple[list, list]:
         """Header and columns of the per-replicate CSV dump: the replicate index, then the rows' fields."""

@@ -143,7 +143,7 @@ class TestSimulateEstimate:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["k", "theta_hat", "rho_hat", "dw"])
-        for k, th, rh, dw in zip(traj.k, traj.theta, traj.rho, traj.dw):
+        for k, th, rh, dw in zip(range(25, 3001), traj.theta, traj.rho, traj.dw):
             w.writerow([int(k), repr(float(th)), repr(float(rh)), repr(float(dw))])
         assert traj_file.read_bytes() == buf.getvalue().encode()
 
@@ -253,9 +253,9 @@ class TestEstimateOutputSize:
         traj = tmp_path / "traj.csv"
         peak, code = traced_peak(lambda: main(["estimate", "--input", str(path), "--trajectories", str(traj)]))
         assert code == 0 and traj.exists()
-        # measured 6.9x with k written from a range: the series, the three trajectories and a chunk of rows.
-        # 11.8x with k as a list of n+1 Python ints
-        assert peak <= 7.5 * nbytes
+        # measured 5.85x: the series, the three trajectories and a chunk of rows.  6.88x when running_estimates
+        # also returned k as an int64 array; 11.8x with k as a list of n+1 Python ints
+        assert peak <= 6.5 * nbytes
 
 
 class TestTestCommand:

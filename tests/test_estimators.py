@@ -460,7 +460,7 @@ class TestRunningEstimates:
         # brute force: call the one-shot estimators on every prefix
         s = simulate(ModelParams(theta=0.5, rho=0.3, x0=0.4, eps0=-0.1), NoiseSpec(), 80, 33)
         traj = running_estimates(s.x, k0=5)
-        for idx, k in enumerate(traj.k):
+        for idx, k in enumerate(range(5, s.x.size)):
             prefix = s.x[: k + 1]
             th = estimate_theta(prefix)
             res = residuals(prefix, th)
@@ -539,36 +539,49 @@ def _reference_running_estimates(x: np.ndarray, k0: int, theta_only: bool = Fals
         raise DegenerateDenominator("residual sum of squares vanished along the trajectory")
     rho = i_k / j_prev
     dw = (2.0 * (j_prev - i_k) + eps_k * eps_k - x[0] * x[0]) / j_k
-    return k, th, rho, dw
+    return th, rho, dw
 
 
 BLOCKS = (1, 7, 1000, 2**14)
 
 LEAVES = (128, 129, 1000, 2**14)  # _LEAF is at least 128, numpy's unrolled block
 
+LEAF_OF_BLOCK = dict(zip(BLOCKS, LEAVES))  # the leaf size that checks running_estimates beside each block size
+
+
+def _blocked_walk(x, k0, residual_sums=True):
+    """The trajectories of the walk over blocks of ``_LEAF`` steps, its blocks copied out of the block buffers.
+
+    Unlike running_estimates, whose blocks are leaves of numpy's summation tree, this walk takes blocks of any
+    size; ``_LEAF`` also sets the walk's burn-in steps and the finiteness check's chunks.
+    """
+    x = estimators._series(x, k0)
+    size = estimators._LEAF
+    blocks = [(a, min(a + size, x.size)) for a in range(k0, x.size, size)]
+    with estimators._overflow_guard():
+        walk = estimators._walk(x, k0, residual_sums, blocks)
+        return tuple(map(np.concatenate, zip(*[[track.copy() for track in tracks] for tracks in walk])))
+
 
 def _theta_walk(x, k0):
-    """theta_hat_k of the walk that forms S and P alone, its blocks copied out of the block buffers."""
-    x = estimators._series(x, k0)
-    blocks = [(a, min(a + estimators._BLOCK, x.size)) for a in range(k0, x.size, estimators._BLOCK)]
-    with estimators._overflow_guard():
-        return (np.concatenate([theta.copy() for (theta,) in estimators._walk(x, k0, False, blocks)]),)
+    """theta_hat_k of the walk that forms S and P alone."""
+    return _blocked_walk(x, k0, residual_sums=False)
 
 
 def _reference_theta(x, k0):
     return _reference_running_estimates(x, k0, theta_only=True)
 
 
-def _outcome(fn, x, k0, block):
-    """The trajectory arrays as bytes, or the type of the exception raised."""
+def _outcome(fn, x, k0, size):
+    """The trajectory arrays as bytes, or the type of the exception raised, with ``_LEAF`` = ``size``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_BLOCK", block)
+        mp.setattr(estimators, "_LEAF", size)
         try:
             result = fn(x, k0)
         except DegenerateDenominator as exc:
             return type(exc)
     if isinstance(result, RunningEstimates):
-        result = (result.k, result.theta, result.rho, result.dw)
+        result = (result.theta, result.rho, result.dw)
     return tuple((arr.dtype.str, arr.tobytes()) for arr in result)
 
 
@@ -577,19 +590,20 @@ _CANCELLING = np.concatenate([[0.0], 1e-10 * 2.0 ** np.arange(60)])
 
 
 class TestBlockedRunningEstimates:
-    """The blocked kernel against the whole-array reference, for any block size."""
+    """The blocked kernel against the whole-array reference, for any block size and for running_estimates' leaves."""
 
     @given(
         p=params_st,
         kind=kind_st,
         seed=seed_st,
         block=st.sampled_from(BLOCKS),
+        leaf=st.sampled_from(LEAVES),
         k0_pick=st.sampled_from([3, 10, 25, "edge-1", "edge", "edge+1"]),
         blocks=st.integers(min_value=0, max_value=3),
         extra=st.integers(min_value=-1, max_value=2),
     )
     @settings(max_examples=60, deadline=None)
-    def test_bytes_match_the_whole_array_kernel(self, p, kind, seed, block, k0_pick, blocks, extra):
+    def test_bytes_match_the_whole_array_kernel(self, p, kind, seed, block, leaf, k0_pick, blocks, extra):
         # the prefix sums run in blocks from step 2, so k0 = block + 2 ends the
         # prefix exactly on a block edge; n + 1 - k0 = blocks*block + extra puts
         # the last block exactly full (extra 0) or one step past it (extra 1)
@@ -599,18 +613,21 @@ class TestBlockedRunningEstimates:
         n = max(k0, k0 - 1 + blocks * block + extra)
         x = simulate(p, NoiseSpec(kind), n, seed).x
         expected = _outcome(_reference_running_estimates, x, k0, block)
-        assert _outcome(running_estimates, x, k0, block) == expected
+        assert _outcome(_blocked_walk, x, k0, block) == expected
+        assert _outcome(running_estimates, x, k0, leaf) == expected
         assert _outcome(_theta_walk, x, k0, block) == _outcome(_reference_theta, x, k0, block)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_guards_raise_on_the_same_inputs(self, block):
+        leaf = LEAF_OF_BLOCK[block]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # both kernels raise before any division by the vanished sums
             for x in (np.zeros(40), _CANCELLING):
                 for k0 in (3, 10):
                     expected = _outcome(_reference_running_estimates, x, k0, block)
                     assert expected is DegenerateDenominator
-                    assert _outcome(running_estimates, x, k0, block) is expected
+                    assert _outcome(_blocked_walk, x, k0, block) is expected
+                    assert _outcome(running_estimates, x, k0, leaf) is expected
             # the theta trajectory divides by no residual sum, so only the zero burn-in raises
             for x, k0 in ((np.zeros(40), 10), (_CANCELLING, 3), (_CANCELLING, 10)):
                 expected = _outcome(_reference_theta, x, k0, block)
@@ -621,9 +638,9 @@ class TestBlockedRunningEstimates:
             for index in (0, 1500, 3000):
                 x = path.copy()
                 x[index] = bad
-                for fn in (running_estimates, _theta_deviations):
+                for fn, size in ((running_estimates, leaf), (_theta_deviations, leaf), (_blocked_walk, block)):
                     with pytest.MonkeyPatch.context() as mp, pytest.raises(DomainError) as exc:
-                        mp.setattr(estimators, "_BLOCK", block)
+                        mp.setattr(estimators, "_LEAF", size)
                         fn(x, k0=10)
                     assert str(exc.value) == f"non-finite value {bad} at index {index} of the series"
 
@@ -635,15 +652,16 @@ class TestBlockedRunningEstimates:
             np.concatenate([path, [1e200]]),  # only the last step's square does
             np.concatenate([np.full(10, 1e-100), np.full(20, 1e57)]),  # S stays finite, theta_hat_k^2 does not
         ]
-        statistics = [running_estimates] + [
-            lambda x, k0, which=which: squared_deviation_sum(x, which, 0.5, k0) for which in TRAJECTORIES
+        leaf = LEAF_OF_BLOCK[block]
+        statistics = [(running_estimates, leaf), (_blocked_walk, block)] + [
+            (lambda x, k0, which=which: squared_deviation_sum(x, which, 0.5, k0), leaf) for which in TRAJECTORIES
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x in overflowing:
-                for fn in statistics:
+                for fn, size in statistics:
                     with pytest.MonkeyPatch.context() as mp, pytest.raises(DomainError) as exc:
-                        mp.setattr(estimators, "_BLOCK", block)
+                        mp.setattr(estimators, "_LEAF", size)
                         fn(x, k0=5)
                     assert str(exc.value) == "running estimates are not finite: a running sum or estimate overflows float64"
 
@@ -656,10 +674,10 @@ class TestBlockedRunningEstimates:
         assert np.all(np.isfinite(traj.dw))
 
     def test_memory_is_the_outputs_and_a_few_blocks(self):
-        # the whole-array kernel peaked near 19 x.nbytes; the four outputs alone are 4 x.nbytes
+        # the whole-array kernel peaked near 19 x.nbytes; the three outputs alone are 3 x.nbytes
         x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 10**5, 2).x
         peak, traj = traced_peak(lambda: running_estimates(x))
-        assert traj.k.size == 10**5 - 9
+        assert traj.theta.size == 10**5 - 9
         assert peak <= 6 * x.nbytes
 
     def test_theta_statistic_holds_block_buffers_only(self):
@@ -684,13 +702,12 @@ class TestBlockedRunningEstimates:
             squared_deviation_sum(x, "sigma2", 0.3)
 
 
-def _tree_sums(values, lengths):
-    """``estimators._tree_sums`` of the first n of ``values`` for each n in ``lengths``, with leaves of 128 values."""
-    def copy(kind, a, span, out):
-        np.copyto(out, values[..., a : a + out.shape[-1]])
-        return out
+def _tree_sums(values, n):
+    """``estimators._tree_sums`` of n of ``values`` from position 0 and from position 1, one walk for both kinds."""
+    def leaf(shifts, a, b):
+        return np.array([np.add.reduce(values[..., a + shift : b + shift], axis=-1) for shift in shifts])
 
-    return estimators._tree_sums([("v", n) for n in lengths], copy, np.empty(values.shape[:-1] + (128,)))
+    return estimators._tree_sums(n, leaf, (0, 1))
 
 
 class TestLeafPlan:
@@ -698,7 +715,7 @@ class TestLeafPlan:
 
     The fit kernel and the qsl walk copy numpy's summation tree; a numpy that
     sums along another tree fails here first.  A leaf of 128 values, the
-    least the plan allows, puts many leaves in short sums.
+    least ``_LEAF`` allows, puts many leaves in short sums.
     """
 
     LENGTHS = [*range(1, 4 * 128 + 2), 999_991, 1_000_001]
@@ -709,20 +726,21 @@ class TestLeafPlan:
         rng = np.random.default_rng(11)
         for n in self.LENGTHS:
             # magnitudes 2^-40..2^40 and signs at random, so that adding in another order moves the bits
-            values = rng.standard_normal(shape + (n + 1,)) * 2.0 ** rng.integers(-40, 40, shape + (n + 1,))
-            # sums of n-1, n and n+1 terms, whose leaves the plan groups by their first position
-            sums = _tree_sums(values, (n - 1, n, n + 1))
+            values = rng.standard_normal(shape + (n + 2,)) * 2.0 ** rng.integers(-40, 40, shape + (n + 2,))
+            # sums of n-1, n and n+1 terms, whose trees split differently, each from positions 0 and 1
             for m in (n - 1, n, n + 1):
-                got = np.asarray(sums["v", m]).tobytes()
-                assert got == np.add.reduce(values[..., :m], axis=-1).tobytes(), m
-                alone = [np.add.reduce(row[:m]) for row in values.reshape(-1, n + 1)]  # each row contiguous
-                assert got == np.array(alone).reshape(shape).tobytes(), m
+                for shift, total in enumerate(_tree_sums(values, m)):
+                    got = total.tobytes()
+                    assert got == np.add.reduce(values[..., shift : shift + m], axis=-1).tobytes(), m
+                    rows = values.reshape(-1, n + 2)  # each row contiguous
+                    alone = [np.add.reduce(row[shift : shift + m]) for row in rows]
+                    assert got == np.array(alone).reshape(shape).tobytes(), m
 
     def test_signed_zeros_sum_as_numpy_sums_them(self, monkeypatch):
         monkeypatch.setattr(estimators, "_LEAF", 128)
-        for values in (np.full(1000, -0.0), np.where(np.arange(1000) % 3, -0.0, 0.0)):
-            sums = _tree_sums(values, (1000,))
-            assert np.float64(sums["v", 1000]).tobytes() == np.add.reduce(values).tobytes()
+        for values in (np.full(1001, -0.0), np.where(np.arange(1001) % 3, -0.0, 0.0)):
+            for shift, total in enumerate(_tree_sums(values, 1000)):
+                assert total.tobytes() == np.add.reduce(values[shift : shift + 1000]).tobytes()
 
     def test_the_leaves_follow_numpy_split(self, monkeypatch):
         monkeypatch.setattr(estimators, "_LEAF", 128)
@@ -781,20 +799,20 @@ class TestFit:
         monkeypatch.setattr(estimators, "_form_residuals", counting)
         for m in (100, 127, 128, 300):
             fit(x[: m + 1], ESTIMATES)
-        # within one leaf, once for every sum.  Beyond it, once per first position of a leaf of the first pass,
-        # whose sums of m and m+1 terms share the leaves that start together (m = 128: 0..127 for m terms, 0..63
-        # and 64..128 for m+1; m = 300: four leaves for each, the last 216..299 or 216..300), and once per leaf
-        # of sigma2_hat's pass
-        assert formed == {100: 1, 127: 1, 128: 2 + 1, 300: 4 + 4}
+        # within one leaf, once for every sum: the walks of m and m+1 terms need eps_0..eps_m alike.  Beyond it,
+        # once per leaf of each residual walk, but where a leaf needs the residuals that the leaf before it
+        # formed: m = 128 walks 0..63 and 64..128 for dw's m+1 terms, then 0..127 for m terms in both later
+        # passes; m = 300 walks four leaves in each of its three residual walks
+        assert formed == {100: 1, 127: 1, 128: 2 + 1, 300: 4 + 4 + 4}
 
     @pytest.mark.parametrize("names", [("rho_hat",), ("sigma2_hat",), ("dw",), ("rho_hat", "dw")])
     def test_dw_denominator_is_summed_only_for_dw(self, monkeypatch, names):
         x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 3).x
         tree_sums, wanted = estimators._tree_sums, []
 
-        def recording(keys, product, row):
-            wanted.extend(keys)
-            return tree_sums(keys, product, row)
+        def recording(n, leaf, kinds):
+            wanted.extend((kind, n) for kind in kinds)
+            return tree_sums(n, leaf, kinds)
 
         monkeypatch.setattr(estimators, "_tree_sums", recording)
         fit(x, names)

@@ -54,7 +54,7 @@ def _first_values(x):
 
 def _dumped(report) -> str:
     """The report's JSON body and its rows, as one string to compare."""
-    return json.dumps([report.to_dict(), report.rows], sort_keys=True)
+    return json.dumps([report.body, report.rows], sort_keys=True)
 
 
 def config(theta, rho, n, reps, seed, alpha=0.05, kind="gaussian", sigma2=1.0):
@@ -134,7 +134,7 @@ class TestRunReplications:
     def test_report_metadata(self):
         cfg = config(0.5, 0.3, n=200, reps=8, seed=5)
         report = run_replications(cfg)
-        d = report.to_dict()
+        d = report.body
         assert d["tolerances"]["ks"] == 0.05
         assert d["targets"]["theta_star"] == pytest.approx(16 / 23, abs=1e-14)
         assert len(report.rows) == 8
