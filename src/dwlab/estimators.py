@@ -17,9 +17,11 @@ and at least as accurate as sequential accumulation; the test suite checks
 the algebraic identities between these sums against a compensated-summation
 oracle.  A sum of more than ``_LEAF`` terms is formed a leaf of numpy's own
 summation tree at a time, so it is bit for bit ``np.sum`` while only a leaf
-of its terms is held, whatever n is.  Each sum length is one walk over its
-leaves, which forms every kind of term of that length; the running
-trajectories walk the leaves of their own length the same way.
+of its terms is held, whatever n is.  One recursion, :func:`_pairwise`,
+walks that tree for every long sum: each sum length of a fit is one walk
+over its leaves, which forms every kind of term of that length, and the
+sum of a running trajectory's squared deviations steps the running sums
+through the leaves of its own length.
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
     returned.  In a block, any row that trips a check raises.
 
     Every sum is numpy's pairwise sum, formed leaf by leaf (see
-    :func:`_tree_sums`), and only the sums that ``names`` needs are formed,
+    :func:`_pairwise`), and only the sums that ``names`` needs are formed,
     in at most five walks, one per sum length and pass: the products over X
     of m terms and, for theta_sq_hat, of m-1 terms; then the residuals, over
     m+1 terms for dw's denominator, over m terms for rho_hat's sums, and
@@ -277,7 +279,7 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
     fitted = {}
     with np.errstate(over="ignore", invalid="ignore"):
         # theta_hat: sum X_k X_{k-1} / sum X_{k-1}^2 over k = 1..m
-        s, p = _tree_sums(m, lagged_products, (0, 1))
+        s, p = _pairwise(m, lambda a, b: lagged_products((0, 1), a, b))
         fitted["theta_hat"] = p / _denominator(s, THETA_DEGENERATE)
         if fit_rho or fit_dw:
             buf = np.empty(x.shape[:-1] + (min(m, _LEAF) + 1,))
@@ -286,20 +288,21 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
             # / sum eps_k^2 over k = 0..m, a sum of m+1 terms that only dw reads.  sigma2_hat's terms need rho_hat, so
             # they take a pass of their own, and dw's differences go with the last pass
             if fit_dw:
-                (dw_denominator,) = _tree_sums(m + 1, residual_products, ("sq",))
+                (dw_denominator,) = _pairwise(m + 1, lambda a, b: residual_products(("sq",), a, b))
             diff = ("diff",) * fit_dw
-            sums = _tree_sums(m, residual_products, ("sq", "lag") * fit_rho + diff * (not fit_sigma2))
+            kinds = ("sq", "lag") * fit_rho + diff * (not fit_sigma2)
+            sums = _pairwise(m, lambda a, b: residual_products(kinds, a, b))
             if fit_rho:
                 fitted["rho_hat"] = sums[1] / _denominator(sums[0], RHO_DEGENERATE)
             else:
                 _denominator(dw_denominator, DW_DEGENERATE)
             if fit_sigma2:  # within one leaf the residuals are still in buf
-                sums = _tree_sums(m, residual_products, ("sigma2",) + diff)
+                sums = _pairwise(m, lambda a, b: residual_products(("sigma2",) + diff, a, b))
                 fitted["sigma2_hat"] = sums[0] / m
             if fit_dw:
                 fitted["dw"] = sums[-1] / dw_denominator
         if fit_theta_sq:  # sum X_k X_{k-2} / sum X_{k-2}^2 over k = 2..m
-            s, q = _tree_sums(m - 1, lagged_products, (0, 2))
+            s, q = _pairwise(m - 1, lambda a, b: lagged_products((0, 2), a, b))
             fitted["theta_sq_hat"] = q / _denominator(s, THETA_SQ_DEGENERATE)
     values = [fitted[name] for name in names]
     finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)  # one check for all of them
@@ -313,43 +316,23 @@ def _split(n: int) -> int:
     return n // 2 - n // 2 % 8
 
 
-def _leaves(n: int, a: int = 0):
-    """The leaves of numpy's pairwise sum of the n values at positions a..a+n-1, as (start, stop) in order.
+def _pairwise(n: int, leaf, a: int = 0):
+    """numpy's pairwise sum of the n terms at positions a..a+n-1, formed a leaf at a time.
 
     The tree depends on n alone (Higham, "The accuracy of floating point
     summation", SISC 1993); a leaf is a whole subtree of at most ``_LEAF``
-    values, which ``np.add.reduce`` of the leaf alone sums by the same tree.
+    terms, which ``np.add.reduce`` of the leaf alone sums by the same tree.
+    ``leaf(a, b)`` returns the sum of the terms at a..b-1, a float or a
+    numpy array of several sums; it is called once per leaf, in order, and
+    the leaf sums are added up along the tree.  Each add is elementwise and
+    IEEE, so every result is bit for bit ``np.sum`` over its n terms.  A
+    leaf sum starts from +0.0, as numpy's total does, which can only turn a
+    -0.0 leaf into 0.0 and so leaves the total as it is.
     """
     if n <= _LEAF:
-        yield a, a + n
-    else:
-        yield from _leaves(_split(n), a)
-        yield from _leaves(n - _split(n), a + _split(n))
-
-
-def _combine(sums, n: int):
-    """numpy's pairwise sum of n values from ``sums``, an iterator over the sums of its leaves in order.
-
-    A leaf sum starts from +0.0, as numpy's total does, which can only turn
-    a -0.0 leaf into 0.0 and so leaves the total as it is.
-    """
-    if n <= _LEAF:
-        return next(sums)
-    return _combine(sums, _split(n)) + _combine(sums, n - _split(n))
-
-
-def _tree_sums(n: int, leaf, kinds: tuple) -> np.ndarray:
-    """numpy's pairwise sum of the n terms from position 0 of each of ``kinds``, one value (or row) per kind, by leaves.
-
-    ``leaf(kinds, a, b)`` returns, as a numpy array, the sum of each kind's
-    terms at positions a..b-1, for each leaf (a, b) of :func:`_leaves` in
-    order, and :func:`_combine` adds these arrays up: each add is elementwise
-    and IEEE, so every result is bit for bit ``np.sum`` over its n terms.  A
-    sum of at most ``_LEAF`` terms is the one call ``leaf(kinds, 0, n)``.
-    """
-    if n <= _LEAF:
-        return leaf(kinds, 0, n)
-    return _combine((leaf(kinds, a, b) for a, b in _leaves(n)), n)
+        return leaf(a, a + n)
+    h = _split(n)
+    return _pairwise(h, leaf, a) + _pairwise(n - h, leaf, a + h)
 
 
 def _advance_sums(x: np.ndarray, a: int, b: int, sums: np.ndarray) -> np.ndarray:
@@ -414,15 +397,14 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     raise DomainError at the first overflow, as :func:`estimate_all` does,
     without numpy warnings.
 
-    The path is walked in blocks, the leaves of numpy's pairwise sum over
-    the n+1-k0 steps, as :func:`squared_deviation_sum` walks it.  Each
-    block's running sums start from the totals carried out of the block
-    before it, so every sum takes the same additions in the same order as
-    one ``np.cumsum`` over the whole path, and every elementwise step rounds
-    the same operands in the same order as the whole-array formulas; the
-    trajectories are therefore bit-identical for any block size.  Besides
-    the three returned arrays, a call holds six block buffers of at most
-    ``_LEAF`` values (about 0.8 MB) whatever n is.
+    The path is walked in blocks of ``_LEAF`` steps.  Each block's running
+    sums start from the totals carried out of the block before it, so every
+    sum takes the same additions in the same order as one ``np.cumsum`` over
+    the whole path, and every elementwise step rounds the same operands in
+    the same order as the whole-array formulas; the trajectories are
+    therefore bit-identical for any block size.  Besides the three returned
+    arrays, a call holds six block buffers of at most ``_LEAF`` values
+    (about 0.8 MB) whatever n is.
 
     The expansions cancel as theta_hat_k approaches 1, so the end point
     agrees with the one-shot estimators less closely near the unit root.
@@ -434,8 +416,10 @@ def running_estimates(path: ArrayLike, k0: int = DEFAULT_BURN_IN) -> RunningEsti
     x = _series(path, k0)
     tracks = [np.empty(x.size - k0) for _ in TRAJECTORIES]
     with _overflow_guard():
-        for _ in _walk(x, k0, True, list(_leaves(x.size - k0, k0)), tracks):
-            pass
+        advance = _walk(x, k0, True, min(_LEAF, x.size - k0))
+        for a in range(k0, x.size, _LEAF):
+            b = min(a + _LEAF, x.size)
+            advance(a, b, *(track[a - k0 : b - k0] for track in tracks))
     return RunningEstimates(*tracks)
 
 
@@ -444,23 +428,32 @@ def squared_deviation_sum(path: ArrayLike, which: str, limit: float, k0: int = D
 
     ``which`` names a trajectory of :func:`running_estimates` (theta, rho or
     dw), and the sum is bit for bit ``np.sum`` over that trajectory.  The
-    walk's blocks are the leaves of that sum's pairwise tree, so each block
-    of squared deviations is summed as soon as it is formed and no
-    trajectory is held at full length: besides the series a call holds a
-    few block buffers of at most ``_LEAF`` values.  For theta the walk forms
-    only S and P, and no residual sum; the check that J_{k-1} does not
-    vanish guards the rho and dw divisions, so it applies to rho and dw
-    alone.  Every other check of :func:`running_estimates` applies, and a
-    squared deviation or a sum that overflows raises the same DomainError,
-    without numpy warnings.
+    walk steps through the leaves of that sum's pairwise tree (see
+    :func:`_pairwise`), so each leaf of squared deviations is summed as
+    soon as it is formed and no trajectory is held at full length: besides
+    the series a call holds a few buffers as long as the longest leaf, at
+    most ``_LEAF`` values.  For theta the walk forms only S and P, and no
+    residual sum; the check that J_{k-1} does not vanish guards the rho and
+    dw divisions, so it applies to rho and dw alone.  Every other check of
+    :func:`running_estimates` applies, and a squared deviation or a sum that
+    overflows raises the same DomainError, without numpy warnings.
     """
     check_which(which)
     x = _series(path, k0)
+    residual_sums = which != "theta"
+    size = max(_pairwise(x.size - k0, lambda a, b: (b - a,)))  # the longest leaf: a sum of 1-tuples lists them all
+    tracks = [np.empty(size) for _ in TRAJECTORIES[: 3 if residual_sums else 1]]
     slot = TRAJECTORIES.index(which)
+
+    def deviations(a, b):
+        views = [track[: b - a] for track in tracks]
+        advance(a, b, *views)
+        d = views[slot]
+        return _total(np.square(np.subtract(d, limit, out=d), out=d))
+
     with _overflow_guard():
-        walk = _walk(x, k0, which != "theta", list(_leaves(x.size - k0, k0)))
-        deviations = (np.square(np.subtract(track[slot], limit, out=track[slot]), out=track[slot]) for track in walk)
-        return _combine(map(_total, deviations), x.size - k0)
+        advance = _walk(x, k0, residual_sums, size)
+        return _pairwise(x.size - k0, deviations, k0)
 
 
 def _series(path: ArrayLike, k0: int) -> np.ndarray:
@@ -480,20 +473,18 @@ def _series(path: ArrayLike, k0: int) -> np.ndarray:
     return x
 
 
-def _walk(x: np.ndarray, k0: int, residual_sums: bool, blocks: list, tracks=None):
-    """The blocked walk of the running sums: per block, the trajectories over its steps, in walk order.
+def _walk(x: np.ndarray, k0: int, residual_sums: bool, size: int):
+    """The running sums' walk: runs the burn-in, then returns ``advance(a, b, th, *residual)``.
 
-    ``x`` comes from :func:`_series`, and ``blocks`` lists consecutive steps
-    (a, b) from k0 to n+1.  For each block the walk yields theta_hat_k for
-    k = a..b-1 and, with ``residual_sums``, rho_hat_k and dw_k, which need
-    Q and the residual sums.  They are views of ``tracks``, one array over
-    k0..n per trajectory, or without it of block buffers that the next
-    block overwrites.  Run it under :func:`_overflow_guard`.
+    ``x`` comes from :func:`_series`.  Called on consecutive blocks (a, b) of
+    at most ``size`` steps from k0 to n+1, ``advance`` writes theta_hat_k for
+    k = a..b-1 into the caller's view ``th`` and, with ``residual_sums``,
+    rho_hat_k and dw_k, which need Q and the residual sums, into the views
+    ``rho`` and ``dw``.  Run it under :func:`_overflow_guard`.
     """
-    size = max(b - a for a, b in blocks)
     step = max(size, min(_LEAF, k0 - 2))  # burn-in steps per block: a long burn-in is walked _LEAF at a time
     if residual_sums:
-        sums = np.empty((3, step + 1))
+        sums, scratch = np.empty((3, step + 1)), np.empty((3, size))
     else:  # S and P as the real and imaginary parts of one complex row, which one cumsum walks
         sums = np.empty(step + 1, np.complex128).view(np.float64).reshape(-1, 2).T
     # S_1, P_1, Q_1 as a cumsum over the whole path forms them (its 0.0 + turns -0.0 into 0.0)
@@ -504,61 +495,38 @@ def _walk(x: np.ndarray, k0: int, residual_sums: bool, blocks: list, tracks=None
     if sums[0, 0] <= 0.0:
         raise DegenerateDenominator("series is identically zero up to the burn-in")
 
-    buffers = tracks is None
-    if buffers:
-        tracks = [np.empty(size) for _ in TRAJECTORIES[: 3 if residual_sums else 1]]
-    if residual_sums:
-        scratch = np.empty((3, size))
-    for a, b in blocks:
+    def advance(a, b, th, *residual):
         block = _advance_sums(x, a, b, sums)
-        lo = 0 if buffers else a - k0
-        th, *residual = [track[lo : lo + b - a] for track in tracks]
         np.divide(block[1, 1:], block[0, :-1], out=th)
         if residual_sums:
-            _residual_block(x, a, b, block, th, *residual, scratch[:, : b - a])
+            s, p, q = block
+            rho, j_k = residual  # J_k sits in dw's slot until the last division
+            i_k, eps_sq, j_prev = scratch[:, : b - a]
+
+            np.multiply(2.0, th, out=i_k)  # J_k = S_k - 2*th*P_k + th*th*S_{k-1}
+            np.multiply(i_k, p[1:], out=i_k)
+            np.subtract(s[1:], i_k, out=i_k)
+            np.multiply(th, th, out=eps_sq)
+            np.multiply(eps_sq, s[:-1], out=j_k)
+            np.add(i_k, j_k, out=j_k)
+            np.add(s[:-1], q[1:], out=j_prev)  # I_k = P_k - th*(S_{k-1} + Q_k) + th*th*P_{k-1}
+            np.multiply(th, j_prev, out=j_prev)
+            np.subtract(p[1:], j_prev, out=i_k)
+            np.multiply(eps_sq, p[:-1], out=eps_sq)
+            np.add(i_k, eps_sq, out=i_k)
+            np.multiply(th, x[a - 1 : b - 1], out=eps_sq)  # eps_k = X_k - th*X_{k-1}, squared
+            np.subtract(x[a:b], eps_sq, out=eps_sq)
+            np.multiply(eps_sq, eps_sq, out=eps_sq)
+            np.subtract(j_k, eps_sq, out=j_prev)
+            if j_prev.min() <= 0.0:
+                raise DegenerateDenominator("residual sum of squares vanished along the trajectory")
+
+            np.divide(i_k, j_prev, out=rho)
+            np.subtract(j_prev, i_k, out=i_k)  # dw = (2*(J_{k-1} - I_k) + eps_k^2 - X_0^2) / J_k
+            np.multiply(2.0, i_k, out=i_k)
+            np.add(i_k, eps_sq, out=i_k)
+            np.subtract(i_k, x[0] * x[0], out=i_k)
+            np.divide(i_k, j_k, out=j_k)
         sums[:, 0] = block[:, -1]
-        yield th, *residual
 
-
-def _residual_block(
-    x: np.ndarray,
-    a: int,
-    b: int,
-    block: np.ndarray,
-    th: np.ndarray,
-    rho: np.ndarray,
-    dw: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """Write rho_hat_k and dw_k for k = a..b-1 from the block's running sums and theta_hat_k.
-
-    ``scratch`` holds three rows of b-a values.
-    """
-    s, p, q = block
-    j_k = dw  # J_k sits in dw's slot until the last division
-    i_k, eps_sq, j_prev = scratch
-
-    np.multiply(2.0, th, out=i_k)  # J_k = S_k - 2*th*P_k + th*th*S_{k-1}
-    np.multiply(i_k, p[1:], out=i_k)
-    np.subtract(s[1:], i_k, out=i_k)
-    np.multiply(th, th, out=eps_sq)
-    np.multiply(eps_sq, s[:-1], out=j_k)
-    np.add(i_k, j_k, out=j_k)
-    np.add(s[:-1], q[1:], out=j_prev)  # I_k = P_k - th*(S_{k-1} + Q_k) + th*th*P_{k-1}
-    np.multiply(th, j_prev, out=j_prev)
-    np.subtract(p[1:], j_prev, out=i_k)
-    np.multiply(eps_sq, p[:-1], out=eps_sq)
-    np.add(i_k, eps_sq, out=i_k)
-    np.multiply(th, x[a - 1 : b - 1], out=eps_sq)  # eps_k = X_k - th*X_{k-1}, squared
-    np.subtract(x[a:b], eps_sq, out=eps_sq)
-    np.multiply(eps_sq, eps_sq, out=eps_sq)
-    np.subtract(j_k, eps_sq, out=j_prev)
-    if j_prev.min() <= 0.0:
-        raise DegenerateDenominator("residual sum of squares vanished along the trajectory")
-
-    np.divide(i_k, j_prev, out=rho)
-    np.subtract(j_prev, i_k, out=i_k)  # dw = (2*(J_{k-1} - I_k) + eps_k^2 - X_0^2) / J_k
-    np.multiply(2.0, i_k, out=i_k)
-    np.add(i_k, eps_sq, out=i_k)
-    np.subtract(i_k, x[0] * x[0], out=i_k)
-    np.divide(i_k, j_k, out=j_k)
+    return advance

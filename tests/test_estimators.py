@@ -550,17 +550,23 @@ LEAF_OF_BLOCK = dict(zip(BLOCKS, LEAVES))  # the leaf size that checks running_e
 
 
 def _blocked_walk(x, k0, residual_sums=True):
-    """The trajectories of the walk over blocks of ``_LEAF`` steps, its blocks copied out of the block buffers.
+    """The trajectories of the walk over blocks of ``_LEAF`` steps, each stepped into one-block buffers and copied out.
 
-    Unlike running_estimates, whose blocks are leaves of numpy's summation tree, this walk takes blocks of any
-    size; ``_LEAF`` also sets the walk's burn-in steps and the finiteness check's chunks.
+    Unlike running_estimates, which steps each block into views of its whole trajectories, this walk hands the
+    stepper views of buffers that the next block overwrites, as squared_deviation_sum does; ``_LEAF`` also sets the
+    walk's burn-in steps and the finiteness check's chunks.
     """
     x = estimators._series(x, k0)
     size = estimators._LEAF
-    blocks = [(a, min(a + size, x.size)) for a in range(k0, x.size, size)]
+    buffers = [np.empty(size) for _ in TRAJECTORIES[: 3 if residual_sums else 1]]
+    blocks = []
     with estimators._overflow_guard():
-        walk = estimators._walk(x, k0, residual_sums, blocks)
-        return tuple(map(np.concatenate, zip(*[[track.copy() for track in tracks] for tracks in walk])))
+        advance = estimators._walk(x, k0, residual_sums, size)
+        for a in range(k0, x.size, size):
+            views = [buffer[: min(size, x.size - a)] for buffer in buffers]
+            advance(a, a + views[0].size, *views)
+            blocks.append([view.copy() for view in views])
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def _theta_walk(x, k0):
@@ -614,6 +620,8 @@ class TestBlockedRunningEstimates:
         x = simulate(p, NoiseSpec(kind), n, seed).x
         expected = _outcome(_reference_running_estimates, x, k0, block)
         assert _outcome(_blocked_walk, x, k0, block) == expected
+        # running_estimates walks blocks of _LEAF steps, so every block size and every leaf size is one of its own
+        assert _outcome(running_estimates, x, k0, block) == expected
         assert _outcome(running_estimates, x, k0, leaf) == expected
         assert _outcome(_theta_walk, x, k0, block) == _outcome(_reference_theta, x, k0, block)
 
@@ -703,11 +711,18 @@ class TestBlockedRunningEstimates:
 
 
 def _tree_sums(values, n):
-    """``estimators._tree_sums`` of n of ``values`` from position 0 and from position 1, one walk for both kinds."""
-    def leaf(shifts, a, b):
-        return np.array([np.add.reduce(values[..., a + shift : b + shift], axis=-1) for shift in shifts])
+    """``estimators._pairwise`` of n of ``values`` from position 0 and from position 1, one walk for both."""
+    def leaf(a, b):
+        return np.array([np.add.reduce(values[..., a + shift : b + shift], axis=-1) for shift in (0, 1)])
 
-    return estimators._tree_sums(n, leaf, (0, 1))
+    return estimators._pairwise(n, leaf)
+
+
+def _leaves(n):
+    """The (a, b) of each ``leaf(a, b)`` call that ``estimators._pairwise`` makes for a sum of n terms, in order."""
+    calls = []
+    estimators._pairwise(n, lambda a, b: calls.append((a, b)) or 0.0)
+    return calls
 
 
 class TestLeafPlan:
@@ -745,8 +760,8 @@ class TestLeafPlan:
     def test_the_leaves_follow_numpy_split(self, monkeypatch):
         monkeypatch.setattr(estimators, "_LEAF", 128)
         # 1000 values split at 496, each half at 248, each quarter at 120 or 128 (n//2 rounded down to a multiple of 8)
-        assert list(estimators._leaves(1000)) == [(0, 120), (120, 248), (248, 368), (368, 496), (496, 616), (616, 744), (744, 872), (872, 1000)]
-        assert list(estimators._leaves(128)) == [(0, 128)] and list(estimators._leaves(129)) == [(0, 64), (64, 129)]
+        assert _leaves(1000) == [(0, 120), (120, 248), (248, 368), (368, 496), (496, 616), (616, 744), (744, 872), (872, 1000)]
+        assert _leaves(128) == [(0, 128)] and _leaves(129) == [(0, 64), (64, 129)]
 
 
 # (estimators._LEAF, n, checkpoints): a prefix of m steps sums m-1, m and m+1 terms, so L-1, L and L+1 put
@@ -808,17 +823,19 @@ class TestFit:
     @pytest.mark.parametrize("names", [("rho_hat",), ("sigma2_hat",), ("dw",), ("rho_hat", "dw")])
     def test_dw_denominator_is_summed_only_for_dw(self, monkeypatch, names):
         x = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 300, 3).x
-        tree_sums, wanted = estimators._tree_sums, []
+        eps = residuals(x, estimate_theta(x))
+        pairwise, walked = estimators._pairwise, set()
 
-        def recording(n, leaf, kinds):
-            wanted.extend((kind, n) for kind in kinds)
-            return tree_sums(n, leaf, kinds)
+        def recording(n, leaf, a=0):
+            sums = pairwise(n, leaf, a)
+            walked.update((n, total) for total in np.atleast_1d(sums).tolist())
+            return sums
 
-        monkeypatch.setattr(estimators, "_tree_sums", recording)
+        monkeypatch.setattr(estimators, "_pairwise", recording)
         fit(x, names)
         # sum eps_k^2 over k = 0..n, dw's denominator, against sum eps_{k-1}^2 over k = 1..n, rho_hat's
-        assert (("sq", 301) in wanted) == ("dw" in names)
-        assert (("sq", 300) in wanted) == (names != ("dw",))
+        assert ((301, float(np.sum(eps * eps))) in walked) == ("dw" in names)
+        assert ((300, float(np.sum(eps[:-1] * eps[:-1]))) in walked) == (names != ("dw",))
 
     @pytest.mark.parametrize("leaf", [128, 200, 2**14])
     def test_the_first_error_is_the_whole_prefix_refits(self, monkeypatch, leaf):

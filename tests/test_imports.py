@@ -13,6 +13,10 @@ one function that looks a C library function up: ``mallopt`` for the
 allocator setup of ``verify``, ``prctl`` for its forked workers.  No module
 imports ``multiprocessing`` or ``concurrent.futures``: the Monte Carlo
 workers are forked children with one pipe each, not a process pool.
+
+Every module-level function and class under ``src/dwlab`` is used there
+outside its own body, or re-exported through ``__all__``, or listed in
+``UNCALLED`` with the reason it stays.
 """
 
 import ast
@@ -44,6 +48,16 @@ TRACER_ONLY = [
     "dwlab.testing.estimate_theta_sq",
     "dwlab.testing.residuals",
 ]
+
+# Defined under src/dwlab and used by no code there
+UNCALLED = {
+    "dwlab.dist.chi2_cdf1": "the span tracer wraps it on dwlab.testing",
+    "dwlab.estimators.dw_statistic": "a test oracle of fit; the span tracer wraps it",
+    "dwlab.estimators.estimate_rho": "a test oracle of fit; the span tracer wraps it",
+    "dwlab.estimators.estimate_sigma2": "a test oracle of fit",
+    "dwlab.estimators.estimate_theta": "a test oracle of fit; the span tracer wraps it",
+    "dwlab.estimators.estimate_theta_sq": "a test oracle of fit; the span tracer wraps it",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -106,6 +120,40 @@ def test_tracer_only_imports_are_listed(bench_spans):
 def test_a_leftover_import_is_caught():
     source = "from contextlib import nullcontext\nimport os.path\nimport numpy as np\n\nnp.zeros(os.sep)\n"
     assert unused_imports(source) == ["nullcontext"]
+
+
+def uncalled_definitions(sources: dict) -> list:
+    """The module-level functions and classes of ``sources`` (module name to source) that no code reads.
+
+    A read is a name, or an attribute of a module of ``sources`` (``limits.asymptotics``), anywhere but in
+    the body of the definition itself, so a function that only calls itself counts as uncalled.
+    """
+    modules = {module.rpartition(".")[2] for module in sources}
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined[f"{module}.{own}"] = own
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                    read.add(sub.attr)
+                elif isinstance(sub, ast.Name) and sub.id != own:
+                    read.add(sub.id)
+    return sorted(qualified for qualified, name in defined.items() if name not in read)
+
+
+def test_every_definition_is_used_exported_or_listed():
+    exported = {f"{getattr(dwlab, name).__module__}.{name}" for name in dwlab.__all__ if callable(getattr(dwlab, name))}
+    assert sorted(set(uncalled_definitions(_sources())) - exported) == sorted(UNCALLED)
+
+
+def test_a_dead_definition_is_caught():
+    sources = {
+        "dwlab.a": "def _leaves(n):\n    yield from _leaves(n - 1)\n\ndef used():\n    return 1\n\nclass Kept:\n    pass\n",
+        "dwlab.b": "from . import a\nfrom .a import Kept\n\na.used()\nKept\n",
+    }
+    assert uncalled_definitions(sources) == ["dwlab.a._leaves"]
 
 
 def _importers(package: str) -> dict:
