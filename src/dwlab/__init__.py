@@ -5,53 +5,51 @@ Library surface: model simulation (:mod:`dwlab.model`), closed-form limits
 chi-square tests (:mod:`dwlab.testing`), parameter recovery
 (:mod:`dwlab.recovery`) and the Monte Carlo verification engine
 (:mod:`dwlab.montecarlo`).  The ``dwlab`` command exposes all of it.
+
+Importing the package loads no submodule and so no numpy: each name of
+``__all__`` imports its module on first access (``from dwlab import
+estimate_all``).  The constants here are the names the command line parser
+offers, so that ``dwlab --help`` and ``dwlab limits`` start without numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import DWLabError
-from .estimators import EstimateSet, estimate_all, running_estimates
-from .limits import AsymptoticSet, asymptotics
-from .model import ModelParams, NoiseSpec, Series, simulate, validate_params
-from .montecarlo import (
-    McConfig,
-    McReport,
-    derive_seed,
-    empirical_size_power,
-    lil_envelope_check,
-    qsl_check,
-    run_replications,
-)
-from .recovery import RecoveredParams, recover_params, recover_sigma2
-from .testing import TestOutcome, TestWeights, auto_test, critical_case_test, rho_test, rho_zero_test
+NOISE_KINDS = ("gaussian", "uniform", "rademacher")
 
-__all__ = [
-    "__version__",
-    "DWLabError",
-    "ModelParams",
-    "NoiseSpec",
-    "Series",
-    "simulate",
-    "validate_params",
-    "AsymptoticSet",
-    "asymptotics",
-    "EstimateSet",
-    "estimate_all",
-    "running_estimates",
-    "TestOutcome",
-    "TestWeights",
-    "critical_case_test",
-    "rho_test",
-    "rho_zero_test",
-    "auto_test",
-    "RecoveredParams",
-    "recover_params",
-    "recover_sigma2",
-    "McConfig",
-    "McReport",
-    "derive_seed",
-    "run_replications",
-    "empirical_size_power",
-    "qsl_check",
-    "lil_envelope_check",
-]
+RNG_ALGORITHM = "philox4x64"
+
+TRAJECTORIES = ("theta", "rho", "dw")  # the trajectory fields of estimators.RunningEstimates, in walk order
+
+TEST_KINDS = ("zero", "rho0", "critical")
+
+DEFAULT_BURN_IN = 10  # first trajectory index; early estimates are erratic
+
+_EXPORTS = {
+    "errors": ("DWLabError",),
+    "model": ("ModelParams", "NoiseSpec", "Series", "simulate", "validate_params"),
+    "limits": ("AsymptoticSet", "asymptotics"),
+    "estimators": ("EstimateSet", "estimate_all", "running_estimates"),
+    "testing": ("TestOutcome", "TestWeights", "critical_case_test", "rho_test", "rho_zero_test", "auto_test"),
+    "recovery": ("RecoveredParams", "recover_params", "recover_sigma2"),
+    "montecarlo": (
+        "McConfig",
+        "McReport",
+        "derive_seed",
+        "run_replications",
+        "empirical_size_power",
+        "qsl_check",
+        "lil_envelope_check",
+    ),
+}
+
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,9 @@ its reader (as ``dwlab ... | head`` does).
 
 Each ``_cmd_*`` function returns its payload dict (``simulate`` writes CSV
 and returns None); ``main`` alone wraps the payload with the manifest and
-writes the JSON.
+writes the JSON.  Importing this module loads no numpy: ``limits``, ``--help``
+and usage errors run without it, and ``main`` loads the library for every
+other command once it has parsed the command line.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import importlib
 import io
 import json
 import os
@@ -23,37 +26,25 @@ import shlex
 import sys
 from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
+from functools import cache
 from typing import Optional
 
-import numpy as np
-
-from . import __version__, limits
+from . import DEFAULT_BURN_IN, NOISE_KINDS, RNG_ALGORITHM, TEST_KINDS, TRAJECTORIES, __version__, limits
 from .errors import DWLabError, DomainError
-from .estimators import DEFAULT_BURN_IN, ESTIMATES, TRAJECTORIES, check_burn_in, estimate_all, residuals, running_estimates
-from .model import (
-    ModelParams,
-    NoiseSpec,
-    NOISE_KINDS,
-    RNG_ALGORITHM,
-    Series,
-    float_cells,
-    read_csv,
-    simulate,
-    write_csv,
-    write_table,
-)
-from .montecarlo import (
-    TEST_KINDS,
-    McConfig,
-    _libc_function,
-    _usable_cpus,
-    empirical_size_power,
-    lil_envelope_check,
-    qsl_check,
-    run_replications,
-)
-from .recovery import recover_params, recover_sigma2
-from .testing import auto_test, critical_case_test, rho_test, rho_zero_test
+
+# The library names that the commands call, by module.  _load_library binds
+# them as globals of this module, so that numpy loads only for a command that
+# computes, and the span tracer can replace them here by attribute.
+_LIBRARY = {
+    "estimators": ("ESTIMATES", "check_burn_in", "estimate_all", "residuals", "running_estimates"),
+    "model": ("ModelParams", "NoiseSpec", "Series", "float_cells", "read_csv", "simulate", "write_csv", "write_table"),
+    "montecarlo": (
+        "McConfig", "_libc_function", "_usable_cpus", "empirical_size_power", "lil_envelope_check", "qsl_check",
+        "run_replications",
+    ),
+    "recovery": ("recover_params", "recover_sigma2"),
+    "testing": ("auto_test", "critical_case_test", "rho_test", "rho_zero_test"),
+}
 
 THREADS_ENV = "DW_LAB_THREADS"
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process that SIGPIPE ended
@@ -80,7 +71,29 @@ def _manifest(argv: list[str], seed: Optional[int]) -> dict:
     }
 
 
+@cache
+def _load_library() -> None:
+    """Import the numeric library and bind each ``_LIBRARY`` name not yet set here.
+
+    It runs once, so a wrapper set on this module by attribute, before or
+    after, is the function the commands call.
+    """
+    for module, names in _LIBRARY.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _LIBRARY.values()):
+        _load_library()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _json_default(obj):
+    import numpy as np  # loaded already wherever a payload holds a numpy value
+
     # np.float64 subclasses float and prints as one; other numpy values need converting
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
@@ -390,10 +403,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     runs the command, so the collector never scans the objects that numpy
     and dwlab create at import again: not in the collections at interpreter
     exit, which otherwise take tens of milliseconds per process, and not in
-    a forked ``verify`` worker.  What the command itself creates is still
-    collected.  A caller that passes ``argv`` runs ``main`` inside a longer
-    life of its own (tests, the in-process benchmark), so its collector is
-    left as it is.
+    a forked ``verify`` worker.  The library, and numpy with it, loads for
+    every command but ``limits`` after the parse and before that freeze.
+    What the command itself creates is still collected.  A caller that
+    passes ``argv`` runs ``main`` inside a longer life of its own (tests,
+    the in-process benchmark), so its collector is left as it is.
 
     A reader that closes stdout early (``| head``) ends the command with
     ``EXIT_BROKEN_PIPE`` and nothing on stderr, not as a data error.  In
@@ -410,6 +424,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command != "limits":
+        _load_library()  # before the freeze, so that numpy's import heap is frozen with the rest
     if own_process:
         gc.freeze()
         if args.command == "verify":

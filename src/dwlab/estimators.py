@@ -33,14 +33,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import DEFAULT_BURN_IN, TRAJECTORIES
 from .errors import DegenerateDenominator, DomainError, TooShort
 from .model import Series
 
 ArrayLike = Union[Series, np.ndarray, list, tuple]
 
 MIN_STEPS = 3  # estimators are defined from n = 3 steps (4 points) on
-
-DEFAULT_BURN_IN = 10  # first trajectory index; early estimates are erratic
 
 THETA_EPS = 1e-8  # |theta_hat| at or below this counts as zero where a formula divides by it
 
@@ -79,8 +78,6 @@ class RunningEstimates:
 
 
 ESTIMATES = ("theta_hat", "rho_hat", "sigma2_hat", "dw", "theta_sq_hat")  # the fitted fields of EstimateSet, in order
-
-TRAJECTORIES = ("theta", "rho", "dw")  # the trajectory fields of RunningEstimates, in walk order
 
 
 def check_which(which: str) -> None:

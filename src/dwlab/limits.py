@@ -9,12 +9,10 @@ conditioned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutOfRegion
-from .model import check_sigma2
 
 # Stay clear of the |theta| = 1 boundary; see check_region.
 REGION_MARGIN = 1e-9
@@ -27,6 +25,12 @@ def check_region(theta: float, rho: float) -> None:
         raise OutOfRegion("theta")
     if not (abs(rho) < bound):
         raise OutOfRegion("rho")
+
+
+def check_sigma2(sigma2: float) -> None:
+    """Raise OutOfRegion unless the noise variance sigma2 is positive and finite."""
+    if not (sigma2 > 0.0) or not math.isfinite(sigma2):
+        raise OutOfRegion("sigma2", "noise variance must be positive and finite")
 
 
 def theta_star(theta: float, rho: float) -> float:
@@ -80,15 +84,16 @@ def var_d(theta: float, rho: float) -> float:
     return 4.0 * var_rho(theta, rho)
 
 
-def gamma_matrix(theta: float, rho: float) -> np.ndarray:
-    """Joint asymptotic covariance of sqrt(n)*(theta_hat - theta_star, rho_hat - rho_star).
+def gamma_matrix(theta: float, rho: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Joint asymptotic covariance of sqrt(n)*(theta_hat - theta_star, rho_hat - rho_star), as rows of floats.
 
     Positive semidefinite; singular exactly on the critical line theta = -rho.
+    A tuple, not an array, so that this module needs no numpy.
     """
     vt = var_theta(theta, rho)
     vr = var_rho(theta, rho)
     off = theta * rho * vt
-    return np.array([[vt, off], [off, vr]])
+    return ((vt, off), (off, vr))
 
 
 def ell(theta: float, rho: float, sigma2: float) -> float:
@@ -127,7 +132,7 @@ def sigma_hat_limit(theta: float, rho: float, sigma2: float) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticSet:
-    """All closed-form limits for one parameter point, as emitted by the CLI."""
+    """All closed-form limits for one parameter point, as emitted by the CLI; ``gamma`` is the tuple of :func:`gamma_matrix`."""
 
     theta_star: float
     rho_star: float
@@ -135,7 +140,7 @@ class AsymptoticSet:
     var_theta: float
     var_rho: float
     var_d: float
-    gamma: np.ndarray
+    gamma: tuple[tuple[float, float], tuple[float, float]]
     ell: float
     ell1: float
     ell2: float

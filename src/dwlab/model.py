@@ -43,13 +43,11 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from . import NOISE_KINDS
 from .errors import DomainError, InvalidLength, OutOfRegion
+from .limits import check_sigma2
 
 MAX_LENGTH = 2**31 - 1
-
-NOISE_KINDS = ("gaussian", "uniform", "rademacher")
-
-RNG_ALGORITHM = "philox4x64"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -145,12 +143,6 @@ class Series:
     def n(self) -> int:
         """Number of steps, i.e. the index of the last point."""
         return self.x.size - 1
-
-
-def check_sigma2(sigma2: float) -> None:
-    """Raise OutOfRegion unless the noise variance sigma2 is positive and finite."""
-    if not (sigma2 > 0.0) or not math.isfinite(sigma2):
-        raise OutOfRegion("sigma2", "noise variance must be positive and finite")
 
 
 def validate_params(p: ModelParams) -> None:

@@ -35,13 +35,11 @@ from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
 
-from . import limits
+from . import DEFAULT_BURN_IN, TEST_KINDS, TRAJECTORIES, limits
 from .dist import ks_statistic, normal_cdf
 from .errors import DomainError, DWLabError
 from .estimators import (
-    DEFAULT_BURN_IN,
     ESTIMATES,
-    TRAJECTORIES,
     EstimateSet,
     _checkpoint,
     check_burn_in,
@@ -318,7 +316,7 @@ def _fit_rows(x: np.ndarray) -> list:
 
 def _asymptotic_targets(cfg: McConfig) -> dict:
     a = limits.asymptotics(cfg.params.theta, cfg.params.rho, cfg.params.sigma2)
-    return {**{key: getattr(a, key) for key in _TARGETS}, "gamma": a.gamma.tolist()}
+    return {**{key: getattr(a, key) for key in _TARGETS}, "gamma": [list(row) for row in a.gamma]}
 
 
 def _limit_and_variance(cfg: McConfig, which: str) -> tuple[dict, float, float]:
@@ -358,9 +356,6 @@ def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
         body["sample_cov"] = np.cov(np.vstack([centered["theta"], centered["rho"]]), ddof=1).tolist()
     body["notes"] = notes
     return McReport(body, ESTIMATES, rows)
-
-
-TEST_KINDS = ("zero", "rho0", "critical")
 
 
 def empirical_size_power(

@@ -728,18 +728,29 @@ class TestFrozenStartupHeap:
     """main freezes the heap built at start-up only when it reads sys.argv, that is when it is the whole process."""
 
     LIMITS = ["limits", "--theta", "0.5", "--rho", "0.3"]
+    # python -m dwlab, with a hook that reads the freeze count after main has returned
+    FREEZE_COUNT = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}'))\n"
+        "runpy.run_module('dwlab', run_name='__main__', alter_sys=True)\n"
+    )
 
     def test_a_fresh_process_exits_with_its_startup_heap_frozen(self):
-        # python -m dwlab, with a hook that reads the freeze count after main has returned
-        script = (
-            "import atexit, gc, runpy, sys\n"
-            "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}'))\n"
-            "runpy.run_module('dwlab', run_name='__main__', alter_sys=True)\n"
-        )
-        proc = run_fresh("-c", script, *self.LIMITS)
+        proc = run_fresh("-c", self.FREEZE_COUNT, *self.LIMITS)
         assert proc.returncode == 0, proc.stderr
         assert "limits" in json.loads(proc.stdout)
         assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > 0
+
+    def test_a_computing_command_freezes_numpys_import_heap(self, tmp_path):
+        # the library loads after the parse: before the freeze, numpy's import heap is frozen with the rest
+        src = tmp_path / "s.csv"
+        src.write_text("\n".join(["0.3", "-0.1", "0.8", "0.4", "-0.6", "0.2", "0.9"]) + "\n")
+        numpy_alone = run_fresh("-c", "import gc, numpy; gc.freeze(); print(gc.get_freeze_count())")
+        assert numpy_alone.returncode == 0, numpy_alone.stderr
+        proc = run_fresh("-c", self.FREEZE_COUNT, "estimate", "--input", str(src))
+        assert proc.returncode == 0, proc.stderr
+        assert "estimates" in json.loads(proc.stdout)
+        assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > int(numpy_alone.stdout)
 
     def test_main_given_argv_leaves_the_collector_alone(self, capsys, monkeypatch):
         before = gc.get_freeze_count()
@@ -903,6 +914,42 @@ class TestDeferredScipyImport:
         proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+
+class TestNumpyFreeStart:
+    """Importing the CLI, ``limits``, ``--help`` and usage errors load neither numpy nor scipy."""
+
+    def test_importing_the_cli_and_running_limits_load_no_numpy(self):
+        script = (
+            "import sys, dwlab.cli\n"
+            "loaded = lambda: sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+            "assert not loaded(), ('loaded by import', loaded())\n"
+            "assert dwlab.cli.main(['limits', '--theta', '0.5', '--rho', '0.3']) == 0\n"
+            "assert not loaded(), ('loaded by limits', loaded())\n"
+        )
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["limits", "--theta", "0.5", "--rho", "0.3"], 0),
+            (["--help"], 0),
+            (["verify", "--help"], 0),
+            (["limits", "--theta", "0.5"], 1),
+            (["frobnicate"], 1),
+        ],
+    )
+    def test_a_fresh_process_that_computes_nothing_loads_no_numpy(self, argv, code):
+        # python -m dwlab, with a hook that lists the numeric packages loaded when main has returned
+        script = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'loaded {[m for m in (\"numpy\", \"scipy\") if m in sys.modules]}'))\n"
+            "runpy.run_module('dwlab', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = run_fresh("-c", script, *argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.endswith("loaded []"), proc.stderr[-200:]
 
 
 def _runs_agree_across_workers(tmp_path, *args: str) -> list:
@@ -1150,6 +1197,10 @@ AUTO_BRANCH = {"test-auto-general": "general", "test-auto-critical": "critical"}
 
 
 class TestOneWrapper:
+    @pytest.fixture(scope="class", autouse=True)
+    def library(self):
+        dwlab.cli._load_library()  # args.func runs a command without main, which loads the library first
+
     @pytest.fixture(scope="class")
     def paths(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("series")

@@ -51,6 +51,8 @@ TRACER_ONLY = [
 
 # Defined under src/dwlab and used by no code there
 UNCALLED = {
+    "dwlab.__getattr__": "module hook called by the import system",
+    "dwlab.cli.__getattr__": "module hook called by the import system",
     "dwlab.dist.chi2_cdf1": "the span tracer wraps it on dwlab.testing",
     "dwlab.estimators.dw_statistic": "a test oracle of fit; the span tracer wraps it",
     "dwlab.estimators.estimate_rho": "a test oracle of fit; the span tracer wraps it",
