@@ -36,17 +36,15 @@ from .errors import DWLabError, DomainError
 # them as globals of this module, so that numpy loads only for a command that
 # computes, and the span tracer can replace them here by attribute.
 _LIBRARY = {
-    "estimators": ("ESTIMATES", "check_burn_in", "estimate_all", "residuals", "running_estimates"),
+    "estimators": ("check_burn_in", "estimate_all", "residuals", "running_estimates"),
     "model": ("ModelParams", "NoiseSpec", "Series", "float_cells", "read_csv", "simulate", "write_csv", "write_table"),
     "montecarlo": (
-        "McConfig", "_libc_function", "_usable_cpus", "empirical_size_power", "lil_envelope_check", "qsl_check",
-        "run_replications",
+        "McConfig", "_libc_function", "empirical_size_power", "lil_envelope_check", "qsl_check", "run_replications",
     ),
     "recovery": ("recover_params", "recover_sigma2"),
     "testing": ("auto_test", "critical_case_test", "rho_test", "rho_zero_test"),
 }
 
-THREADS_ENV = "DW_LAB_THREADS"
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process that SIGPIPE ended
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers, from malloc.h
@@ -142,23 +140,6 @@ def _read_series(args) -> Series:
         stdin.detach()  # leave sys.stdin.buffer open
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise DomainError(f"--threads must be at least 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if not env:
-        return _usable_cpus()
-    try:
-        threads = int(env)
-    except ValueError as exc:
-        raise DomainError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    if threads < 1:
-        raise DomainError(f"{THREADS_ENV} must be at least 1, got {env!r}")
-    return threads
-
-
 def _checkpoints(text: str) -> list[int]:
     checkpoints = []
     for token in text.split(","):
@@ -196,7 +177,7 @@ def _cmd_estimate(args):
             ("k", "theta_hat", "rho_hat", "dw"),
             (range(args.k0, series.x.size), float_cells(traj.theta), float_cells(traj.rho), float_cells(traj.dw)),
         )
-    return {"estimates": {**{name: getattr(est, name) for name in ESTIMATES}, "n": est.n}}
+    return {"estimates": dataclasses.asdict(est)}
 
 
 def _cmd_test(args):
@@ -295,20 +276,21 @@ def _cmd_verify(args):
         base_seed=args.seed,
         alpha=args.alpha,
     )
-    threads = _threads(args)
+    if args.threads is not None and args.threads < 1:
+        raise DomainError(f"--threads must be at least 1, got {args.threads}")
     experiment = args.experiment
     with _replaced_when_done(args.csv) if args.csv else nullcontext() as csv:
         if experiment in ("clt", "joint"):
-            report = run_replications(cfg, threads=threads)
+            report = run_replications(cfg, threads=args.threads)
         elif experiment in ("size", "power"):
-            report = empirical_size_power(args.test_kind, cfg, rho0=args.rho0, threads=threads)
+            report = empirical_size_power(args.test_kind, cfg, rho0=args.rho0, threads=args.threads)
         elif experiment == "critical":
-            report = empirical_size_power("critical", cfg, threads=threads)
+            report = empirical_size_power("critical", cfg, threads=args.threads)
         elif experiment == "qsl":
-            report = qsl_check(cfg, args.which, k0=args.k0, threads=threads)
+            report = qsl_check(cfg, args.which, k0=args.k0, threads=args.threads)
         else:  # lil
             checkpoints = _checkpoints(args.checkpoints) if args.checkpoints is not None else [cfg.n]
-            report = lil_envelope_check(cfg, args.which, checkpoints, threads=threads)
+            report = lil_envelope_check(cfg, args.which, checkpoints, threads=args.threads)
         if csv:
             write_table(csv, *report.table())
     return {"report": {"experiment": experiment, **report.body}}
@@ -323,11 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     # --help shows the docstring up to its last paragraph, which is about the code
     parser = _Parser(prog="dwlab", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    model = argparse.ArgumentParser(add_help=False)  # the options of simulate and limits, which lead their --help
+    model.add_argument("--theta", type=float, required=True)
+    model.add_argument("--rho", type=float, required=True)
+    model.add_argument("--sigma2", type=float, default=1.0)
+    series = argparse.ArgumentParser(add_help=False)  # the input options of estimate, test and recover
+    series.add_argument("--input", default="-", help="CSV file or '-' for stdin")
+    series.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
 
-    p = sub.add_parser("simulate", help="simulate a path and write it as CSV")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--sigma2", type=float, default=1.0)
+    p = sub.add_parser("simulate", parents=[model], help="simulate a path and write it as CSV")
     p.add_argument("--n", type=int, required=True, help="number of steps; the path has n+1 points")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
@@ -336,34 +322,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="CSV destination (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("estimate", help="estimate all statistics of a series")
-    p.add_argument("--input", default="-", help="CSV file or '-' for stdin")
-    p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+    p = sub.add_parser("estimate", parents=[series], help="estimate all statistics of a series")
     p.add_argument("--residuals", help="also write the least-squares residuals eps_hat_0..eps_hat_n to this CSV file")
     p.add_argument("--trajectories", help="also write running estimates to this CSV file")
     p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in index for trajectories")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("test", help="run a residual autocorrelation test")
-    p.add_argument("--input", default="-", help="CSV file or '-' for stdin")
-    p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+    p = sub.add_parser("test", parents=[series], help="run a residual autocorrelation test")
     p.add_argument("--kind", choices=("critical", "rho0", "zero", "auto"), required=True)
     p.add_argument("--rho0", type=float)
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("recover", help="recover (theta, rho, sigma2) from a series")
-    p.add_argument("--input", default="-", help="CSV file or '-' for stdin")
-    p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+    p = sub.add_parser("recover", parents=[series], help="recover (theta, rho, sigma2) from a series")
     p.add_argument("--convention", choices=("theta-less", "theta-greater"), default="theta-less")
     p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("limits", help="print the closed-form asymptotic values")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--sigma2", type=float, default=1.0)
+    p = sub.add_parser("limits", parents=[model], help="print the closed-form asymptotic values")
     p.set_defaults(func=_cmd_limits)
 
+    # verify defines its model options itself, after --experiment, which leads its --help
     p = sub.add_parser("verify", help="run a Monte Carlo verification experiment")
     p.add_argument(
         "--experiment",
@@ -384,11 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in for the qsl experiment")
     p.add_argument("--checkpoints", help="comma-separated sample sizes for the lil experiment")
     p.add_argument("--csv", help="write the per-replicate rows to this CSV file (the JSON holds only summaries)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        help=f"worker processes, at most one per usable CPU (fallback: ${THREADS_ENV}, then the usable CPU count)",
-    )
+    p.add_argument("--threads", type=int, help="worker processes, at most one per usable CPU (default: every usable CPU)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -231,7 +231,7 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
     of m terms and, for theta_sq_hat, of m-1 terms; then the residuals, over
     m+1 terms for dw's denominator, over m terms for rho_hat's sums, and
     over m terms again for sigma2_hat's second-stage residuals, which need
-    rho_hat.  dw's differences go with the last residual pass.  Each leaf
+    rho_hat.  dw's differences go with rho_hat's residual pass.  Each leaf
     forms the residuals it needs, unless the leaf before formed the same
     ones, so a series within one leaf forms its residuals once for every
     sum, as the one-statistic functions do.  Besides the series a call holds
@@ -282,22 +282,21 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
             buf = np.empty(x.shape[:-1] + (min(m, _LEAF) + 1,))
             formed = None  # the (start, stop) of the residuals in buf
             # rho_hat: sum eps_k eps_{k-1} / sum eps_{k-1}^2 over k = 1..m; dw: sum (eps_k - eps_{k-1})^2 over k = 1..m
-            # / sum eps_k^2 over k = 0..m, a sum of m+1 terms that only dw reads.  sigma2_hat's terms need rho_hat, so
-            # they take a pass of their own, and dw's differences go with the last pass
+            # / sum eps_k^2 over k = 0..m, a sum of m+1 terms that only dw reads.  dw's differences go with rho_hat's
+            # pass; sigma2_hat's terms need rho_hat, so they take a pass of their own
             if fit_dw:
                 (dw_denominator,) = _pairwise(m + 1, lambda a, b: residual_products(("sq",), a, b))
-            diff = ("diff",) * fit_dw
-            kinds = ("sq", "lag") * fit_rho + diff * (not fit_sigma2)
+            kinds = ("sq", "lag") * fit_rho + ("diff",) * fit_dw
             sums = _pairwise(m, lambda a, b: residual_products(kinds, a, b))
             if fit_rho:
                 fitted["rho_hat"] = sums[1] / _denominator(sums[0], RHO_DEGENERATE)
             else:
                 _denominator(dw_denominator, DW_DEGENERATE)
-            if fit_sigma2:  # within one leaf the residuals are still in buf
-                sums = _pairwise(m, lambda a, b: residual_products(("sigma2",) + diff, a, b))
-                fitted["sigma2_hat"] = sums[0] / m
             if fit_dw:
                 fitted["dw"] = sums[-1] / dw_denominator
+            if fit_sigma2:  # within one leaf the residuals are still in buf
+                (sigma2_sum,) = _pairwise(m, lambda a, b: residual_products(("sigma2",), a, b))
+                fitted["sigma2_hat"] = sigma2_sum / m
         if fit_theta_sq:  # sum X_k X_{k-2} / sum X_{k-2}^2 over k = 2..m
             s, q = _pairwise(m - 1, lambda a, b: lagged_products((0, 2), a, b))
             fitted["theta_sq_hat"] = q / _denominator(s, THETA_SQ_DEGENERATE)

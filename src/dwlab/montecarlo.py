@@ -190,7 +190,7 @@ def _libc_function(name: str, nargs: int):
     return function
 
 
-def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: int) -> list:
+def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: Optional[int]) -> list:
     """Simulate every replicate path and apply statistic to it, preserving index order.
 
     Replicate i is simulated with seed ``derive_seed(cfg.base_seed, i)``.
@@ -200,7 +200,8 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     its rows, in row order.  Each row depends only on its own seed, so the
     result depends neither on B nor on the number of workers.
 
-    The blocks run on W = min(threads, blocks, usable CPUs) workers.  With
+    The blocks run on W = min(threads, blocks, usable CPUs) workers, where
+    ``threads=None`` stands for every usable CPU.  With
     W >= 2, and where the platform can fork, W children forked from this one
     claim the blocks one at a time (:func:`_forked_map`); they reach
     ``statistic`` through the fork, so only their results are pickled.
@@ -212,7 +213,7 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
     When a block raises, its rows are rerun one at a time, so the error is
     the one the first failing replicate raises on its own, as with B = 1.
     """
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
     size = max(1, _BLOCK_VALUES // (cfg.n + 1))
     starts = range(0, cfg.replicates, size)
@@ -227,7 +228,8 @@ def _map_paths(statistic: Callable[[np.ndarray], list], cfg: McConfig, threads: 
                 statistic(x[row : row + 1])
             raise
 
-    workers = min(threads, len(starts), _usable_cpus())
+    cpus = _usable_cpus()
+    workers = min(threads or cpus, len(starts), cpus)
     if workers >= 2 and hasattr(os, "fork"):
         return _forked_map(block, starts, workers)
     return list(chain.from_iterable(map(block, starts)))
@@ -327,13 +329,14 @@ def _limit_and_variance(cfg: McConfig, which: str) -> tuple[dict, float, float]:
     return targets, targets[limit_key], targets[var_key]
 
 
-def run_replications(cfg: McConfig, threads: int = 1) -> McReport:
+def run_replications(cfg: McConfig, threads: Optional[int] = 1) -> McReport:
     """Estimate every replicate and compare the standardized laws to normality.
 
     The report carries the KS distances of the standardized statistics
     sqrt(n)*(estimate - limit)/sd, where the asymptotic sd is positive, and
     the sample covariance of sqrt(n)*(theta_hat - theta_star, rho_hat -
-    rho_star); the rows are each replicate's five estimates.
+    rho_star); the rows are each replicate's five estimates.  The paths run
+    on at most ``threads`` workers, ``threads=None`` meaning every usable CPU.
     """
     targets = _asymptotic_targets(cfg)
     rows = _map_paths(lambda x: _estimate_rows(estimate_all(x)), cfg, threads)
@@ -362,9 +365,12 @@ def empirical_size_power(
     test_kind: str,
     cfg: McConfig,
     rho0: Optional[float] = None,
-    threads: int = 1,
+    threads: Optional[int] = 1,
 ) -> McReport:
-    """Fraction of replicates on which the chosen test rejects at cfg.alpha; the rows are (statistic, 0/1)."""
+    """Fraction of replicates on which the chosen test rejects at cfg.alpha; the rows are (statistic, 0/1).
+
+    ``threads`` as in :func:`run_replications`: None means every usable CPU.
+    """
     if test_kind not in TEST_KINDS:
         raise DomainError(f"unknown test kind {test_kind!r}, expected one of {TEST_KINDS}")
     if test_kind == "rho0":
@@ -395,7 +401,7 @@ def empirical_size_power(
     return McReport(body, ("statistic", "reject"), rows)
 
 
-def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int = 1) -> McReport:
+def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: Optional[int] = 1) -> McReport:
     """Log-averaged squared deviation of one running estimator, per path.
 
     Computes (1/log n) * sum_{k=k0..n} (estimate_k - limit)^2 on every
@@ -406,7 +412,8 @@ def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: int
     the sum's pairwise tree, so no trajectory is held at full length: for
     theta it forms only the running sums S and P; rho and dw also need the
     residual sums.  So a worker holds its path and about 0.4 MB (theta) or
-    1.2 MB (rho, dw) of block buffers.
+    1.2 MB (rho, dw) of block buffers.  ``threads`` as in
+    :func:`run_replications`: None means every usable CPU.
     """
     if cfg.n < 10_000:
         raise DomainError("quadratic strong law check needs n >= 10^4")
@@ -437,7 +444,7 @@ def lil_envelope_check(
     cfg: McConfig,
     which: str,
     checkpoints: Sequence[int],
-    threads: int = 1,
+    threads: Optional[int] = 1,
 ) -> McReport:
     """High-probability envelope for the iterated-logarithm normalization.
 
@@ -451,7 +458,8 @@ def lil_envelope_check(
     at m comes from one :func:`fit` of the prefix ``x[..., :m + 1]``, with its
     finiteness check; the prefix of a one-path block is not copied, and a
     long-path worker holds its path and a scratch row and a residual buffer
-    of one leaf of 2^14 values each.
+    of one leaf of 2^14 values each.  ``threads`` as in
+    :func:`run_replications`: None means every usable CPU.
     """
     checkpoints = sorted(map(_checkpoint, checkpoints))
     if not checkpoints:

@@ -32,7 +32,6 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def run_fresh(*args: str, stdin=None, env_updates: Optional[dict] = None) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a new interpreter with the package's src directory on PYTHONPATH."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    env.pop("DW_LAB_THREADS", None)
     env.update(env_updates or {})
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, stdin=stdin)
 
@@ -542,8 +541,7 @@ class TestVerifyCommand:
         assert run_cli(capsys, "simulate", "--theta", "0.5", "--rho", "0.3", "--n", "10", "--seed", "-5")[0] == 2
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_threads_below_one_rejected(self, capsys, monkeypatch, threads):
-        monkeypatch.setenv("DW_LAB_THREADS", "2")
+    def test_threads_below_one_rejected(self, capsys, threads):
         code, _, err = run_cli(
             capsys,
             "verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3",
@@ -551,16 +549,6 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "--threads" in err
-
-    @pytest.mark.parametrize("threads", ["0", "-4"])
-    def test_env_threads_below_one_rejected(self, capsys, monkeypatch, threads):
-        monkeypatch.setenv("DW_LAB_THREADS", threads)
-        code, out, err = run_cli(
-            capsys,
-            "verify", "--experiment", "clt", "--theta", "0.5", "--rho", "0.3",
-            "--n", "200", "--reps", "2", "--seed", "1",
-        )
-        assert (code, out, err) == (2, "", f"error: DW_LAB_THREADS must be at least 1, got '{threads}'\n")
 
     @pytest.mark.parametrize(
         "checkpoints, token", [("100,abc", "abc"), ("100,,200", ""), ("1e3", "1e3"), ("", "")]
@@ -661,15 +649,17 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "limits", "--theta", "0.5", "--rho", "0.3", "--sigma2", sigma2)
         assert (code, out, err) == (2, "", "error: noise variance must be positive and finite\n")
 
-    def test_threads_flag_and_env(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("env", ["0", "abc", "6"])
+    def test_threads_flag_and_env(self, capsys, monkeypatch, env):
+        # the command line is the only source of a run's settings: DW_LAB_THREADS, once a fallback, is not read
         args = ["verify", "--experiment", "clt", "--theta", "0.2", "--rho", "0.1",
                 "--n", "300", "--reps", "40", "--seed", "9"]
-        _, base, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("DW_LAB_THREADS", "6")
-        _, with_env, _ = run_cli(capsys, *args)
-        monkeypatch.delenv("DW_LAB_THREADS")
+        _, one_worker, _ = run_cli(capsys, *args, "--threads", "1")
         _, with_flag, _ = run_cli(capsys, *args, "--threads", "3")
-        assert strip_manifest(base) == strip_manifest(with_env) == strip_manifest(with_flag)
+        monkeypatch.setenv("DW_LAB_THREADS", env)
+        code, with_env, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "")
+        assert strip_manifest(one_worker) == strip_manifest(with_flag) == strip_manifest(with_env)
 
 
 class TestEntryPoint:

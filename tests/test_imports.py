@@ -17,6 +17,9 @@ workers are forked children with one pipe each, not a process pool.
 Every module-level function and class under ``src/dwlab`` is used there
 outside its own body, or re-exported through ``__all__``, or listed in
 ``UNCALLED`` with the reason it stays.
+
+No module reads an environment variable: the command line is the only
+source of a run's settings, and the manifest records it.
 """
 
 import ast
@@ -156,6 +159,38 @@ def test_a_dead_definition_is_caught():
         "dwlab.b": "from . import a\nfrom .a import Kept\n\na.used()\nKept\n",
     }
     assert uncalled_definitions(sources) == ["dwlab.a._leaves"]
+
+
+ENVIRONMENT_NAMES = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source: str) -> list:
+    """Lines of ``source`` that name the environment: ``os.environ``, ``os.getenv``, or either imported or read bare."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+        or isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES
+        or isinstance(node, ast.alias) and node.name in ENVIRONMENT_NAMES
+    })
+
+
+def test_no_module_reads_the_environment():
+    found = {module: lines for module, source in _sources().items() if (lines := environment_reads(source))}
+    assert not found, found
+
+
+def test_an_environment_read_is_caught():
+    source = (
+        "import os\n"
+        "from os import environ as env, getenv\n"
+        "threads = os.environ.get('THREADS')\n"
+        "env['A']\n"
+        "getenv('B')\n"
+        "os.getenv('C')\n"
+        "environment = os.path.join('a', 'b')\n"
+    )
+    assert environment_reads(source) == [2, 3, 5, 6]
 
 
 def _importers(package: str) -> dict:

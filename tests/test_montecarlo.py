@@ -422,9 +422,14 @@ class TestReplicateBlocks:
         assert 1 <= len(set(pids)) <= 2
 
     @needs_fork
-    @pytest.mark.parametrize("reps, cpus, workers", [(30, 2, 2), (90, 3, 3), (90, 64, 7), (65, 4, 4), (13, 64, 0)])
-    def test_worker_count_is_capped_by_blocks_and_cpus(self, monkeypatch, reps, cpus, workers):
-        # 13 replicates to a block, so 30 make 3 blocks, 90 make 7, 65 make 5 and 13 one (run here)
+    @pytest.mark.parametrize(
+        "reps, cpus, threads, workers",
+        [(30, 2, 10_000, 2), (90, 3, 10_000, 3), (90, 64, 10_000, 7), (65, 4, 10_000, 4), (13, 64, 10_000, 0),
+         (90, 64, None, 7)],
+    )
+    def test_worker_count_is_capped_by_blocks_and_cpus(self, monkeypatch, reps, cpus, threads, workers):
+        # 13 replicates to a block, so 30 make 3 blocks, 90 make 7, 65 make 5 and 13 one (run here);
+        # threads=None asks for every usable CPU
         cfg = config(0.5, 0.3, n=5000, reps=reps, seed=1)
         expected = montecarlo._map_paths(_first_values, cfg, 1)
         forks = []
@@ -436,7 +441,7 @@ class TestReplicateBlocks:
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(os, "fork", counting_fork)
-        pids, values = zip(*montecarlo._map_paths(_pids_and_values, cfg, 10_000))
+        pids, values = zip(*montecarlo._map_paths(_pids_and_values, cfg, threads))
         assert list(values) == expected
         assert len(forks) == workers
         assert len(set(pids)) <= max(workers, 1)
