@@ -8,8 +8,10 @@ chi-square tests (:mod:`dwlab.testing`), parameter recovery
 
 Importing the package loads no submodule and so no numpy: each name of
 ``__all__`` imports its module on first access (``from dwlab import
-estimate_all``).  The constants here are the names the command line parser
-offers, so that ``dwlab --help`` and ``dwlab limits`` start without numpy.
+estimate_all``).  The constants here are the one home of the defaults and
+the choice lists that the command line parser shares with the library: both
+read them, and ``dwlab --help`` and ``dwlab limits`` start without numpy.
+A choice list names its default first.
 """
 
 import importlib
@@ -23,6 +25,14 @@ RNG_ALGORITHM = "philox4x64"
 TRAJECTORIES = ("theta", "rho", "dw")  # the trajectory fields of estimators.RunningEstimates, in walk order
 
 TEST_KINDS = ("zero", "rho0", "critical")
+
+CONVENTIONS = ("theta_less", "theta_greater")  # which root of recovery's quadratic is theta
+
+DEFAULT_SIGMA2 = 1.0  # variance of the innovations V_k
+
+DEFAULT_START = 0.0  # x0 and eps0: a path starts at rest
+
+DEFAULT_ALPHA = 0.05  # significance level of verify's tests
 
 DEFAULT_BURN_IN = 10  # first trajectory index; early estimates are erratic
 

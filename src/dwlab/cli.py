@@ -16,7 +16,6 @@ other command once it has parsed the command line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import importlib
 import io
@@ -25,11 +24,13 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager, nullcontext
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import cache
 from typing import Optional
 
-from . import DEFAULT_BURN_IN, NOISE_KINDS, RNG_ALGORITHM, TEST_KINDS, TRAJECTORIES, __version__, limits
+from . import CONVENTIONS, DEFAULT_ALPHA, DEFAULT_BURN_IN, DEFAULT_SIGMA2, DEFAULT_START, NOISE_KINDS, RNG_ALGORITHM
+from . import TEST_KINDS, TRAJECTORIES, __version__, limits
 from .errors import DWLabError, DomainError
 
 # The library names that the commands call, by module.  _load_library binds
@@ -48,6 +49,8 @@ _LIBRARY = {
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process that SIGPIPE ended
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers, from malloc.h
+
+_HEADERS = {"auto": None, "yes": True, "no": False}  # --header's choices, the default first, as read_csv's header=
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,7 +132,7 @@ def _emit(payload: dict) -> None:
 
 
 def _read_series(args) -> Series:
-    header = {"auto": None, "yes": True, "no": False}[args.header]
+    header = _HEADERS[args.header]
     if args.input != "-":
         return read_csv(args.input, header=header)
     # Strict UTF-8 as for a file: under a C locale sys.stdin would pass bad bytes on as surrogates.
@@ -140,9 +143,12 @@ def _read_series(args) -> Series:
         stdin.detach()  # leave sys.stdin.buffer open
 
 
-def _checkpoints(text: str) -> list[int]:
+def _checkpoints(args) -> list[int]:
+    """The sample sizes of --checkpoints; without the option, --n alone."""
+    if args.checkpoints is None:
+        return [args.n]
     checkpoints = []
-    for token in text.split(","):
+    for token in args.checkpoints.split(","):
         try:
             checkpoints.append(int(token))
         except ValueError:
@@ -177,58 +183,49 @@ def _cmd_estimate(args):
             ("k", "theta_hat", "rho_hat", "dw"),
             (range(args.k0, series.x.size), float_cells(traj.theta), float_cells(traj.rho), float_cells(traj.dw)),
         )
-    return {"estimates": dataclasses.asdict(est)}
+    return {"estimates": asdict(est)}
+
+
+def _rho0(args) -> float:
+    """--rho0, which the tests of H0: rho = rho0 need."""
+    if args.rho0 is None:
+        raise DomainError(f"--kind {args.kind} requires --rho0")
+    return args.rho0
+
+
+def _auto_payload(auto) -> dict:
+    """Both stages of the two-stage test, and the weights of the general branch's statistic."""
+    payload = {"preliminary": asdict(auto.preliminary), "branch": auto.branch, "test": asdict(auto.final)}
+    return payload if auto.weights is None else {**payload, "weights": asdict(auto.weights)}
+
+
+# The payload of each test --kind, in its --help order: TEST_KINDS reversed, then the two-stage test.  Each entry
+# looks its library function up as a global of this module when it is called, as the commands do (see _LIBRARY).
+_TESTS = dict(zip((*TEST_KINDS[::-1], "auto"), (
+    lambda x, args: {"test": asdict(critical_case_test(x, args.alpha))},
+    lambda x, args: dict(zip(("test", "weights"), map(asdict, rho_test(x, _rho0(args), args.alpha)))),
+    lambda x, args: {"test": asdict(rho_zero_test(x, args.alpha))},
+    lambda x, args: _auto_payload(auto_test(x, _rho0(args), args.alpha)),
+)))
 
 
 def _cmd_test(args):
-    series = _read_series(args)
-    if args.kind in ("rho0", "auto") and args.rho0 is None:
-        raise DomainError(f"--kind {args.kind} requires --rho0")
-    if args.kind == "critical":
-        return {"test": dataclasses.asdict(critical_case_test(series.x, args.alpha))}
-    if args.kind == "zero":
-        return {"test": dataclasses.asdict(rho_zero_test(series.x, args.alpha))}
-    if args.kind == "rho0":
-        outcome, weights = rho_test(series.x, args.rho0, args.alpha)
-        return {"test": dataclasses.asdict(outcome), "weights": dataclasses.asdict(weights)}
-    auto = auto_test(series.x, args.rho0, args.alpha)
-    payload = {
-        "preliminary": dataclasses.asdict(auto.preliminary),
-        "branch": auto.branch,
-        "test": dataclasses.asdict(auto.final),
-    }
-    if auto.weights is not None:
-        payload["weights"] = dataclasses.asdict(auto.weights)
-    return payload
+    return _TESTS[args.kind](_read_series(args).x, args)
 
 
 def _cmd_recover(args):
-    series = _read_series(args)
-    est = estimate_all(series.x)
-    convention = args.convention.replace("-", "_")
-    rec = recover_params(est.theta_hat, est.rho_hat, convention)
+    est = estimate_all(_read_series(args).x)
+    rec = recover_params(est.theta_hat, est.rho_hat, args.convention.replace("-", "_"))
     sigma2_rec = recover_sigma2(est.theta_hat, est.rho_hat, est.sigma2_hat)
     return {
-        "estimates": {
-            "theta_hat": est.theta_hat,
-            "rho_hat": est.rho_hat,
-            "sigma2_hat": est.sigma2_hat,
-            "n": est.n,
-        },
-        "recovered": {
-            "theta_rec": rec.theta_rec,
-            "rho_rec": rec.rho_rec,
-            "sigma2_rec": sigma2_rec,
-            "convention": rec.convention,
-            "s_hat": rec.s_hat,
-            "p_hat": rec.p_hat,
-            "out_of_region": rec.out_of_region,
-        },
+        "estimates": {name: getattr(est, name) for name in ("theta_hat", "rho_hat", "sigma2_hat", "n")},
+        # the recovered triple, then the rest of rec's fields
+        "recovered": {"theta_rec": rec.theta_rec, "rho_rec": rec.rho_rec, "sigma2_rec": sigma2_rec, **asdict(rec)},
     }
 
 
 def _cmd_limits(args):
-    return {"limits": dataclasses.asdict(limits.asymptotics(args.theta, args.rho, args.sigma2))}
+    return {"limits": asdict(limits.asymptotics(args.theta, args.rho, args.sigma2))}
 
 
 def _keep_freed_memory() -> None:
@@ -265,35 +262,30 @@ def _replaced_when_done(path: str):
         raise
 
 
+# The report of each verify --experiment, in its --help order; like _TESTS, each entry looks its library function up
+# when it is called.
+_EXPERIMENTS = {
+    "clt": lambda cfg, args: run_replications(cfg, threads=args.threads),
+    "joint": lambda cfg, args: run_replications(cfg, threads=args.threads),
+    "size": lambda cfg, args: empirical_size_power(args.test_kind, cfg, rho0=args.rho0, threads=args.threads),
+    "power": lambda cfg, args: empirical_size_power(args.test_kind, cfg, rho0=args.rho0, threads=args.threads),
+    "qsl": lambda cfg, args: qsl_check(cfg, args.which, k0=args.k0, threads=args.threads),
+    "lil": lambda cfg, args: lil_envelope_check(cfg, args.which, _checkpoints(args), threads=args.threads),
+    "critical": lambda cfg, args: empirical_size_power("critical", cfg, threads=args.threads),
+}
+
+
 def _cmd_verify(args):
     _keep_freed_memory()
     params = ModelParams(theta=args.theta, rho=args.rho, sigma2=args.sigma2)
-    cfg = McConfig(
-        params=params,
-        noise=NoiseSpec(kind=args.noise),
-        n=args.n,
-        replicates=args.reps,
-        base_seed=args.seed,
-        alpha=args.alpha,
-    )
+    cfg = McConfig(params, NoiseSpec(args.noise), args.n, replicates=args.reps, base_seed=args.seed, alpha=args.alpha)
     if args.threads is not None and args.threads < 1:
         raise DomainError(f"--threads must be at least 1, got {args.threads}")
-    experiment = args.experiment
     with _replaced_when_done(args.csv) if args.csv else nullcontext() as csv:
-        if experiment in ("clt", "joint"):
-            report = run_replications(cfg, threads=args.threads)
-        elif experiment in ("size", "power"):
-            report = empirical_size_power(args.test_kind, cfg, rho0=args.rho0, threads=args.threads)
-        elif experiment == "critical":
-            report = empirical_size_power("critical", cfg, threads=args.threads)
-        elif experiment == "qsl":
-            report = qsl_check(cfg, args.which, k0=args.k0, threads=args.threads)
-        else:  # lil
-            checkpoints = _checkpoints(args.checkpoints) if args.checkpoints is not None else [cfg.n]
-            report = lil_envelope_check(cfg, args.which, checkpoints, threads=args.threads)
+        report = _EXPERIMENTS[args.experiment](cfg, args)
         if csv:
             write_table(csv, *report.table())
-    return {"report": {"experiment": experiment, **report.body}}
+    return {"report": {"experiment": args.experiment, **report.body}}
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
     # --help shows the docstring up to its last paragraph, which is about the code
     parser = _Parser(prog="dwlab", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    model = argparse.ArgumentParser(add_help=False)  # the options of simulate and limits, which lead their --help
+    experiment = argparse.ArgumentParser(add_help=False)  # leads verify's --help, ahead of the model options
+    experiment.add_argument("--experiment", choices=_EXPERIMENTS, required=True)
+    model = argparse.ArgumentParser(add_help=False)  # lead the --help of simulate and limits, and follow --experiment
     model.add_argument("--theta", type=float, required=True)
     model.add_argument("--rho", type=float, required=True)
-    model.add_argument("--sigma2", type=float, default=1.0)
+    model.add_argument("--sigma2", type=float, default=DEFAULT_SIGMA2)
     series = argparse.ArgumentParser(add_help=False)  # the input options of estimate, test and recover
     series.add_argument("--input", default="-", help="CSV file or '-' for stdin")
-    series.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+    series.add_argument("--header", choices=_HEADERS, default=next(iter(_HEADERS)))
 
     p = sub.add_parser("simulate", parents=[model], help="simulate a path and write it as CSV")
     p.add_argument("--n", type=int, required=True, help="number of steps; the path has n+1 points")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--eps0", type=float, default=0.0)
+    p.add_argument("--noise", choices=NOISE_KINDS, default=NOISE_KINDS[0])
+    p.add_argument("--x0", type=float, default=DEFAULT_START)
+    p.add_argument("--eps0", type=float, default=DEFAULT_START)
     p.add_argument("--output", help="CSV destination (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
@@ -329,36 +323,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("test", parents=[series], help="run a residual autocorrelation test")
-    p.add_argument("--kind", choices=("critical", "rho0", "zero", "auto"), required=True)
+    p.add_argument("--kind", choices=_TESTS, required=True)
     p.add_argument("--rho0", type=float)
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("recover", parents=[series], help="recover (theta, rho, sigma2) from a series")
-    p.add_argument("--convention", choices=("theta-less", "theta-greater"), default="theta-less")
+    conventions = [name.replace("_", "-") for name in CONVENTIONS]  # spelled theta-less on the command line
+    p.add_argument("--convention", choices=conventions, default=conventions[0])
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("limits", parents=[model], help="print the closed-form asymptotic values")
     p.set_defaults(func=_cmd_limits)
 
-    # verify defines its model options itself, after --experiment, which leads its --help
-    p = sub.add_parser("verify", help="run a Monte Carlo verification experiment")
-    p.add_argument(
-        "--experiment",
-        choices=("clt", "joint", "size", "power", "qsl", "lil", "critical"),
-        required=True,
-    )
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
+    p = sub.add_parser("verify", parents=[experiment, model], help="run a Monte Carlo verification experiment")
+    p.add_argument("--noise", choices=NOISE_KINDS, default=NOISE_KINDS[0])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--rho0", type=float, help="null value for the rho0 test kind")
-    p.add_argument("--test-kind", choices=TEST_KINDS, default="zero")
-    p.add_argument("--which", choices=TRAJECTORIES, default="theta")
+    p.add_argument("--test-kind", choices=TEST_KINDS, default=TEST_KINDS[0])
+    p.add_argument("--which", choices=TRAJECTORIES, default=TRAJECTORIES[0])
     p.add_argument("--k0", type=int, default=DEFAULT_BURN_IN, help="burn-in for the qsl experiment")
     p.add_argument("--checkpoints", help="comma-separated sample sizes for the lil experiment")
     p.add_argument("--csv", help="write the per-replicate rows to this CSV file (the JSON holds only summaries)")

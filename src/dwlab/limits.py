@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import DEFAULT_SIGMA2
 from .errors import OutOfRegion
 
 # Stay clear of the |theta| = 1 boundary; see check_region.
@@ -147,7 +148,7 @@ class AsymptoticSet:
     sigma_hat_limit: float
 
 
-def asymptotics(theta: float, rho: float, sigma2: float = 1.0) -> AsymptoticSet:
+def asymptotics(theta: float, rho: float, sigma2: float = DEFAULT_SIGMA2) -> AsymptoticSet:
     """Evaluate every limit at (theta, rho, sigma2)."""
     return AsymptoticSet(
         theta_star=theta_star(theta, rho),

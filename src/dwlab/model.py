@@ -43,7 +43,7 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from . import NOISE_KINDS
+from . import DEFAULT_SIGMA2, DEFAULT_START, NOISE_KINDS
 from .errors import DomainError, InvalidLength, OutOfRegion
 from .limits import check_sigma2
 
@@ -58,9 +58,9 @@ class ModelParams:
 
     theta: float
     rho: float
-    sigma2: float = 1.0
-    x0: float = 0.0
-    eps0: float = 0.0
+    sigma2: float = DEFAULT_SIGMA2
+    x0: float = DEFAULT_START
+    eps0: float = DEFAULT_START
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class NoiseSpec:
     * ``rademacher``  +-sqrt(sigma2) with probability 1/2 each
     """
 
-    kind: str = "gaussian"
+    kind: str = NOISE_KINDS[0]
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:

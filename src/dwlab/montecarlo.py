@@ -35,7 +35,7 @@ from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
 
-from . import DEFAULT_BURN_IN, TEST_KINDS, TRAJECTORIES, limits
+from . import DEFAULT_ALPHA, DEFAULT_BURN_IN, TEST_KINDS, TRAJECTORIES, limits
 from .dist import ks_statistic, normal_cdf
 from .errors import DomainError, DWLabError
 from .estimators import (
@@ -125,7 +125,7 @@ class McConfig:
     n: int
     replicates: int
     base_seed: int
-    alpha: float = 0.05
+    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         check_seed(self.base_seed)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import CONVENTIONS
 from .errors import DegenerateDenominator, DomainError, NegativeDiscriminant, ThetaNearZero
 from .estimators import THETA_EPS
 
 DISCRIMINANT_CLAMP = 1e-10  # rounding guard: tiny negative discriminants mean a double root
-
-CONVENTIONS = ("theta_less", "theta_greater")
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def _sum_and_product(theta_hat: float, rho_hat: float) -> tuple[float, float]:
     return theta_hat + rho_hat, rho_hat / theta_hat
 
 
-def recover_params(theta_hat: float, rho_hat: float, convention: str = "theta_less") -> RecoveredParams:
+def recover_params(theta_hat: float, rho_hat: float, convention: str = CONVENTIONS[0]) -> RecoveredParams:
     """Solve for the parameter pair behind the estimator limits.
 
     Exact at the limit points: feeding the closed-form limits of the two
@@ -72,7 +71,7 @@ def recover_params(theta_hat: float, rho_hat: float, convention: str = "theta_le
         raise DomainError(f"convention must be one of {CONVENTIONS}")
     s_hat, p_hat = _sum_and_product(theta_hat, rho_hat)
     lo, hi = quadratic_roots(s_hat, p_hat)
-    theta_rec, rho_rec = (lo, hi) if convention == "theta_less" else (hi, lo)
+    theta_rec, rho_rec = (lo, hi) if convention == CONVENTIONS[0] else (hi, lo)
     return RecoveredParams(
         theta_rec=theta_rec,
         rho_rec=rho_rec,

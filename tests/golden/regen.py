@@ -2,6 +2,7 @@
 
 ``commands.txt`` lists small dwlab commands.  Each one runs in-process
 through ``dwlab.cli.main`` in one empty working directory, in file order.
+Help text is wrapped at 80 columns, whatever the terminal's width.
 Per command the corpus records the exit code, the sha256 of stdout (with
 the manifest's timestamp masked), of stderr and of every file the command
 writes, or None for a named file it did not write.  ``digests.json`` keeps
@@ -25,6 +26,7 @@ import re
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 COMMANDS = HERE / "commands.txt"
@@ -61,28 +63,33 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_corpus(workdir: Path) -> dict:
-    """Run every command in ``workdir`` (empty) and return its record, keyed by command id, in file order."""
+def _run(argv: list) -> dict:
+    """Run one command in the working directory and return its record."""
     from dwlab.cli import main
 
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    written = [argv[i + 1] for i, arg in enumerate(argv) if arg in OUTPUT_OPTIONS]
+    return {
+        "exit": code,
+        "stdout": _sha256(_TIMESTAMP.sub('"timestamp": "<masked>"', out.getvalue()).encode()),
+        "stderr": _sha256(err.getvalue().encode()),
+        "files": {path: _sha256(Path(path).read_bytes()) if Path(path).exists() else None for path in written},
+    }
+
+
+def run_corpus(workdir: Path) -> dict:
+    """Run every command in ``workdir`` (empty) and return its record, keyed by command id, in file order."""
     files, commands = load_commands()
-    records = {}
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        for name, data in files.items():
-            Path(name).write_bytes(data)
-        for ident, argv in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            written = [argv[i + 1] for i, arg in enumerate(argv) if arg in OUTPUT_OPTIONS]
-            records[ident] = {
-                "exit": code,
-                "stdout": _sha256(_TIMESTAMP.sub('"timestamp": "<masked>"', out.getvalue()).encode()),
-                "stderr": _sha256(err.getvalue().encode()),
-                "files": {path: _sha256(Path(path).read_bytes()) if Path(path).exists() else None for path in written},
-            }
+        # argparse wraps help at the terminal width, so a wide terminal (pytest -s) would move the help digests
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            for name, data in files.items():
+                Path(name).write_bytes(data)
+            records = {ident: _run(argv) for ident, argv in commands}
     finally:
         os.chdir(previous)
     return records

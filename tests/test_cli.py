@@ -1,7 +1,10 @@
+import argparse
 import ast
 import csv
 import ctypes
+import dataclasses
 import gc
+import inspect
 import io
 import json
 import os
@@ -16,11 +19,14 @@ import numpy as np
 import pytest
 
 import dwlab.cli
+from dwlab import CONVENTIONS, NOISE_KINDS, TEST_KINDS, TRAJECTORIES
 from dwlab.cli import _emit, _json_default, build_parser, main
 from dwlab.errors import DomainError
 from dwlab.estimators import estimate_all, residuals, running_estimates
+from dwlab.limits import asymptotics
 from dwlab.model import ModelParams, NoiseSpec, read_csv, simulate, write_csv
-from dwlab.montecarlo import McConfig
+from dwlab.montecarlo import McConfig, qsl_check
+from dwlab.recovery import recover_params
 
 from conftest import traced_peak
 from oracles import replicate_rows
@@ -219,6 +225,109 @@ class TestSimulateEstimate:
         assert code == 2
         assert out == ""
         assert "not finite" in err
+
+
+class TestHeaderOption:
+    """--header on a one-column file: yes drops the first row, no keeps it, auto drops it only if it is text."""
+
+    @pytest.fixture()
+    def values(self):
+        return simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 200, 7).x
+
+    @staticmethod
+    def estimate(capsys, path, header):
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--header", header)
+        return code, strip_manifest(out)["estimates"] if out else None, err
+
+    @pytest.mark.parametrize("header, first", [("yes", 1), ("no", 0), ("auto", 0)])
+    def test_a_numeric_first_row(self, capsys, tmp_path, values, header, first):
+        path = tmp_path / "x.csv"
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        assert self.estimate(capsys, path, header) == (0, dataclasses.asdict(estimate_all(values[first:])), "")
+
+    @pytest.mark.parametrize("header", ["yes", "auto"])
+    def test_a_text_first_row_is_dropped(self, capsys, tmp_path, values, header):
+        path = tmp_path / "x.csv"
+        path.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        assert self.estimate(capsys, path, header) == (0, dataclasses.asdict(estimate_all(values)), "")
+
+    def test_a_text_first_row_under_no_is_a_data_error(self, capsys, tmp_path, values):
+        path = tmp_path / "x.csv"
+        path.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        message = "error: non-numeric value in CSV column 0: could not convert string to float: 'x'\n"
+        assert self.estimate(capsys, path, "no") == (2, None, message)
+
+
+def _field_defaults(cls) -> dict:
+    return {field.name: field.default for field in dataclasses.fields(cls)}
+
+
+def _parameter_default(func, name: str):
+    return inspect.signature(func).parameters[name].default
+
+
+class TestParserReadsTheLibrary:
+    """Every default and choice list of build_parser() is the library's own: one home, read by both sides."""
+
+    @staticmethod
+    def options() -> dict:
+        """{(command, option): action} for each option of each command that has a default or a choice list."""
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        return {
+            (name, action.option_strings[0]): action
+            for name, command in commands.items()
+            for action in command._actions
+            if action.default not in (None, argparse.SUPPRESS) or action.choices is not None
+        }
+
+    @staticmethod
+    def library() -> dict:
+        """{(command, option): (default, choices)} as the library states them; None where it states none."""
+        model, noise, mc = _field_defaults(ModelParams), _field_defaults(NoiseSpec), _field_defaults(McConfig)
+        assert _parameter_default(asymptotics, "sigma2") == model["sigma2"]
+        header = (_parameter_default(read_csv, "header"), (None, True, False))
+        experiments = ("clt", "joint", "size", "power", "qsl", "lil", "critical")
+        return {
+            **{(command, "--sigma2"): (model["sigma2"], None) for command in ("simulate", "limits", "verify")},
+            **{(command, "--noise"): (noise["kind"], NOISE_KINDS) for command in ("simulate", "verify")},
+            ("simulate", "--x0"): (model["x0"], None),
+            ("simulate", "--eps0"): (model["eps0"], None),
+            **{(command, "--input"): ("-", None) for command in ("estimate", "test", "recover")},
+            **{(command, "--header"): header for command in ("estimate", "test", "recover")},
+            ("estimate", "--k0"): (_parameter_default(running_estimates, "k0"), None),
+            ("test", "--kind"): (None, (*TEST_KINDS[::-1], "auto")),
+            ("recover", "--convention"): (_parameter_default(recover_params, "convention"), CONVENTIONS),
+            ("verify", "--experiment"): (None, experiments),
+            ("verify", "--alpha"): (mc["alpha"], None),
+            ("verify", "--test-kind"): (TEST_KINDS[0], TEST_KINDS),
+            ("verify", "--which"): (TRAJECTORIES[0], TRAJECTORIES),
+            ("verify", "--k0"): (_parameter_default(qsl_check, "k0"), None),
+        }
+
+    @staticmethod
+    def as_library_reads(option: str, value):
+        """A parser value in the library's terms: --header through its map, --convention spelled with _."""
+        if value is None:
+            return None
+        if option == "--header":
+            return dwlab.cli._HEADERS[value]
+        return value.replace("-", "_") if option == "--convention" else value
+
+    def test_every_default_and_choice_list_is_the_librarys(self):
+        options, library = self.options(), self.library()
+        assert sorted(options) == sorted(library)
+        for (command, option), action in options.items():
+            default, choices = library[command, option]
+            read = self.as_library_reads(option, action.default)
+            assert (read, type(read)) == (default, type(default)), (command, option)
+            if choices is not None:
+                assert tuple(self.as_library_reads(option, c) for c in action.choices) == choices, (command, option)
+
+    def test_a_choice_list_names_its_default_first(self):
+        for key, action in self.options().items():
+            if action.choices is not None and action.default is not None:
+                assert action.default == next(iter(action.choices)), key
 
 
 class TestEstimateOutputSize:
@@ -529,6 +638,19 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)["report"]
         assert report["lil"]["checkpoints"] == [1000, 10000]
+
+    def test_lil_checks_n_alone_without_checkpoints(self, capsys, tmp_path):
+        dest = tmp_path / "lil.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--experiment", "lil", "--theta", "0.5", "--rho", "0.3",
+            "--n", "2000", "--reps", "3", "--seed", "6", "--threads", "1", "--csv", str(dest),
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["lil"]["checkpoints"] == [2000]
+        rows = dest.read_text().splitlines()
+        assert rows[0] == "replicate,deviation_2000"
+        assert len(rows) == 4 and all(row.count(",") == 1 for row in rows)
 
     def test_negative_seed_rejected_like_simulate(self, capsys):
         code, _, err = run_cli(
