@@ -8,9 +8,9 @@ its reader (as ``dwlab ... | head`` does).
 
 Each ``_cmd_*`` function returns its payload dict (``simulate`` writes CSV
 and returns None); ``main`` alone wraps the payload with the manifest and
-writes the JSON.  Importing this module loads no numpy: ``limits``, ``--help``
-and usage errors run without it, and ``main`` loads the library for every
-other command once it has parsed the command line.
+writes the JSON.  Importing this module loads neither numpy nor dataclasses:
+``--help`` and usage errors run without both, ``limits`` without numpy, and
+``main`` loads the library for every other command after the parse.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import cache
 from typing import Optional
 
 from . import CONVENTIONS, DEFAULT_ALPHA, DEFAULT_BURN_IN, DEFAULT_SIGMA2, DEFAULT_START, NOISE_KINDS, RNG_ALGORITHM
-from . import TEST_KINDS, TRAJECTORIES, __version__, limits
+from . import TEST_KINDS, TRAJECTORIES, __version__
 from .errors import DWLabError, DomainError
 
 # The library names that the commands call, by module.  _load_library binds
@@ -183,7 +182,7 @@ def _cmd_estimate(args):
             ("k", "theta_hat", "rho_hat", "dw"),
             (range(args.k0, series.x.size), float_cells(traj.theta), float_cells(traj.rho), float_cells(traj.dw)),
         )
-    return {"estimates": asdict(est)}
+    return {"estimates": vars(est)}
 
 
 def _rho0(args) -> float:
@@ -195,16 +194,16 @@ def _rho0(args) -> float:
 
 def _auto_payload(auto) -> dict:
     """Both stages of the two-stage test, and the weights of the general branch's statistic."""
-    payload = {"preliminary": asdict(auto.preliminary), "branch": auto.branch, "test": asdict(auto.final)}
-    return payload if auto.weights is None else {**payload, "weights": asdict(auto.weights)}
+    payload = {"preliminary": vars(auto.preliminary), "branch": auto.branch, "test": vars(auto.final)}
+    return payload if auto.weights is None else {**payload, "weights": vars(auto.weights)}
 
 
 # The payload of each test --kind, in its --help order: TEST_KINDS reversed, then the two-stage test.  Each entry
 # looks its library function up as a global of this module when it is called, as the commands do (see _LIBRARY).
 _TESTS = dict(zip((*TEST_KINDS[::-1], "auto"), (
-    lambda x, args: {"test": asdict(critical_case_test(x, args.alpha))},
-    lambda x, args: dict(zip(("test", "weights"), map(asdict, rho_test(x, _rho0(args), args.alpha)))),
-    lambda x, args: {"test": asdict(rho_zero_test(x, args.alpha))},
+    lambda x, args: {"test": vars(critical_case_test(x, args.alpha))},
+    lambda x, args: dict(zip(("test", "weights"), map(vars, rho_test(x, _rho0(args), args.alpha)))),
+    lambda x, args: {"test": vars(rho_zero_test(x, args.alpha))},
     lambda x, args: _auto_payload(auto_test(x, _rho0(args), args.alpha)),
 )))
 
@@ -220,12 +219,13 @@ def _cmd_recover(args):
     return {
         "estimates": {name: getattr(est, name) for name in ("theta_hat", "rho_hat", "sigma2_hat", "n")},
         # the recovered triple, then the rest of rec's fields
-        "recovered": {"theta_rec": rec.theta_rec, "rho_rec": rec.rho_rec, "sigma2_rec": sigma2_rec, **asdict(rec)},
+        "recovered": {"theta_rec": rec.theta_rec, "rho_rec": rec.rho_rec, "sigma2_rec": sigma2_rec, **vars(rec)},
     }
 
 
 def _cmd_limits(args):
-    return {"limits": asdict(limits.asymptotics(args.theta, args.rho, args.sigma2))}
+    from .limits import asymptotics  # here, so that parsing loads neither it nor dataclasses
+    return {"limits": vars(asymptotics(args.theta, args.rho, args.sigma2))}
 
 
 def _keep_freed_memory() -> None:

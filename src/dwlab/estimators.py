@@ -178,15 +178,6 @@ def estimate_rho(res: ArrayLike) -> float:
     return _slope(res, 1, RHO_DEGENERATE)
 
 
-def estimate_sigma2(res: ArrayLike, rho_hat: float) -> float:
-    """Mean squared second-stage residual (1/n) * sum (eps_hat_k - rho_hat*eps_hat_{k-1})^2."""
-    e = _as_block(res)
-    if e.shape[-1] < 2:
-        raise TooShort("need at least one step")
-    v_hat = e[..., 1:] - _lagged(rho_hat) * e[..., :-1]
-    return _total(v_hat * v_hat) / (e.shape[-1] - 1)
-
-
 def dw_statistic(res: ArrayLike) -> float:
     """Durbin-Watson ratio sum (eps_hat_k - eps_hat_{k-1})^2 / sum eps_hat_k^2."""
     e = _as_block(res)
@@ -216,7 +207,7 @@ def fit(path: ArrayLike, names: Sequence[str]) -> list:
     """The statistics ``names`` (from ESTIMATES) of the series, or of each row of a (B, n+1) block, in that order.
 
     The one fit kernel: each value is bit for bit what the one-statistic
-    functions above give, a float for one series, one value per row for a
+    functions give, a float for one series, one value per row for a
     block.  A zero denominator raises what :func:`estimate_all`'s pipeline
     raises first: theta_hat's, then rho_hat's (dw's when neither rho_hat nor
     sigma2_hat is asked for), then theta_sq_hat's.  A statistic that comes

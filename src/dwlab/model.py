@@ -384,9 +384,9 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
     token.  Non-finite values (nan, inf), bytes that the text encoding
     cannot decode and rows the CSV parser rejects (such as a field longer
     than its limit of 131072 characters) raise DomainError.  A path is read
-    as UTF-8 text.  Latent sequences are never attached to
-    ingested data.  Rows are parsed as they are read, so only the x values
-    are held in memory.
+    as UTF-8 text, and a byte-order mark that starts any source is dropped.
+    Latent sequences are never attached to ingested data.  Rows are parsed
+    as they are read, so only the x values are held in memory.
 
     The first non-blank row goes through the csv module.  The rest is read
     in chunks of whole lines, about ``_READ_CHUNK`` characters each.  A
@@ -405,7 +405,8 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
     own = isinstance(source, (str, Path))
     fh = open(source, "r", newline="", encoding="utf-8") if own else source
     try:
-        first = next(_csv_rows(fh), None)
+        lines = chain([fh.readline().removeprefix("\ufeff")], fh)  # a UTF-8 byte-order mark is no data
+        first = next(_csv_rows(lines), None)
         if first is None:
             raise InvalidLength("empty CSV input")
 
@@ -428,7 +429,9 @@ def read_csv(source: Union[str, Path, IO[str]], header: Optional[bool] = None) -
             x = np.fromiter(chain.from_iterable(chunks), dtype=np.float64)
         except UnicodeDecodeError:
             raise  # undecodable bytes are not a non-numeric value; reported below
-        except (ValueError, IndexError) as exc:
+        except IndexError:
+            raise DomainError(f"a CSV row has no field in the x column (column {x_col})") from None
+        except ValueError as exc:
             raise DomainError(f"non-numeric value in CSV column {x_col}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # raised by whichever read decodes the bad bytes: the first row or any later one

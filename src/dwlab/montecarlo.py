@@ -348,8 +348,7 @@ def run_replications(cfg: McConfig, threads: Optional[int] = 1) -> McReport:
         centered[name] = root_n * (np.array(estimates[column]) - targets[limit_key])
         sd = math.sqrt(targets[var_key])
         if sd > 0.0:
-            result = ks_statistic(centered[name] / sd, normal_cdf)
-            ks[name] = {"statistic": result.statistic, "n": result.n}
+            ks[name] = vars(ks_statistic(centered[name] / sd, normal_cdf))
         else:
             notes.append(f"{name}: asymptotic sd is zero at this parameter point, KS skipped")
 

@@ -23,14 +23,15 @@ from fractions import Fraction
 import numpy as np
 
 from dwlab import montecarlo
-from dwlab.errors import DomainError
+from dwlab.errors import DomainError, TooShort
 from dwlab.estimators import (
     DEFAULT_BURN_IN,
     EstimateSet,
     _as_block,
+    _lagged,
+    _total,
     dw_statistic,
     estimate_rho,
-    estimate_sigma2,
     estimate_theta,
     estimate_theta_sq,
     residuals,
@@ -200,6 +201,15 @@ def prefix_estimate(x: np.ndarray, m: int, name: str) -> np.ndarray:
 
 
 # --- estimate_all as the six one-statistic functions in turn ---------------
+
+
+def estimate_sigma2(res, rho_hat: float) -> float:
+    """Mean squared second-stage residual (1/n) * sum (eps_hat_k - rho_hat*eps_hat_{k-1})^2."""
+    e = _as_block(res)
+    if e.shape[-1] < 2:
+        raise TooShort("need at least one step")
+    v_hat = e[..., 1:] - _lagged(rho_hat) * e[..., :-1]
+    return _total(v_hat * v_hat) / (e.shape[-1] - 1)
 
 
 def estimate_all_reference(path) -> EstimateSet:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import codecs
 import csv
 import ctypes
 import dataclasses
@@ -256,6 +257,46 @@ class TestHeaderOption:
         path.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
         message = "error: non-numeric value in CSV column 0: could not convert string to float: 'x'\n"
         assert self.estimate(capsys, path, "no") == (2, None, message)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark that starts the input is no part of the first row, from a file or from stdin."""
+
+    VALUES = [0.5, 0.3, -0.2, 0.8, 0.1, 0.4]
+
+    @staticmethod
+    def marked(tmp_path, text: str) -> Path:
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        return path
+
+    @staticmethod
+    def estimate(capsys, path, *options) -> dict:
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), *options)
+        assert (code, err) == (0, "")
+        return strip_manifest(out)["estimates"]
+
+    def test_the_first_value_of_a_file_stays_data(self, capsys, tmp_path):
+        path = self.marked(tmp_path, "".join(f"{v}\n" for v in self.VALUES))
+        assert self.estimate(capsys, path) == dataclasses.asdict(estimate_all(self.VALUES))
+
+    def test_the_first_value_from_stdin_stays_data(self, tmp_path):
+        with open(self.marked(tmp_path, "".join(f"{v}\n" for v in self.VALUES)), "rb") as fh:
+            proc = run_fresh("-m", "dwlab", "estimate", "--input", "-", stdin=fh)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert strip_manifest(proc.stdout)["estimates"] == dataclasses.asdict(estimate_all(self.VALUES))
+
+    @pytest.mark.parametrize("header", ["auto", "yes"])
+    def test_the_first_name_stays_x(self, capsys, tmp_path, header):
+        path = self.marked(tmp_path, "x,k\n" + "".join(f"{v},{k}\n" for k, v in enumerate(self.VALUES)))
+        assert self.estimate(capsys, path, "--header", header) == dataclasses.asdict(estimate_all(self.VALUES))
+
+    def test_the_export_format_reads_as_without_the_mark(self, capsys, tmp_path):
+        series = simulate(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), 200, 7)
+        export = io.StringIO()
+        write_csv(series, export)
+        path = self.marked(tmp_path, export.getvalue())
+        assert self.estimate(capsys, path) == dataclasses.asdict(estimate_all(series.x))
 
 
 def _field_defaults(cls) -> dict:
@@ -958,6 +999,13 @@ class TestBadCsvText:
         assert proc.stdout == ""
         assert proc.stderr == "error: malformed CSV input: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize("rows_before", [1, 5000], ids=["first_chunk", "past_first_buffer"])
+    def test_a_row_without_an_x_field_is_named_as_such(self, capsys, tmp_path, rows_before):
+        src = tmp_path / "short.csv"
+        src.write_text("k,x\n" + "".join(f"{k},0.5\n" for k in range(rows_before)) + "1\n2,0.3\n")
+        message = "error: a CSV row has no field in the x column (column 1)\n"
+        assert run_cli(capsys, "estimate", "--input", str(src)) == (2, "", message)
+
     def test_non_finite_value_is_printed_plainly(self, tmp_path):
         src = tmp_path / "nan.csv"
         src.write_text("\n".join(["0.1", "0.4", "nan", "0.2", "-0.3", "0.5"]) + "\n")
@@ -1029,15 +1077,21 @@ class TestDeferredScipyImport:
 
 
 class TestNumpyFreeStart:
-    """Importing the CLI, ``limits``, ``--help`` and usage errors load neither numpy nor scipy."""
+    """Importing the CLI, ``limits``, ``--help`` and usage errors load neither numpy nor scipy.
+
+    Importing and parsing alone load no ``dataclasses`` (with ``inspect``) and no ``dwlab.limits`` either.
+    """
+
+    NUMERIC = ("numpy", "scipy")
+    PARSING = (*NUMERIC, "dataclasses", "inspect", "dwlab.limits")  # what importing the CLI and parsing leave out
 
     def test_importing_the_cli_and_running_limits_load_no_numpy(self):
         script = (
             "import sys, dwlab.cli\n"
-            "loaded = lambda: sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
-            "assert not loaded(), ('loaded by import', loaded())\n"
+            "loaded = lambda names: sorted(m for m in names if m in sys.modules)\n"
+            f"assert not loaded({self.PARSING}), ('loaded by import', loaded({self.PARSING}))\n"
             "assert dwlab.cli.main(['limits', '--theta', '0.5', '--rho', '0.3']) == 0\n"
-            "assert not loaded(), ('loaded by limits', loaded())\n"
+            f"assert not loaded({self.NUMERIC}), ('loaded by limits', loaded({self.NUMERIC}))\n"
         )
         proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr
@@ -1053,10 +1107,11 @@ class TestNumpyFreeStart:
         ],
     )
     def test_a_fresh_process_that_computes_nothing_loads_no_numpy(self, argv, code):
-        # python -m dwlab, with a hook that lists the numeric packages loaded when main has returned
+        absent = self.NUMERIC if code == 0 and argv[0] == "limits" else self.PARSING  # a run of limits loads dwlab.limits
+        # python -m dwlab, with a hook that lists which of ``absent`` are loaded when main has returned
         script = (
             "import atexit, runpy, sys\n"
-            "atexit.register(lambda: sys.stderr.write(f'loaded {[m for m in (\"numpy\", \"scipy\") if m in sys.modules]}'))\n"
+            f"atexit.register(lambda: sys.stderr.write('loaded ' + str([m for m in {absent} if m in sys.modules])))\n"
             "runpy.run_module('dwlab', run_name='__main__', alter_sys=True)\n"
         )
         proc = run_fresh("-c", script, *argv)

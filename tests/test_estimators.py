@@ -20,7 +20,6 @@ from dwlab.estimators import (
     dw_statistic,
     estimate_all,
     estimate_rho,
-    estimate_sigma2,
     estimate_theta,
     estimate_theta_sq,
     fit,
@@ -31,7 +30,8 @@ from dwlab.estimators import (
 from dwlab.model import NOISE_KINDS, ModelParams, NoiseSpec, simulate, simulate_paths
 
 from conftest import traced_peak
-from oracles import dot_fsum, dw_fsum, estimate_all_reference, prefix_estimate, rel_close, rho_hat_fsum, sum_fsum, theta_hat_fsum
+from oracles import dot_fsum, dw_fsum, estimate_all_reference, estimate_sigma2, prefix_estimate, rel_close
+from oracles import rho_hat_fsum, sum_fsum, theta_hat_fsum
 
 params_st = st.builds(
     ModelParams,

@@ -5,6 +5,7 @@ A change that moves an output on purpose rewrites the digests with
 """
 
 import argparse
+import codecs
 import json
 
 import pytest
@@ -45,9 +46,10 @@ def test_the_corpus_covers_every_command_and_error_case():
             if argv[argv.index("--experiment") + 1] == experiment and not ident.startswith("error-")
         }
         assert threads == {"1", "2"}, experiment
-    assert {"latin1.csv"} == set(files)
+    assert {"latin1.csv", "bom.csv"} == set(files)
     with pytest.raises(UnicodeDecodeError):
         files["latin1.csv"].decode("utf-8")
+    assert files["bom.csv"].startswith(codecs.BOM_UTF8)
 
 
 def test_the_corpus_pins_a_usage_error_for_every_choice_list():

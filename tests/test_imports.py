@@ -59,7 +59,6 @@ UNCALLED = {
     "dwlab.dist.chi2_cdf1": "the span tracer wraps it on dwlab.testing",
     "dwlab.estimators.dw_statistic": "a test oracle of fit; the span tracer wraps it",
     "dwlab.estimators.estimate_rho": "a test oracle of fit; the span tracer wraps it",
-    "dwlab.estimators.estimate_sigma2": "a test oracle of fit",
     "dwlab.estimators.estimate_theta": "a test oracle of fit; the span tracer wraps it",
     "dwlab.estimators.estimate_theta_sq": "a test oracle of fit; the span tracer wraps it",
 }

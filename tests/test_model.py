@@ -334,6 +334,18 @@ class TestCsv:
         s = read_csv(io.StringIO("x\n1.0\n2.0\n"))
         assert np.array_equal(s.x, [1.0, 2.0])
 
+    @pytest.mark.parametrize("source", ["path", "StringIO", "stdin"])
+    def test_a_byte_order_mark_is_dropped_from_any_source(self, tmp_path, source):
+        text = "\ufeff1.5\n-0.25\n3.0\n"
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        sources = {
+            "path": lambda: path,
+            "StringIO": lambda: io.StringIO(text),
+            "stdin": lambda: io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline=""),
+        }
+        assert np.array_equal(read_csv(sources[source]()).x, [1.5, -0.25, 3.0])
+
     def test_explicit_header_flag(self):
         with pytest.raises(DomainError):
             # first row forced to be data but is not numeric
@@ -474,7 +486,9 @@ def _reference_read_csv(source, header=None) -> Series:
             x = np.fromiter(map(float, map(itemgetter(x_col), rows)), dtype=np.float64)
         except UnicodeDecodeError:
             raise  # undecodable bytes are not a non-numeric value; reported below
-        except (ValueError, IndexError) as exc:
+        except IndexError:
+            raise DomainError(f"a CSV row has no field in the x column (column {x_col})") from None
+        except ValueError as exc:
             raise DomainError(f"non-numeric value in CSV column {x_col}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # raised by whichever read decodes the bad bytes: the first row or any later one
