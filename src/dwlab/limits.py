@@ -55,17 +55,25 @@ def d_star(theta: float, rho: float) -> float:
     return 2.0 * (1.0 - rho_star(theta, rho))
 
 
+def power(x, p: int):
+    """x ** p rounded as the C library's pow rounds, which Python's ** on a float calls and numpy's ** on an array may not."""
+    if type(x) is float:
+        return x ** p
+    import numpy as np  # loaded already by whoever built the array; this module starts without it
+    return np.float_power(x, p)
+
+
 def var_theta_core(theta: float, rho: float) -> float:
-    """var_theta without the region check, for plug-in points that may leave the region."""
+    """var_theta without the region check, for plug-in points that may leave the region; per value of arrays too."""
     tr = theta * rho
-    return (1.0 - theta * theta) * (1.0 - tr) * (1.0 - rho * rho) / (1.0 + tr) ** 3
+    return (1.0 - theta * theta) * (1.0 - tr) * (1.0 - rho * rho) / power(1.0 + tr, 3)
 
 
 def var_rho_core(theta: float, rho: float) -> float:
-    """var_rho without the region check, for plug-in points that may leave the region."""
+    """var_rho without the region check, for plug-in points that may leave the region; per value of arrays too."""
     tr = theta * rho
-    core = (theta + rho) ** 2 * (1.0 + tr) ** 2 + tr * tr * (1.0 - theta * theta) * (1.0 - rho * rho)
-    return (1.0 - tr) / (1.0 + tr) ** 3 * core
+    core = power(theta + rho, 2) * power(1.0 + tr, 2) + tr * tr * (1.0 - theta * theta) * (1.0 - rho * rho)
+    return (1.0 - tr) / power(1.0 + tr, 3) * core
 
 
 def var_theta(theta: float, rho: float) -> float:

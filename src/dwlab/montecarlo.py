@@ -36,11 +36,10 @@ from typing import IO, Callable, Optional, Sequence
 import numpy as np
 
 from . import DEFAULT_ALPHA, DEFAULT_BURN_IN, TEST_KINDS, TRAJECTORIES, limits
-from .dist import ks_statistic, normal_cdf
+from .dist import chi2_quantile1, ks_statistic, normal_cdf
 from .errors import DomainError, DWLabError
 from .estimators import (
     ESTIMATES,
-    EstimateSet,
     _checkpoint,
     check_burn_in,
     check_which,
@@ -49,7 +48,7 @@ from .estimators import (
     squared_deviation_sum,
 )
 from .model import _MASK64, ModelParams, NoiseSpec, check_seed, simulate_paths
-from .testing import check_alpha, check_rho0, critical_outcome, rho_outcome, zero_outcome
+from .testing import check_alpha, check_rho0, critical_statistic, rho_statistic, zero_statistic
 
 # Unused here; the benchmark's span tracer wraps these names on this module.
 from .estimators import dw_statistic, estimate_rho, estimate_theta, residuals, running_estimates  # noqa: F401
@@ -305,17 +304,6 @@ def _run_claims(block: Callable[[int], list], starts: range, claims: IO[bytes]) 
     return done, None
 
 
-def _estimate_rows(est: EstimateSet) -> list:
-    """The fitted statistics of each row of a block fit, as a tuple of floats in ``ESTIMATES`` order."""
-    return list(zip(*(getattr(est, name).tolist() for name in ESTIMATES)))
-
-
-def _fit_rows(x: np.ndarray) -> list:
-    """One ``estimate_all`` over a block; each row's fit as an EstimateSet of floats."""
-    est = estimate_all(x)
-    return [EstimateSet(**dict(zip(ESTIMATES, values)), n=est.n) for values in _estimate_rows(est)]
-
-
 def _asymptotic_targets(cfg: McConfig) -> dict:
     a = limits.asymptotics(cfg.params.theta, cfg.params.rho, cfg.params.sigma2)
     return {**{key: getattr(a, key) for key in _TARGETS}, "gamma": [list(row) for row in a.gamma]}
@@ -339,7 +327,7 @@ def run_replications(cfg: McConfig, threads: Optional[int] = 1) -> McReport:
     on at most ``threads`` workers, ``threads=None`` meaning every usable CPU.
     """
     targets = _asymptotic_targets(cfg)
-    rows = _map_paths(lambda x: _estimate_rows(estimate_all(x)), cfg, threads)
+    rows = _map_paths(lambda x: np.column_stack(fit(x, ESTIMATES)).tolist(), cfg, threads)
     estimates = dict(zip(ESTIMATES, zip(*rows)))
 
     root_n = math.sqrt(cfg.n)
@@ -368,22 +356,23 @@ def empirical_size_power(
 ) -> McReport:
     """Fraction of replicates on which the chosen test rejects at cfg.alpha; the rows are (statistic, 0/1).
 
+    A block is tested on its one ``estimate_all`` by the statistics of :mod:`dwlab.testing`, each row's bit for
+    bit its path's alone, against the chi-square quantile taken once per run.
     ``threads`` as in :func:`run_replications`: None means every usable CPU.
     """
     if test_kind not in TEST_KINDS:
         raise DomainError(f"unknown test kind {test_kind!r}, expected one of {TEST_KINDS}")
     if test_kind == "rho0":
         check_rho0(rho0)
-
-    def outcome(est: EstimateSet):
-        if test_kind == "zero":
-            return zero_outcome(est, cfg.alpha)
-        if test_kind == "critical":
-            return critical_outcome(est, cfg.alpha)
-        return rho_outcome(est, rho0, cfg.alpha)[0]
+    statistic = {
+        "zero": lambda est: zero_statistic(est.n, est.dw, est.theta_hat),
+        "rho0": lambda est: rho_statistic(est, rho0)[0],
+        "critical": lambda est: critical_statistic(est.n, est.dw, est.theta_sq_hat),
+    }[test_kind]
+    threshold = chi2_quantile1(1.0 - cfg.alpha)
 
     def test(x: np.ndarray) -> list:
-        return [(o.statistic, int(o.reject)) for o in map(outcome, _fit_rows(x))]
+        return [(value, int(value > threshold)) for value in statistic(estimate_all(x)).tolist()]
 
     targets = _asymptotic_targets(cfg)
     rows = _map_paths(test, cfg, threads)

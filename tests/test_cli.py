@@ -466,6 +466,32 @@ class TestTestCommand:
         message = "error: theta = -rho accepted: the rho = rho0 test is undefined at rho0 = 0\n"
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize(
+        "values, argv, message",
+        [
+            # theta_tilde is about 1e110, so (1 + rho0*theta_tilde)^3 overflows in the plug-in variances
+            ("1e-5\n1e-5\n1\n1e110\n", ["--kind", "rho0", "--rho0", "0.5"], "rho = rho0 variance plug-in tau^2"),
+            # no power overflows here, but tau^2 comes out nan (inf - inf in the plug-in variance of rho)
+            ("1e-5\n1e-5\n1\n1e100\n", ["--kind", "rho0", "--rho0", "0.5"], "rho = rho0 variance plug-in tau^2"),
+            # theta_sq_hat = 1e-170, whose square underflows to zero in the denominator
+            ("1\n0\n1e-170\n0\n", ["--kind", "critical"], "critical-case statistic"),
+        ],
+    )
+    def test_a_statistic_that_is_not_finite_is_an_error(self, capsys, tmp_path, values, argv, message):
+        series = tmp_path / "s.csv"
+        series.write_text(values)
+        code, out, err = run_cli(capsys, "test", "--input", str(series), *argv, "--alpha", "0.05")
+        assert (code, out, err) == (2, "", f"error: {message} is not finite\n")
+
+    def test_auto_kind_with_a_rho0_whose_square_underflows_is_an_error(self, capsys, tmp_path):
+        # the preliminary test accepts theta = -rho, and rho0^2 = 1e-320 takes the place of theta^2
+        dest = tmp_path / "c.csv"
+        run_cli(capsys, "simulate", "--theta", "0.5", "--rho", "-0.5", "--n", "200", "--seed", "3",
+                "--output", str(dest))
+        code, out, err = run_cli(capsys, "test", "--input", str(dest), "--kind", "auto", "--rho0", "1e-160",
+                                 "--alpha", "0.05")
+        assert (code, out, err) == (2, "", "error: critical-case statistic is not finite\n")
+
     @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
     def test_alpha_is_checked_alike_by_test_and_verify(self, capsys, series_csv, alpha):
         message = "error: significance level must satisfy 0 < alpha < 1\n"

@@ -20,6 +20,10 @@ outside its own body, or re-exported through ``__all__``, or listed in
 
 No module reads an environment variable: the command line is the only
 source of a run's settings, and the manifest records it.
+
+``dwlab.testing`` and the plug-in variances it takes from ``dwlab.limits``
+write no ``**``: their powers go through ``limits.power``, so that a row of
+a block gets the bits of its series alone.
 """
 
 import ast
@@ -158,6 +162,41 @@ def test_a_dead_definition_is_caught():
         "dwlab.b": "from . import a\nfrom .a import Kept\n\na.used()\nKept\n",
     }
     assert uncalled_definitions(sources) == ["dwlab.a._leaves"]
+
+
+def power_lines(source: str, functions=None) -> list:
+    """Lines of the ``**`` operators in ``source``, or in its module-level functions named in ``functions``."""
+    tree = ast.parse(source)
+    scopes = [tree] if functions is None else [node for node in tree.body if getattr(node, "name", None) in functions]
+    return sorted({
+        node.lineno
+        for scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    })
+
+
+def test_the_tests_raise_to_powers_only_through_the_power_helper():
+    # numpy's ** on an array rounds some values otherwise than pow, which Python's ** on a float calls, so a
+    # row of a block would get other bits than its series alone; limits.power rounds as pow on both
+    sources = _sources()
+    found = {
+        "dwlab.testing": power_lines(sources["dwlab.testing"]),
+        "dwlab.limits": power_lines(sources["dwlab.limits"], ("var_theta_core", "var_rho_core")),
+    }
+    assert found == {"dwlab.testing": [], "dwlab.limits": []}, found
+
+
+def test_a_power_is_caught():
+    source = (
+        "def core(t):\n"
+        "    return (1.0 + t) ** 3\n"
+        "def other(t):\n"
+        "    t **= 2\n"
+        "    return pow(t, 2)\n"
+    )
+    assert power_lines(source) == [2, 4]
+    assert power_lines(source, ("core",)) == [2]
 
 
 ENVIRONMENT_NAMES = ("environ", "environb", "getenv", "getenvb")

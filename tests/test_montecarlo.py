@@ -108,7 +108,7 @@ class TestRunReplications:
         report = run_replications(cfg)
         series = simulate(cfg.params, cfg.noise, cfg.n, derive_seed(77, 0))
         est = estimate_all(series.x)
-        assert report.rows == [(est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat)]
+        assert report.rows == [[est.theta_hat, est.rho_hat, est.sigma2_hat, est.dw, est.theta_sq_hat]]
         assert "sample_cov" not in report.body  # needs two replicates
 
     def test_thread_count_does_not_change_the_report(self):

@@ -1,26 +1,33 @@
+import contextlib
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dwlab import TEST_KINDS, limits, montecarlo
 from dwlab.dist import chi2_quantile1
 import dwlab.testing
 from dwlab.errors import (
+    DWLabError,
     DegenerateDenominator,
     DegenerateStatistic,
     DegenerateTau,
     DegenerateTheta,
     DomainError,
 )
-from dwlab.model import ModelParams, NoiseSpec, simulate
+from dwlab.estimators import estimate_all
+from dwlab.limits import power as limits_power
+from dwlab.model import ModelParams, NoiseSpec, simulate, simulate_paths
 from dwlab.montecarlo import McConfig, empirical_size_power
 from dwlab.testing import (
     auto_test,
     check_rho0,
     critical_case_test,
     critical_statistic,
+    rho_statistic,
     rho_test,
     rho_weights,
     rho_zero_test,
@@ -311,3 +318,78 @@ class TestPower:
         violations = sum(1 for a, b in zip(rates, rates[1:]) if b < a - 2 * sigma)
         assert violations == 0, rates
         assert rates[-1] >= 0.99
+
+
+@functools.cache
+def _pool():
+    """20000 paths of 41 values at theta = 0.5, rho = 0, and their fit."""
+    x = simulate_paths(ModelParams(theta=0.5, rho=0.0), NoiseSpec(), 40, range(20000))
+    return x, estimate_all(x)
+
+
+def _rows_numpy_rounds_otherwise(est, rho0):
+    """Up to five rows of the fit ``est`` per power the tests take, where numpy's ``**`` on the array rounds otherwise.
+
+    A test of one series raises floats to powers with Python's ``**``, which
+    calls the C library's pow; numpy's ``**`` on an array may round
+    otherwise (numpy 2.4 on an x86-64 CPU with AVX-512: about 0.1% of
+    squares and 3% of cubes).  The critical-case statistic's one power,
+    (dw - 2)^2, is the rho = 0 statistic's.  A block stops at its first
+    failing check, so only the powers taken before it are seen.
+    """
+    bases = []
+
+    def power(x, p):
+        bases.append((x, p))
+        return limits_power(x, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limits, "power", power)
+        for statistic in (lambda: zero_statistic(est.n, est.dw, est.theta_hat), lambda: rho_statistic(est, rho0)):
+            with contextlib.suppress(DWLabError):
+                statistic()
+    with np.errstate(all="ignore"):
+        return [row for x, p in bases for row in np.flatnonzero(x ** p != np.float_power(x, p))[:5].tolist()]
+
+
+def _tested_alone(kind, row, rho0, alpha):
+    """The statistic and 0/1 reject flag of the test ``kind`` on the series ``row`` alone, or None where it fails."""
+    try:
+        if kind == "zero":
+            outcome = rho_zero_test(row, alpha)
+        elif kind == "critical":
+            outcome = critical_case_test(row, alpha)
+        else:
+            outcome, _ = rho_test(row, rho0, alpha)
+    except DWLabError:
+        return None
+    return outcome.statistic, int(outcome.reject)
+
+
+class TestBlockMatchesSeries:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(TEST_KINDS),
+        rho0=st.sampled_from([0.0]) | st.floats(-0.95, 0.95),
+        alpha=st.floats(0.001, 0.999),
+        picks=st.lists(st.integers(0, 19999), max_size=50),
+    )
+    @example(kind="rho0", rho0=0.0, alpha=0.05, picks=[])
+    @example(kind="rho0", rho0=0.3, alpha=0.05, picks=[])
+    @example(kind="zero", rho0=0.0, alpha=0.5, picks=[])
+    def test_each_row_of_a_block_is_tested_as_on_its_own(self, kind, rho0, alpha, picks):
+        # rows where numpy's ** on the block would round a power otherwise, and random others; a block holds
+        # those that pass on their own
+        x, est = _pool()
+        rows = x[[*_rows_numpy_rounds_otherwise(est, rho0), *picks]]
+        alone = [_tested_alone(kind, row, rho0, alpha) for row in rows]
+        block = rows[[outcome is not None for outcome in alone]]
+        assume(len(block))
+        cfg = McConfig(ModelParams(theta=0.5, rho=0.3), NoiseSpec(), n=100, replicates=len(block), base_seed=1,
+                       alpha=alpha)
+        with pytest.MonkeyPatch.context() as patch:  # the block's rows are the replicates, tested in one block
+            patch.setattr(montecarlo, "_map_paths", lambda statistic, cfg, threads: statistic(block))
+            rows = empirical_size_power(kind, cfg, rho0=rho0).rows
+        assert [(value.hex(), reject) for value, reject in rows] == [
+            (value.hex(), reject) for value, reject in filter(None, alone)
+        ]
