@@ -87,10 +87,14 @@ def recover_sigma2(theta_hat: float, rho_hat: float, sigma2_hat: float) -> float
 
     Multiplies sigma2_hat by (1 - p)(1 + p)^3 / ((1 + p)^2 - (s p)^2) with
     s = theta_hat + rho_hat and p = rho_hat / theta_hat; the factor is the
-    exact reciprocal of the estimator's limit-to-sigma2 ratio.
+    exact reciprocal of the estimator's limit-to-sigma2 ratio.  Estimates
+    so large that a power in it overflows float64 raise DomainError.
     """
     s_hat, p_hat = _sum_and_product(theta_hat, rho_hat)
-    denom = (1.0 + p_hat) ** 2 - (s_hat * p_hat) ** 2
-    if denom <= 0.0:
-        raise DegenerateDenominator("variance correction factor is undefined for these estimates")
-    return (1.0 - p_hat) * (1.0 + p_hat) ** 3 / denom * sigma2_hat
+    try:
+        denom = (1.0 + p_hat) ** 2 - (s_hat * p_hat) ** 2
+        if denom <= 0.0:
+            raise DegenerateDenominator("variance correction factor is undefined for these estimates")
+        return (1.0 - p_hat) * (1.0 + p_hat) ** 3 / denom * sigma2_hat
+    except OverflowError:  # a float ** raises where a float * would give inf
+        raise DomainError("the variance correction overflows float64 for these estimates") from None

@@ -525,6 +525,14 @@ class TestRecoverCommand:
         assert abs(rec["rho_rec"] - 0.5) < 0.05
         assert abs(rec["sigma2_rec"] - 1.0) < 0.1
 
+    def test_a_variance_correction_that_overflows_is_a_data_error(self, tmp_path):
+        # theta_hat = 1 and rho_hat = -5e99, so (s_hat * p_hat)^2 overflows a float
+        src = tmp_path / "r.csv"
+        src.write_text("0\n1\n1e-100\n1e100\n")
+        proc = run_fresh("-m", "dwlab", "recover", "--input", str(src))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: the variance correction overflows float64 for these estimates\n"
+
 
 def _reference_verify_csv(argv: list) -> str:
     """The --csv dump of ``dwlab *argv``, from the per-replicate loop over the derived seeds, as csv.writer writes it."""
@@ -1030,6 +1038,13 @@ class TestBadCsvText:
         src = tmp_path / "short.csv"
         src.write_text("k,x\n" + "".join(f"{k},0.5\n" for k in range(rows_before)) + "1\n2,0.3\n")
         message = "error: a CSV row has no field in the x column (column 1)\n"
+        assert run_cli(capsys, "estimate", "--input", str(src)) == (2, "", message)
+
+    def test_a_value_ending_in_a_separator_character_is_non_numeric(self, capsys, tmp_path):
+        # np.loadtxt would take the \x1c for a space and read 1; float, and so the csv module's reader, rejects it
+        src = tmp_path / "f.csv"
+        src.write_text("x\n1\x1c\n2\n3\n4\n")
+        message = "error: non-numeric value in CSV column 0: could not convert string to float: '1\\x1c'\n"
         assert run_cli(capsys, "estimate", "--input", str(src)) == (2, "", message)
 
     def test_non_finite_value_is_printed_plainly(self, tmp_path):

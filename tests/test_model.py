@@ -507,6 +507,9 @@ def _reference_read_csv(source, header=None) -> Series:
 
 _NUMBER_CELLS = ["0.5", "-3", "1_000", " 2.5 ", "-0.0", "1e308", "2e-310", "17"]
 _ODD_CELLS = ["nan", "inf", "abc", "", "  ", "\x1c", "1\x00", '"1.5"', '"3,5"', '"4\n5"', '"6\r"', '"7\r\n"']
+# cells at the edge of what np.loadtxt and float share: np.loadtxt alone takes \x1c-\x1f for spaces, float alone
+# takes "1_000" and Arabic-Indic digits, and both strip non-ASCII spaces; a chunk holding one is the csv module's
+_ODD_CELLS += ["1\x1c", "\x1f2", "\u0661", "2\xa0", "3\u3000"]
 _ODD_LINES = ["", "   ", ",", ",,,", "\t,  ", "1" * 200_000]
 _HEADERS = [None, "x", "k,x,eps,v", " k , X ", "eps,x", "a,b"]
 
@@ -564,6 +567,14 @@ class TestReadCsvSplitPath:
             with mock.patch.object(model, "_READ_CHUNK", chunk_size):
                 assert _outcome(read_csv, source(), header) == expected, name
 
+    def test_a_chunk_of_blank_lines_reads_without_a_warning(self, recwarn):
+        # np.loadtxt warns that such a chunk holds no data, so it must never be handed one
+        text = "x\n0.5\n" + "\n" * 50 + "0.25\n" + " \n\t\n" * 3 + "-0.75\n"
+        with mock.patch.object(model, "_READ_CHUNK", 1):
+            got = read_csv(io.StringIO(text)).x
+        assert got.tobytes() == _reference_read_csv(io.StringIO(text)).x.tobytes()
+        assert not recwarn.list
+
     @pytest.mark.parametrize("column", [1, 2])
     def test_a_quoted_field_over_a_line_break(self, column):
         # the csv module joins the two lines into one row, in the x column or next to it
@@ -579,3 +590,39 @@ class TestReadCsvSplitPath:
         for chunk in (7, 64, 4096, model._READ_CHUNK):
             with mock.patch.object(model, "_READ_CHUNK", chunk):
                 assert read_csv(io.StringIO(text)).x.tobytes() == s.x.tobytes()
+
+
+# every character a field of a plain chunk may hold: ASCII without the guard's and without the separators
+_PLAIN_CHARS = [c for c in map(chr, range(128)) if c not in model._NOT_PLAIN + ",\n"]
+_NUMBER_PARTS = ["0", "7", ".", "e", "E", "+", "-", " ", "\t", "nan", "inf", "infinity", "0x1p3"]
+_plain_tokens = st.lists(
+    st.sampled_from(_PLAIN_CHARS) | st.sampled_from(_NUMBER_PARTS) | st.floats().map(repr), max_size=6
+).map("".join)
+
+
+def _bits(parse, token: str):
+    """The float64 bits ``parse`` makes of ``token``, or None where it rejects it."""
+    try:
+        return np.float64(parse(token)).tobytes()
+    except ValueError:
+        return None
+
+
+def _loadtxt_field(token: str) -> float:
+    # the trailing comma keeps a token of whitespace from being a blank line
+    return np.loadtxt([token + ",\n"], delimiter=",", usecols=0, comments=None, ndmin=1)[0]
+
+
+class TestPlainFieldsParseAsFloat:
+    """On the characters a plain chunk may hold, np.loadtxt is float: the same bits, or both reject."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(tokens=st.lists(_plain_tokens, min_size=1, max_size=50))
+    def test_same_bits_or_both_reject(self, tokens):
+        for token in tokens:
+            assert _bits(_loadtxt_field, token) == _bits(float, token), repr(token)
+
+    @pytest.mark.parametrize("token", ["1\x1c", "\x1f2", "1_0", "\u0661"])
+    def test_the_guard_holds_what_the_parsers_read_apart(self, token):
+        assert _bits(_loadtxt_field, token) != _bits(float, token)
+        assert not token.isascii() or set(token) & set(model._NOT_PLAIN)

@@ -118,6 +118,12 @@ class TestRecoverSigma2:
         with pytest.raises(ThetaNearZero):
             recover_sigma2(0.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("theta_hat, rho_hat", [(1.0, -5e99), (1.5e-8, 1e160)])
+    def test_an_overflowing_correction_is_a_domain_error(self, theta_hat, rho_hat):
+        # a Python float ** raises OverflowError where numpy would give inf
+        with pytest.raises(DomainError, match="variance correction overflows float64"):
+            recover_sigma2(theta_hat, rho_hat, 1.0)
+
 
 class TestOnSimulatedPath:
     def test_long_path_recovers_parameters(self):
