@@ -15,10 +15,10 @@ which claim them one at a time and send their results back through a pipe
 each; otherwise they run in the caller.  A child dies with its parent (on
 Linux), and a failing block stops the claims at once.
 
-Each experiment returns one :class:`McReport`, built in one place: its JSON
-body of summaries (the fields every experiment shares, then the
-experiment's own results, then notes) and the per-replicate rows its
-workers returned, which only ``verify --csv`` writes.
+Each experiment ends in one call of ``_report``, the only maker of a
+:class:`McReport`: its JSON body of summaries (the fields every experiment
+shares, then the experiment's own results, then notes) and the
+per-replicate rows its workers returned, which only ``verify --csv`` writes.
 """
 
 from __future__ import annotations
@@ -155,11 +155,14 @@ class McReport:
         return ["replicate", *self.columns], [range(len(self.rows)), *zip(*self.rows)]
 
 
-def _shared_fields(cfg: McConfig, targets: dict, tolerances: dict) -> dict:
-    """The fields that open every report body."""
+def _report(
+    cfg: McConfig, targets: dict, tolerances: dict, results: dict, columns: tuple, rows: list, notes: Sequence = ()
+) -> McReport:
+    """The report of one experiment: the fields every body opens with, then ``results``, then ``notes``."""
     p = cfg.params
-    return dict(theta=p.theta, rho=p.rho, sigma2=p.sigma2, noise=cfg.noise.kind, n=cfg.n, replicates=cfg.replicates,
+    body = dict(theta=p.theta, rho=p.rho, sigma2=p.sigma2, noise=cfg.noise.kind, n=cfg.n, replicates=cfg.replicates,
                 base_seed=cfg.base_seed, alpha=cfg.alpha, targets=targets, tolerances=tolerances)
+    return McReport({**body, **results, "notes": list(notes)}, columns, rows)
 
 
 def _usable_cpus() -> int:
@@ -341,11 +344,10 @@ def run_replications(cfg: McConfig, threads: Optional[int] = 1) -> McReport:
             notes.append(f"{name}: asymptotic sd is zero at this parameter point, KS skipped")
 
     tolerances = {"ks": KS_TOLERANCE, "cov_rel": COV_REL_TOLERANCE, "cov_abs": COV_ABS_TOLERANCE}
-    body = {**_shared_fields(cfg, targets, tolerances), "ks": ks}
+    results = {"ks": ks}
     if cfg.replicates >= 2:
-        body["sample_cov"] = np.cov(np.vstack([centered["theta"], centered["rho"]]), ddof=1).tolist()
-    body["notes"] = notes
-    return McReport(body, ESTIMATES, rows)
+        results["sample_cov"] = np.cov(np.vstack([centered["theta"], centered["rho"]]), ddof=1).tolist()
+    return _report(cfg, targets, tolerances, results, ESTIMATES, rows, notes)
 
 
 def empirical_size_power(
@@ -378,15 +380,10 @@ def empirical_size_power(
     rows = _map_paths(test, cfg, threads)
     band = SIZE_BAND_SIGMAS * math.sqrt(cfg.alpha * (1.0 - cfg.alpha) / cfg.replicates)
     tolerances = {"size_band_sigmas": SIZE_BAND_SIGMAS, "size_band_halfwidth": band}
-    body = {
-        **_shared_fields(cfg, targets, tolerances),
-        "rejection_rate": sum(reject for _, reject in rows) / len(rows),
-        "test_kind": test_kind,
-    }
+    results = {"rejection_rate": sum(reject for _, reject in rows) / len(rows), "test_kind": test_kind}
     if test_kind == "rho0":  # the other kinds never read rho0
-        body["rho0"] = rho0
-    body["notes"] = []
-    return McReport(body, ("statistic", "reject"), rows)
+        results["rho0"] = rho0
+    return _report(cfg, targets, tolerances, results, ("statistic", "reject"), rows)
 
 
 def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: Optional[int] = 1) -> McReport:
@@ -410,12 +407,8 @@ def qsl_check(cfg: McConfig, which: str, k0: int = DEFAULT_BURN_IN, threads: Opt
     check_burn_in(cfg.n, k0)
     log_n = math.log(cfg.n)
     values = _map_paths(lambda x: [squared_deviation_sum(path, which, limit, k0) / log_n for path in x], cfg, threads)
-    body = {
-        **_shared_fields(cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE}),
-        "qsl": {"which": which, "k0": k0, "mean": sum(values) / len(values), "target": target_var},
-        "notes": [],
-    }
-    return McReport(body, ("qsl_value",), [(value,) for value in values])
+    qsl = {"which": which, "k0": k0, "mean": sum(values) / len(values), "target": target_var}
+    return _report(cfg, targets, {"qsl_rel": QSL_REL_TOLERANCE}, {"qsl": qsl}, ("qsl_value",), [(v,) for v in values])
 
 
 def lil_deviation(estimate, limit: float, m: int):
@@ -472,16 +465,13 @@ def lil_envelope_check(
     rows = _map_paths(deviations, cfg, threads)
     exceed = np.array(rows) > envelope  # shape (replicates, checkpoints)
     per_checkpoint = {str(m): float(np.mean(exceed[:, j])) for j, m in enumerate(checkpoints)}
-    body = {
-        **_shared_fields(cfg, targets, {"sd_multiple": LIL_SD_MULTIPLE, "max_fraction": LIL_MAX_FRACTION}),
-        "lil": {
-            "which": which,
-            "checkpoints": checkpoints,
-            "envelope": envelope,
-            "exceedance_fraction": float(np.mean(exceed)),
-            "per_checkpoint_fraction": per_checkpoint,
-            "note": LIL_NOTE,
-        },
-        "notes": [],
+    lil = {
+        "which": which,
+        "checkpoints": checkpoints,
+        "envelope": envelope,
+        "exceedance_fraction": float(np.mean(exceed)),
+        "per_checkpoint_fraction": per_checkpoint,
+        "note": LIL_NOTE,
     }
-    return McReport(body, tuple(f"deviation_{m}" for m in checkpoints), rows)
+    tolerances = {"sd_multiple": LIL_SD_MULTIPLE, "max_fraction": LIL_MAX_FRACTION}
+    return _report(cfg, targets, tolerances, {"lil": lil}, tuple(f"deviation_{m}" for m in checkpoints), rows)

@@ -35,11 +35,14 @@ def quadratic_roots(s: float, p: float) -> tuple[float, float]:
     """Ordered real roots of z^2 - s z + p = 0.
 
     Discriminants in (-1e-10, 0) are clamped to zero (double root near
-    theta = rho); genuinely negative ones raise NegativeDiscriminant.  The
-    larger root in magnitude is formed without cancellation and the other
-    as p over it (Vieta), so a root near zero keeps its relative accuracy.
+    theta = rho); genuinely negative ones raise NegativeDiscriminant, and
+    one that overflows float64 raises DomainError.  The larger root in
+    magnitude is formed without cancellation and the other as p over it
+    (Vieta), so a root near zero keeps its relative accuracy.
     """
     disc = s * s - 4.0 * p
+    if not math.isfinite(disc):
+        raise DomainError("the discriminant of the recovery quadratic overflows float64 for these estimates")
     if disc < 0.0:
         if disc > -DISCRIMINANT_CLAMP:
             disc = 0.0
@@ -88,13 +91,17 @@ def recover_sigma2(theta_hat: float, rho_hat: float, sigma2_hat: float) -> float
     Multiplies sigma2_hat by (1 - p)(1 + p)^3 / ((1 + p)^2 - (s p)^2) with
     s = theta_hat + rho_hat and p = rho_hat / theta_hat; the factor is the
     exact reciprocal of the estimator's limit-to-sigma2 ratio.  Estimates
-    so large that a power in it overflows float64 raise DomainError.
+    for which the correction or its product overflows float64 raise
+    DomainError.
     """
     s_hat, p_hat = _sum_and_product(theta_hat, rho_hat)
     try:
         denom = (1.0 + p_hat) ** 2 - (s_hat * p_hat) ** 2
         if denom <= 0.0:
             raise DegenerateDenominator("variance correction factor is undefined for these estimates")
-        return (1.0 - p_hat) * (1.0 + p_hat) ** 3 / denom * sigma2_hat
-    except OverflowError:  # a float ** raises where a float * would give inf
-        raise DomainError("the variance correction overflows float64 for these estimates") from None
+        sigma2 = (1.0 - p_hat) * (1.0 + p_hat) ** 3 / denom * sigma2_hat
+    except OverflowError:  # a float ** raises where a float * gives inf
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise DomainError("the variance correction overflows float64 for these estimates")
+    return sigma2

@@ -70,7 +70,7 @@ class TestWeights:
     d_tilde: float
     alpha_hat: float
     beta_hat: float
-    gamma_hat: np.ndarray
+    gamma_hat: tuple[tuple[float, float], tuple[float, float]]
     tau2: float
 
 
@@ -163,7 +163,6 @@ def rho_weights(theta_hat: float, rho_hat: float, rho0: float) -> TestWeights:
         alpha_hat = limits.var_theta_core(t, rho0)
         beta_hat = limits.var_rho_core(t, rho0)
         off = rt * alpha_hat
-        gamma_hat = np.array([[alpha_hat, off], [off, beta_hat]])
         quad = a_w * a_w * alpha_hat + 2.0 * a_w * b_w * off + b_w * b_w * beta_hat
         tau2 = _finite(4.0 / limits.power(1.0 + rt, 2) * quad, "rho = rho0 variance plug-in tau^2")
     if (tau2 <= TAU_EPS).any():
@@ -179,7 +178,7 @@ def rho_weights(theta_hat: float, rho_hat: float, rho0: float) -> TestWeights:
         d_tilde=d_tilde,
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
-        gamma_hat=gamma_hat,
+        gamma_hat=((alpha_hat, off), (off, beta_hat)),
         tau2=tau2,
     )
 

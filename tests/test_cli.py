@@ -533,6 +533,19 @@ class TestRecoverCommand:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: the variance correction overflows float64 for these estimates\n"
 
+    @pytest.mark.parametrize("values, message", [
+        # sigma2_hat is about 1.4e307 and the correction factor about -3, so the product is -inf
+        ("-9.25949927465428e+152\n1.730078858798992e+153\n4.1851270553128257e+152\n6.662739841674448e+153\n",
+         "the variance correction overflows float64 for these estimates"),
+        # theta_hat is about 2.4e158, so its square in the discriminant overflows
+        ("4.186731303767951e-147\n-1.065392118632532e-128\n-1.3507838914652754e-29\n-3.184505127011593e+129\n",
+         "the discriminant of the recovery quadratic overflows float64 for these estimates"),
+    ], ids=["sigma2-product", "discriminant"])
+    def test_a_recovery_that_overflows_names_the_overflow(self, capsys, tmp_path, values, message):
+        src = tmp_path / "r.csv"
+        src.write_text(values)
+        assert run_cli(capsys, "recover", "--input", str(src)) == (2, "", f"error: {message}\n")
+
 
 def _reference_verify_csv(argv: list) -> str:
     """The --csv dump of ``dwlab *argv``, from the per-replicate loop over the derived seeds, as csv.writer writes it."""

@@ -46,7 +46,7 @@ def test_the_corpus_covers_every_command_and_error_case():
             if argv[argv.index("--experiment") + 1] == experiment and not ident.startswith("error-")
         }
         assert threads == {"1", "2"}, experiment
-    assert {"latin1.csv", "bom.csv"} == set(files)
+    assert {"latin1.csv", "bom.csv", "sigma2-overflow.csv", "roots-overflow.csv"} == set(files)
     with pytest.raises(UnicodeDecodeError):
         files["latin1.csv"].decode("utf-8")
     assert files["bom.csv"].startswith(codecs.BOM_UTF8)

@@ -26,6 +26,12 @@ class TestQuadraticRoots:
         with pytest.raises(NegativeDiscriminant):
             quadratic_roots(0.1, 0.5)
 
+    @pytest.mark.parametrize("s, p", [(2.4e158, -1.7e-177), (1.0, -1e308), (1.0, 1e308)])
+    def test_an_overflowing_discriminant_is_a_domain_error(self, s, p):
+        # an inf discriminant would make the larger root inf and the other zero
+        with pytest.raises(DomainError, match="discriminant of the recovery quadratic overflows float64"):
+            quadratic_roots(s, p)
+
 
 class TestRecoverParams:
     def test_exact_limits_recover_the_pair(self):
@@ -123,6 +129,15 @@ class TestRecoverSigma2:
         # a Python float ** raises OverflowError where numpy would give inf
         with pytest.raises(DomainError, match="variance correction overflows float64"):
             recover_sigma2(theta_hat, rho_hat, 1.0)
+
+    @pytest.mark.parametrize(
+        "theta_hat, rho_hat, sigma2_hat",
+        [(2.0, 0.5, 1.5e308), (-2.1, -1.0, 1e294), (0.4745834491658677, -0.9577604722403232, 1.3800334561468393e307)],
+    )
+    def test_an_overflowing_product_is_a_domain_error(self, theta_hat, rho_hat, sigma2_hat):
+        # no power overflows here, but a float * gives inf where ** would raise
+        with pytest.raises(DomainError, match="variance correction overflows float64"):
+            recover_sigma2(theta_hat, rho_hat, sigma2_hat)
 
 
 class TestOnSimulatedPath:

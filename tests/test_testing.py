@@ -103,7 +103,7 @@ class TestWeightsConstruction:
         assert rel_close(w.alpha_hat, float(alpha), 1e-13)
         assert rel_close(w.beta_hat, float(beta), 1e-13)
         assert rel_close(w.tau2, float(tau2), 1e-13)
-        assert w.gamma_hat[0, 1] == w.gamma_hat[1, 0]
+        assert w.gamma_hat[0][1] == w.gamma_hat[1][0]
 
     def test_degenerate_tau_at_critical_plugins(self):
         # theta_hat = rho_hat = 0 puts the weight vector in the null space of
